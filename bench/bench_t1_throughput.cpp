@@ -158,9 +158,10 @@ int run(int argc, char** argv) {
           .gauge(gauge_name("flat", t, mix))
           .set(static_cast<std::int64_t>(flat_ops));
       // Reclamation accounting per cell: gauges `rt.<cell>.reclaim.*`
-      // (live_versions / retired / recycled / acquire_contention). With the
-      // default bounded registers, live_versions at quiescence is one per
-      // register — if it ever tracks ops_per_thread instead, reclamation
+      // (live_versions / retired / recycled / acquire_contention). These
+      // int64 cells hold every register inline, so the gauges read zero; an
+      // arena-backed register reports one live version per register at
+      // quiescence — if it ever tracks ops_per_thread instead, reclamation
       // broke and this artifact is the first place it shows.
       tree.export_reclaim_gauges(bobs.registry(), cell_name("tree", t, mix));
       flat.export_reclaim_gauges(bobs.registry(), cell_name("flat", t, mix));

@@ -69,27 +69,28 @@ struct RtBackend {
 
     int pid() const { return pid_; }
 
-    template <class T>
-    auto read(const rt::SWMRRegister<T>& reg) const {
-      return detail::ReadyAwaiter<T>{reg.read()};
-    }
-
-    template <class T>
-    auto read(const rt::CASValueRegister<T>& reg) const {
-      return detail::ReadyAwaiter<T>{reg.read()};
+    // R is whichever class Reg<T> / CasReg<T> selected (inline or arena);
+    // the value type comes from R, since an alias that picks a class cannot
+    // deduce T.
+    template <class R>
+    auto read(const R& reg) const {
+      return detail::ReadyAwaiter<typename R::value_type>{reg.read()};
     }
 
     // Single-writer discipline is by convention here (the sim backend
     // enforces it and aborts; running the same algorithm there first is the
     // cheap way to check).
-    template <class T>
-    auto write(rt::SWMRRegister<T>& reg, T value) const {
+    template <class R>
+    auto write(R& reg, typename R::value_type value) const {
       reg.write(std::move(value));
       return detail::ReadyVoidAwaiter{};
     }
 
-    template <class T>
-    auto cas(rt::CASValueRegister<T>& reg, T expected, T desired) const {
+    // `expected` by reference: the CAS completes inside this call, so the
+    // reference never outlives it (no copy of a large cell per attempt).
+    template <class R>
+    auto cas(R& reg, const typename R::value_type& expected,
+             typename R::value_type desired) const {
       const bool ok =
           reg.compare_exchange(pid_, expected, std::move(desired));
       return detail::ReadyAwaiter<bool>{ok};
@@ -164,11 +165,10 @@ struct RtBackend {
       for (auto& h : holders_) h->attach_injector(injector);
     }
 
-    // Reclamation accounting summed over every register in this Mem (exact
-    // at quiescence). Under the default bounded registers live_versions()
-    // is bounded by concurrent holders, not by write count; under
-    // APRAM_RT_UNBOUNDED it equals the total number of versions ever
-    // written — which is what makes the gauge worth watching.
+    // Reclamation accounting summed over every arena register in this Mem
+    // (exact at quiescence; inline registers contribute zeros).
+    // live_versions() is bounded by concurrent holders, not by write count —
+    // a gauge that drifts with the write count is a reclamation leak.
     rt::reclaim::ReclaimStats reclaim_stats() const {
       rt::reclaim::ReclaimStats total;
       for (const auto& h : holders_) total += h->reclaim_stats();

@@ -23,7 +23,8 @@
 // (cur), reads both children, and CASes {cur.seq+1, f(children)} over cur.
 // Stamped equality compares seq only; every successful CAS installs a fresh
 // seq, so value-equality identifies writes and the CAS is ABA-free (what
-// CASValueRegister's pointer swap and the simulator's operator== CAS both
+// CASValueRegister — a cmpxchg16b for Stamped<int64>, the arena's
+// control-word swap for larger T — and the simulator's operator== CAS all
 // require).
 //
 // Double-refresh helping lemma (why TWO attempts per node suffice, for ANY

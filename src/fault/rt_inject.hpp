@@ -30,7 +30,9 @@
 //     every other thread keeps writing: the precise window in which a broken
 //     reclamation scheme would free memory out from under a reader. on_hold
 //     never perturbs probabilistically and never counts as an access — it is
-//     purely the hard-stall hook, so access accounting stays exact.
+//     purely the hard-stall hook, so access accounting stays exact. Inline
+//     (word and double-word) registers have no version to hold and never
+//     call it: aim kHold tests at arena-backed payloads.
 //
 // Threads without a model pid (obs::thread_pid() < 0, e.g. the main thread
 // probing a register mid-stall) pass through uninjected.

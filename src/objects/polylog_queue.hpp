@@ -40,8 +40,8 @@
 // REGISTER accesses because a node's whole chain lives in one register; the
 // paper pays the extra log factor to keep node values word-sized, the same
 // modelling convention as TaggedVectorLattice's O(n) register values).
-// Space is unbounded (the chain holds the full history), matching the
-// repo's paper-mode registers (-DAPRAM_RT_UNBOUNDED) honesty note.
+// Space is unbounded: the chain holds the full history (the paper's own
+// unbounded-counter construction has the same shape).
 #pragma once
 
 #include <algorithm>

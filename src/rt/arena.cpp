@@ -1,8 +1,8 @@
-// Compile anchor + layout audit for the rt versioned-arena subsystem.
+// Compile anchor + layout audit for the rt register layer.
 //
 // The arena and registers are header-only templates; this TU instantiates
-// the full surface standalone for representative payloads (a trivially
-// copyable scalar and a heap-owning vector) so layout regressions and
+// the full surface standalone for representative payloads (a word, a
+// stamped double word, and a heap-owning vector) so layout regressions and
 // template breakage surface in the library build, not in whichever test
 // happens to instantiate the broken combination first.
 #include <cstdint>
@@ -13,13 +13,28 @@
 
 namespace apram::rt {
 
+namespace {
+
+// The FArray node shape: a stamp plus a word, compared by stamp alone.
+struct StampedWord {
+  std::uint64_t seq;
+  std::int64_t v;
+  friend bool operator==(const StampedWord& a, const StampedWord& b) {
+    return a.seq == b.seq;
+  }
+};
+
+}  // namespace
+
 template class reclaim::VersionArena<int>;
 template class reclaim::VersionArena<std::vector<std::uint64_t>>;
 template class BoundedSWMRRegister<int>;
 template class BoundedSWMRRegister<std::vector<std::uint64_t>>;
 template class BoundedCASValueRegister<std::vector<std::uint64_t>>;
-template class UnboundedSWMRRegister<int>;
-template class UnboundedCASValueRegister<std::vector<std::uint64_t>>;
+template class InlineRegister<std::int64_t>;
+#if defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
+template class InlineRegister<StampedWord>;
+#endif
 
 namespace {
 
@@ -40,10 +55,13 @@ static_assert(ArenaI::kNilSlot > ArenaI::kSlotMask,
 // Cache-line audit, whole-class view (the per-member asserts live inside
 // VersionArena where the private types are visible): the arena itself is
 // line-aligned because its first hot member (the control word) is, so two
-// arenas in an array never share the control line.
+// arenas in an array never share the control line. Inline registers own
+// their line for the same reason.
 static_assert(alignof(ArenaI) >= 64);
 static_assert(alignof(reclaim::VersionArena<std::vector<std::uint64_t>>) >=
               64);
+static_assert(alignof(InlineRegister<std::int64_t>) == 64 &&
+              sizeof(InlineRegister<std::int64_t>) == 64);
 
 // The one-instruction reader protocol needs a genuinely atomic 64-bit RMW.
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,

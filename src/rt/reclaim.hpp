@@ -66,12 +66,13 @@
 
 namespace apram::rt::reclaim {
 
-// Quiescent-read snapshot of an arena's bookkeeping. Sums are exact once the
-// harness has joined its threads; while threads run they are monotone
-// approximations (same contract as obs counters).
+// Snapshot of an arena's bookkeeping. Sums are exact once the harness has
+// joined its threads; while threads run the monotone counters are
+// approximations (same contract as obs counters), but `live` is one counter
+// and so is exact at the instant it was loaded.
 struct ReclaimStats {
   std::uint64_t allocated = 0;  // slots ever handed out (monotone)
-  std::uint64_t freed = 0;      // returns to a free list (retires + losers)
+  std::uint64_t live = 0;       // slots outside the free lists, see below
   std::uint64_t retired = 0;    // published versions whose last holder left
   std::uint64_t recycled = 0;   // allocations served from a free list
   std::uint64_t acquire_contention = 0;  // publish-CAS retries under acquires
@@ -79,11 +80,11 @@ struct ReclaimStats {
   // Slots currently outside the free lists: the published version, versions
   // still held by readers, and slots a writer has allocated but not yet
   // published. Bounded by holders + writers + O(1), never by write count.
-  std::uint64_t live_versions() const { return allocated - freed; }
+  std::uint64_t live_versions() const { return live; }
 
   ReclaimStats& operator+=(const ReclaimStats& o) {
     allocated += o.allocated;
-    freed += o.freed;
+    live += o.live;
     retired += o.retired;
     recycled += o.recycled;
     acquire_contention += o.acquire_contention;
@@ -172,6 +173,7 @@ class VersionArena {
     s.owner = static_cast<std::uint32_t>(writer);
     s.value.emplace(std::move(v));
     stats_.allocated.fetch_add(1, std::memory_order_relaxed);
+    stats_.live.fetch_add(1, std::memory_order_relaxed);
     if (reused) stats_.recycled.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
@@ -215,7 +217,7 @@ class VersionArena {
   ReclaimStats stats() const {
     ReclaimStats out;
     out.allocated = stats_.allocated.load(std::memory_order_relaxed);
-    out.freed = stats_.freed.load(std::memory_order_relaxed);
+    out.live = stats_.live.load(std::memory_order_relaxed);
     out.retired = stats_.retired.load(std::memory_order_relaxed);
     out.recycled = stats_.recycled.load(std::memory_order_relaxed);
     out.acquire_contention =
@@ -257,7 +259,11 @@ class VersionArena {
 
   struct alignas(64) Stats {
     std::atomic<std::uint64_t> allocated{0};
-    std::atomic<std::uint64_t> freed{0};
+    // +1 per alloc, −1 per free-list push. A slot's push happens after its
+    // alloc, and a single atomic's modification order respects that, so
+    // every load sees an exact count — never the skew of two counters
+    // loaded at different instants while a writer churns.
+    std::atomic<std::uint64_t> live{0};
     std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> recycled{0};
     std::atomic<std::uint64_t> acquire_contention{0};
@@ -332,7 +338,7 @@ class VersionArena {
       s.next.store(h, std::memory_order_relaxed);
     } while (!head.compare_exchange_weak(h, slot, std::memory_order_release,
                                          std::memory_order_relaxed));
-    stats_.freed.fetch_add(1, std::memory_order_relaxed);
+    stats_.live.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // Single-consumer pop (only thread `writer` pops list `writer`): a CAS

@@ -1,29 +1,34 @@
 // Real-thread atomic registers (the `apram::rt` runtime).
 //
-// The paper's model assumes atomic registers large enough to hold whole
-// arrays ("numerous techniques exist for constructing large atomic registers
-// from smaller ones"). On real hardware we realize an arbitrarily large
-// single-writer multi-reader atomic register by publishing immutable
-// versions through one atomic word. Two implementations share that shape:
+// The paper's model is atomic registers of any size ("numerous techniques
+// exist for constructing large atomic registers from smaller ones"). The rt
+// runtime realizes a register in one of two ways, chosen by value type:
 //
-//   * Bounded (the default): versions live in an rt::reclaim::VersionArena —
-//     a 64-bit control word packing {acquire count, arena slot}, wait-free
+//   * Inline (InlineRegister): T lives in place in one hardware atomic — a
+//     std::atomic<T> when T fits a lock-free word, or a 16-byte-aligned
+//     double word read with __atomic_load_n and swapped with lock
+//     cmpxchg16b. These are the FArray leaves (int64), the FArray nodes
+//     (Stamped<int64>) and the union-find parents (int32). Every inline
+//     access is memory_order_seq_cst: algorithms argue over one total order
+//     of register accesses, and the FArray double-refresh lemma needs a
+//     process's leaf write visible before its next node read — a store then
+//     a load of another location, which release/acquire lets the store
+//     buffer reorder.
+//
+//   * Arena (BoundedSWMRRegister / BoundedCASValueRegister): any other T is
+//     published as immutable versions in an rt::reclaim::VersionArena — a
+//     64-bit control word packing {acquire count, arena slot}, wait-free
 //     reader acquire/release, publication with count transfer, failed-CAS
 //     cleanup, and per-writer free-list recycling. Memory is proportional to
 //     concurrent holders, never to write count. See rt/reclaim.hpp for the
 //     protocol and safety argument.
 //
-//   * Unbounded (Unbounded* classes; the APRAM_RT_UNBOUNDED build flips the
-//     default aliases to them): every write appends to a grow-only node
-//     store that is never freed before the register is destroyed — the
-//     paper's unbounded-register assumption, verbatim. Use it for exact
-//     paper-mode audits where reclamation itself must be out of the picture.
+// SWMRRegister<T> and CASValueRegister<T> (bottom of this file) select the
+// inline register whenever kInlineRegister<T> holds; there is no option.
+// Reads return BY VALUE in both flavours and every read path is wait-free:
+// inline is one load, arena is one fetch_add + one fetch_sub.
 //
-// Reads return BY VALUE in both flavours (the copy happens while the version
-// is held; bounded readers then release it). Both read paths are wait-free:
-// unbounded is one acquire-load, bounded is one fetch_add + one fetch_sub.
-//
-// Both register flavours carry an optional apram::obs probe (attach_probe):
+// Every register carries an optional apram::obs probe (attach_probe):
 // unattached, an access pays one relaxed pointer load and a predictable
 // branch; attached, each access is counted (relaxed fetch_add) and — when
 // the calling thread has a model pid — traced with an rt timestamp.
@@ -31,33 +36,43 @@
 // They also carry an optional apram::fault::RtInjector (attach_injector)
 // that fires BEFORE the access takes effect — the injection point is the
 // access boundary, the only place the model lets an adversary act. The
-// bounded registers add a second injection point, on_hold(), between a
+// arena registers add a second injection point, on_hold(), between a
 // reader's acquire and its dereference: stalling there keeps a version
 // pinned while writers churn, which is exactly the window a reclamation bug
 // would need to free a held version (tests/rt_reclaim_test.cpp proves it
-// cannot). The unattached cost is the same one relaxed load + branch.
+// cannot). Inline registers have no such window, so a kHold stall never
+// engages on them. The unattached cost is the same one relaxed load + branch.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
-#include <deque>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "fault/rt_inject.hpp"
 #include "obs/rt_probe.hpp"
 #include "rt/reclaim.hpp"
 #include "util/assert.hpp"
 
+// Whether a 16-byte value is inline depends on cmpxchg16b; a TU compiled
+// without it would name a different register type than the rest of the
+// program. apram_rt puts -mcx16 on its public interface.
+#if defined(__x86_64__) && !defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
+#error "rt/register.hpp needs -mcx16 on x86-64 (link apram_rt, which adds it)"
+#endif
+
 namespace apram::rt {
 
 // ---------------------------------------------------------------------------
-// Bounded-memory registers (default): VersionArena underneath.
+// Arena registers: VersionArena underneath, for values too large to inline.
 // ---------------------------------------------------------------------------
 
 template <class T>
 class BoundedSWMRRegister {
  public:
+  using value_type = T;
+
   explicit BoundedSWMRRegister(T initial) : arena_(1, std::move(initial)) {}
 
   BoundedSWMRRegister(const BoundedSWMRRegister&) = delete;
@@ -122,17 +137,19 @@ class BoundedSWMRRegister {
 };
 
 // Multi-writer register with value-compared compare-and-swap over
-// arbitrarily large values, bounded-memory flavour. compare_exchange
-// compares the CURRENT VALUE with T's operator== — which must identify
-// distinct writes (distinct published values never compare equal; Stamped<T>
-// in farray/farray.hpp is the standard recipe) — and succeeds via a CAS
-// on the arena control word. The caller's own acquire pins the expected
-// version, so the control-word compare cannot ABA (a held slot cannot be
-// retired, hence cannot be reallocated and re-published). A loser returns
-// its prepared slot to the free list immediately (failed-CAS cleanup).
+// arbitrarily large values. compare_exchange compares the CURRENT VALUE
+// with T's operator== — which must identify distinct writes (distinct
+// published values never compare equal; Stamped<T> in farray/farray.hpp is
+// the standard recipe) — and succeeds via a CAS on the arena control word.
+// The caller's own acquire pins the expected version, so the control-word
+// compare cannot ABA (a held slot cannot be retired, hence cannot be
+// reallocated and re-published). A loser returns its prepared slot to the
+// free list immediately (failed-CAS cleanup).
 template <class T>
 class BoundedCASValueRegister {
  public:
+  using value_type = T;
+
   BoundedCASValueRegister(int num_writers, T initial)
       : arena_(num_writers, std::move(initial)) {
     APRAM_CHECK(num_writers >= 1);
@@ -206,233 +223,159 @@ class BoundedCASValueRegister {
 };
 
 // ---------------------------------------------------------------------------
-// Unbounded registers: the paper's assumption, verbatim. Grow-only node
-// stores, nothing freed before destruction. std::deque guarantees reference
-// stability under push_back, and only the single writer touches the deque
-// structure, so reads race with nothing.
+// Inline registers: T held in place by one hardware atomic, no arena.
 // ---------------------------------------------------------------------------
 
+namespace detail {
+
+// std::atomic<T>::is_always_lock_free behind a class, so that the
+// std::conjunction below never names std::atomic<T> for a T it rejects.
 template <class T>
-class UnboundedSWMRRegister {
- public:
-  explicit UnboundedSWMRRegister(T initial) {
-    nodes_.push_back(std::move(initial));
-    current_.store(&nodes_.back(), std::memory_order_release);
-  }
+struct AlwaysLockFree
+    : std::bool_constant<std::atomic<T>::is_always_lock_free> {};
 
-  UnboundedSWMRRegister(const UnboundedSWMRRegister&) = delete;
-  UnboundedSWMRRegister& operator=(const UnboundedSWMRRegister&) = delete;
-
-  // Any thread. Wait-free: one acquire load, then a copy of the immutable
-  // node (nodes are never reclaimed, so the dereference is always safe).
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    T v = *current_.load(std::memory_order_acquire);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // Owner thread only (single writer). Wait-free: one release store.
-  void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    nodes_.push_back(std::move(v));
-    current_.store(&nodes_.back(), std::memory_order_release);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_write();
-    }
-  }
-
-  // Space diagnostics: number of values ever written (incl. the initial).
-  std::size_t versions() const { return nodes_.size(); }
-
-  // Nothing is recycled here; live == allocated by construction.
-  reclaim::ReclaimStats reclaim_stats() const {
-    reclaim::ReclaimStats s;
-    s.allocated = nodes_.size();
-    return s;
-  }
-
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  std::deque<T> nodes_;
-  std::atomic<const T*> current_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// Unbounded multi-writer register with value-compared CAS: one grow-only
-// node store per writer (writer `pid` appends only to store `pid`, so no
-// store is ever touched by two threads), swap done on the publication
-// pointer. Sound under the same operator==-identifies-writes contract as the
-// bounded flavour: published nodes are never recycled, so the pointer CAS
-// cannot ABA. Nodes from failed swaps stay in their writer's store — the
-// unbounded-register assumption again.
+// Unique object representations: T's bits are its value (no padding, no
+// floating point), so bit_cast round-trips and a CAS from loaded bits
+// compares exactly what was loaded.
 template <class T>
-class UnboundedCASValueRegister {
- public:
-  UnboundedCASValueRegister(int num_writers, T initial)
-      : initial_(std::move(initial)),
-        stores_(static_cast<std::size_t>(num_writers)) {
-    APRAM_CHECK(num_writers >= 1);
-    current_.store(&initial_, std::memory_order_release);
-  }
+inline constexpr bool kWordInline =
+    std::conjunction_v<std::is_trivially_copyable<T>,
+                       std::is_copy_assignable<T>,
+                       std::has_unique_object_representations<T>,
+                       std::bool_constant<sizeof(T) <= 8>, AlwaysLockFree<T>>;
 
-  UnboundedCASValueRegister(const UnboundedCASValueRegister&) = delete;
-  UnboundedCASValueRegister& operator=(const UnboundedCASValueRegister&) =
-      delete;
-
-  // Any thread. Wait-free: one acquire load, then a copy.
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    T v = *current_.load(std::memory_order_acquire);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // One atomic step by thread `pid`: if the current value equals `expected`
-  // (T's operator==), install `desired` and return true. Wait-free — a
-  // failed pointer CAS is a failed operation, never a retry loop.
-  bool compare_exchange(int pid, const T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const T* cur = current_.load(std::memory_order_acquire);
-    bool ok = *cur == expected;
-    if (ok) {
-      std::deque<T>& store = stores_[static_cast<std::size_t>(pid)].nodes;
-      store.push_back(std::move(desired));
-      ok = current_.compare_exchange_strong(cur, &store.back(),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire);
-    }
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_cas(ok);
-    }
-    return ok;
-  }
-
-  // Space diagnostics: values ever prepared (incl. the initial; counts nodes
-  // from failed swaps too).
-  std::size_t versions() const {
-    std::size_t total = 1;
-    for (const Store& s : stores_) total += s.nodes.size();
-    return total;
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const {
-    reclaim::ReclaimStats s;
-    s.allocated = versions();
-    return s;
-  }
-
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  // Per-writer stores live on their own cache lines.
-  struct alignas(64) Store {
-    std::deque<T> nodes;
-  };
-
-  T initial_;
-  std::vector<Store> stores_;
-  std::atomic<const T*> current_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// ---------------------------------------------------------------------------
-// Default aliases: bounded-memory unless the build opts into exact
-// paper-mode with -DAPRAM_RT_UNBOUNDED (cmake -DAPRAM_RT_UNBOUNDED=ON).
-// Every rt algorithm and the api::RtBackend go through these names, so the
-// whole stack switches together with zero call-site changes.
-// ---------------------------------------------------------------------------
-
-#ifdef APRAM_RT_UNBOUNDED
-template <class T>
-using SWMRRegister = UnboundedSWMRRegister<T>;
-template <class T>
-using CASValueRegister = UnboundedCASValueRegister<T>;
+#if defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
+inline constexpr bool kHaveCas16 = true;
 #else
-template <class T>
-using SWMRRegister = BoundedSWMRRegister<T>;
-template <class T>
-using CASValueRegister = BoundedCASValueRegister<T>;
+inline constexpr bool kHaveCas16 = false;
 #endif
 
-// Multi-writer register with compare-and-swap — the building block for rt
-// structures that go beyond the paper's read/write base model (and the
-// source of kCas trace events). T must be trivially copyable and small
-// enough for the platform's lock-free std::atomic<T>. No versioning, so no
-// reclamation needed: the value lives inline.
 template <class T>
-class CASRegister {
+inline constexpr bool kDwordInline =
+    kHaveCas16 && sizeof(T) == 16 && std::is_trivially_copyable_v<T> &&
+    std::has_unique_object_representations_v<T>;
+
+// A word-sized cell: std::atomic<T>. Bits == T.
+template <class T>
+class WordCell {
  public:
-  explicit CASRegister(T initial) : v_(initial) {
-    static_assert(std::atomic<T>::is_always_lock_free,
-                  "CASRegister requires a lock-free std::atomic<T>");
+  using Bits = T;
+
+  explicit WordCell(T v) : a_(v) {}
+
+  Bits load() const { return a_.load(std::memory_order_seq_cst); }
+  static T value(Bits b) { return b; }
+  void store(T v) { a_.store(v, std::memory_order_seq_cst); }
+  bool cas(Bits seen, T desired) {
+    return a_.compare_exchange_strong(seen, desired,
+                                      std::memory_order_seq_cst);
   }
 
-  CASRegister(const CASRegister&) = delete;
-  CASRegister& operator=(const CASRegister&) = delete;
+ private:
+  std::atomic<T> a_;
+};
+
+// A 16-byte cell: the load goes through __atomic_load_n (libatomic, which
+// serves it as one vmovdqa on AVX CPUs), the CAS is one lock cmpxchg16b.
+template <class T>
+class DwordCell;
+
+#if defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
+template <class T>
+class DwordCell {
+ public:
+  using Bits = unsigned __int128;
+
+  explicit DwordCell(T v) : bits_(std::bit_cast<Bits>(v)) {}
+
+  Bits load() const { return __atomic_load_n(&bits_, __ATOMIC_SEQ_CST); }
+  static T value(Bits b) { return std::bit_cast<T>(b); }
+  void store(T v) {
+    __atomic_store_n(&bits_, std::bit_cast<Bits>(v), __ATOMIC_SEQ_CST);
+  }
+  bool cas(Bits seen, T desired) {
+    return __sync_bool_compare_and_swap(&bits_, seen,
+                                        std::bit_cast<Bits>(desired));
+  }
+
+ private:
+  alignas(16) Bits bits_;
+};
+#endif
+
+}  // namespace detail
+
+// True when SWMRRegister<T> / CASValueRegister<T> hold T inline.
+template <class T>
+inline constexpr bool kInlineRegister =
+    detail::kWordInline<T> || detail::kDwordInline<T>;
+
+// One class serves both roles: write() is the single-writer store,
+// compare_exchange() the multi-writer CAS. Every access is seq_cst and is
+// one load, one store, or one load plus one CAS — never a loop — so every
+// access is wait-free. The register owns its cache line (the hot cell plus
+// the probe and injector pointers every access reads).
+template <class T>
+class alignas(64) InlineRegister {
+  static_assert(kInlineRegister<T>,
+                "InlineRegister needs a word or double-word value type");
+  using Cell = std::conditional_t<detail::kWordInline<T>, detail::WordCell<T>,
+                                  detail::DwordCell<T>>;
+
+ public:
+  using value_type = T;
+
+  explicit InlineRegister(T initial) : cell_(initial) {}
+  // CASValueRegister's constructor shape; no per-writer state is needed.
+  InlineRegister(int num_writers, T initial) : cell_(initial) {
+    APRAM_CHECK(num_writers >= 1);
+  }
+
+  InlineRegister(const InlineRegister&) = delete;
+  InlineRegister& operator=(const InlineRegister&) = delete;
 
   T read() const {
     if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
       inj->on_access();
     }
-    const T v = v_.load(std::memory_order_acquire);
+    const T v = Cell::value(cell_.load());
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_read();
     }
     return v;
   }
 
+  // Owner thread only when used as an SWMRRegister.
   void write(T v) {
     if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
       inj->on_access();
     }
-    v_.store(v, std::memory_order_release);
+    cell_.store(v);
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_write();
     }
   }
 
-  // On failure `expected` is updated to the observed value, as with
-  // std::atomic::compare_exchange_strong.
-  bool compare_exchange(T& expected, T desired) {
+  // One atomic step: load, compare with T's operator==, then CAS from the
+  // LOADED bits (never from expected's). A stamped value whose operator==
+  // looks only at the stamp therefore swaps whatever payload `expected`
+  // carries. A lost CAS means a distinct write landed after the load; under
+  // the operator==-identifies-writes contract it is != expected, so the
+  // failure linearizes at the CAS.
+  bool compare_exchange(int /*pid*/, const T& expected, T desired) {
     if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
       inj->on_access();
     }
-    const bool ok = v_.compare_exchange_strong(
-        expected, desired, std::memory_order_acq_rel,
-        std::memory_order_acquire);
+    const typename Cell::Bits seen = cell_.load();
+    const bool ok = Cell::value(seen) == expected && cell_.cas(seen, desired);
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_cas(ok);
     }
     return ok;
   }
+
+  // Nothing is versioned, so there is nothing to reclaim.
+  reclaim::ReclaimStats reclaim_stats() const { return {}; }
 
   void attach_probe(const obs::RtProbe* probe) {
     probe_.store(probe, std::memory_order_release);
@@ -443,9 +386,22 @@ class CASRegister {
   }
 
  private:
-  std::atomic<T> v_;
+  Cell cell_;
   std::atomic<const obs::RtProbe*> probe_{nullptr};
   std::atomic<fault::RtInjector*> injector_{nullptr};
 };
+
+// ---------------------------------------------------------------------------
+// The names algorithms use: inline when kInlineRegister<T>, the arena
+// otherwise. Every rt algorithm and api::RtBackend go through these.
+// ---------------------------------------------------------------------------
+
+template <class T>
+using SWMRRegister = std::conditional_t<kInlineRegister<T>, InlineRegister<T>,
+                                        BoundedSWMRRegister<T>>;
+template <class T>
+using CASValueRegister =
+    std::conditional_t<kInlineRegister<T>, InlineRegister<T>,
+                       BoundedCASValueRegister<T>>;
 
 }  // namespace apram::rt

@@ -134,21 +134,25 @@ TEST(RunWithStall, HoldPointParksTheReaderWithItsVersionPinned) {
   // held version. The victim's read completes only after release_stall(),
   // yet must return the value that was current when it parked, fully
   // intact, no matter how many writes landed in between.
+  // The payload must live in the arena: an inline register has no hold
+  // window, and the victim would simply finish first.
   fault::RtInjector inj(fault::RtInjectOptions{});
   SWMRRegister<std::vector<int>> reg(std::vector<int>(32, 7));
   reg.attach_injector(&inj);
   std::vector<int> victim_saw;
+  bool engaged = false;
   run_with_stall(
       /*num_threads=*/1,
       [&](int) { victim_saw = reg.read(); },
       inj, /*victim=*/0, /*stall_after=*/0,
       [&] {
+        engaged = inj.stall_engaged();
         for (int i = 1; i <= 50; ++i) reg.write(std::vector<int>(32, i));
       },
       /*tracer=*/nullptr, fault::StallPoint::kHold);
-  // Bounded build: the victim parked pre-dereference holding version 7 and
-  // read it after the churn. Unbounded build: on_hold never fires, the
-  // victim finishes first (completion wins) and sees version 7 trivially.
+  // The victim parked pre-dereference holding version 7 and read it after
+  // the churn.
+  EXPECT_TRUE(engaged);
   ASSERT_EQ(victim_saw.size(), 32u);
   for (int v : victim_saw) EXPECT_EQ(v, 7);
   EXPECT_EQ(reg.read()[0], 50);
@@ -156,17 +160,25 @@ TEST(RunWithStall, HoldPointParksTheReaderWithItsVersionPinned) {
 
 TEST(RunWithStall, HoldStallLeavesAccessAccountingExact) {
   // on_hold must not count as an access: a victim parked at the hold point
-  // of its 3rd read still reports exactly its access count.
+  // of its 3rd read still reports exactly its access count. Arena payload:
+  // only arena registers have a hold point to park at.
   fault::RtInjector inj(fault::RtInjectOptions{});
-  SWMRRegister<int> reg(0);
+  SWMRRegister<std::vector<int>> reg(std::vector<int>(4, 0));
   reg.attach_injector(&inj);
+  bool engaged = false;
   run_with_stall(
       /*num_threads=*/1,
       [&](int) {
         for (int i = 0; i < 10; ++i) (void)reg.read();
       },
-      inj, /*victim=*/0, /*stall_after=*/2, [] {},
+      inj, /*victim=*/0, /*stall_after=*/2,
+      [&] {
+        engaged = inj.stall_engaged();
+        // Parked inside its 3rd read: exactly three accesses so far.
+        EXPECT_EQ(inj.accesses(0), 3u);
+      },
       /*tracer=*/nullptr, fault::StallPoint::kHold);
+  EXPECT_TRUE(engaged);
   EXPECT_EQ(inj.accesses(0), 10u);
 }
 

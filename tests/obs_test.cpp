@@ -311,13 +311,11 @@ TEST(RtObs, ProbeCountsRegisterAccesses) {
   EXPECT_EQ(reg.counter("r").value(), 2u);
   EXPECT_EQ(reg.counter("w").value(), 1u);
 
-  rt::CASRegister<std::int64_t> cr(0);
+  rt::CASValueRegister<std::int64_t> cr(1, 0);
   cr.attach_probe(&probe);
-  std::int64_t expected = 0;
-  EXPECT_TRUE(cr.compare_exchange(expected, 5));
-  expected = 0;
-  EXPECT_FALSE(cr.compare_exchange(expected, 7));
-  EXPECT_EQ(expected, 5);
+  EXPECT_TRUE(cr.compare_exchange(0, /*expected=*/0, 5));
+  EXPECT_FALSE(cr.compare_exchange(0, /*expected=*/0, 7));
+  EXPECT_EQ(cr.read(), 5);
   EXPECT_EQ(reg.counter("c").value(), 2u);
 }
 

@@ -10,9 +10,15 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "agreement/approx_spec.hpp"
+#include "api/rt_backend.hpp"
+#include "farray/farray.hpp"
+#include "fault/rt_inject.hpp"
+#include "objects/polylog_queue.hpp"
 #include "obs/metrics.hpp"
 #include "rt/approx_agreement_rt.hpp"
 #include "rt/double_collect_rt.hpp"
@@ -22,6 +28,8 @@
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
+#include "universal2/counter_rep.hpp"
+#include "universal2/wait_free_sim.hpp"
 
 namespace apram::rt {
 namespace {
@@ -29,7 +37,9 @@ namespace {
 TEST(SWMRRegister, InitialValueReadable) {
   SWMRRegister<int> reg(42);
   EXPECT_EQ(reg.read(), 42);
-  EXPECT_EQ(reg.versions(), 1u);
+  SWMRRegister<std::string> big("x");
+  EXPECT_EQ(big.read(), "x");
+  EXPECT_EQ(big.versions(), 1u);
 }
 
 TEST(SWMRRegister, WriteThenRead) {
@@ -99,46 +109,167 @@ TEST(SWMRRegister, MemoryStaysBoundedAcrossManyWrites) {
   for (int i = 1; i <= 1000; ++i) reg.write(std::vector<int>(8, i));
   EXPECT_EQ(reg.read()[0], 1000);
   EXPECT_EQ(reg.versions(), 1001u);
-#ifndef APRAM_RT_UNBOUNDED
   const auto s = reg.reclaim_stats();
   EXPECT_LE(s.live_versions(), 2u);  // memory ∝ holders, not writes
   EXPECT_GE(s.recycled, 990u);
-#endif
 }
 
+// The arena tests below use a std::string payload: an int would be inline
+// and have no versions to count.
 TEST(CASValueRegister, FailedValueCompareAllocatesNothing) {
-  CASValueRegister<int> reg(2, 10);
+  CASValueRegister<std::string> reg(2, "10");
   const auto before = reg.reclaim_stats();
-  EXPECT_FALSE(reg.compare_exchange(1, /*expected=*/99, 5));
-  EXPECT_EQ(reg.read(), 10);
+  EXPECT_FALSE(reg.compare_exchange(1, /*expected=*/"99", "5"));
+  EXPECT_EQ(reg.read(), "10");
   EXPECT_EQ(reg.reclaim_stats().allocated, before.allocated);
 }
 
 TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
-  CASValueRegister<int> reg(1, 0);
+  CASValueRegister<std::string> reg(1, "0");
   for (int i = 1; i <= 200; ++i) {
-    EXPECT_TRUE(reg.compare_exchange(0, i - 1, i));
+    EXPECT_TRUE(
+        reg.compare_exchange(0, std::to_string(i - 1), std::to_string(i)));
   }
-  EXPECT_EQ(reg.read(), 200);
-#ifndef APRAM_RT_UNBOUNDED
+  EXPECT_EQ(reg.read(), "200");
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
-#endif
 }
 
-TEST(UnboundedRegisters, PaperModeKeepsEveryVersion) {
-  // The escape-hatch classes are always compiled (APRAM_RT_UNBOUNDED only
-  // flips which ones the default aliases name).
-  UnboundedSWMRRegister<int> reg(0);
-  for (int i = 1; i <= 10; ++i) reg.write(i);
-  EXPECT_EQ(reg.read(), 10);
-  EXPECT_EQ(reg.versions(), 11u);
-  EXPECT_EQ(reg.reclaim_stats().live_versions(), 11u);  // nothing reclaimed
+// ------------------------------------------------------ inline registers ----
 
-  UnboundedCASValueRegister<int> cas(2, 0);
-  EXPECT_TRUE(cas.compare_exchange(0, 0, 1));
-  EXPECT_FALSE(cas.compare_exchange(1, 0, 2));  // stale expected
-  EXPECT_EQ(cas.read(), 1);
-  EXPECT_EQ(cas.versions(), 2u);  // initial + the one successful swap
+using Node = farray::Stamped<std::int64_t>;
+using api::RtBackend;
+
+// Which values are inline: words and the stamped double word; anything with
+// a heap payload or padding stays in the arena.
+static_assert(kInlineRegister<std::int32_t>);
+static_assert(kInlineRegister<std::int64_t>);
+static_assert(kInlineRegister<Node> == detail::kHaveCas16);
+static_assert(std::is_same_v<SWMRRegister<std::int64_t>,
+                             InlineRegister<std::int64_t>>);
+static_assert(std::is_same_v<CASValueRegister<std::int32_t>,
+                             InlineRegister<std::int32_t>>);
+static_assert(!kInlineRegister<std::vector<std::uint64_t>>);
+static_assert(!kInlineRegister<std::string>);
+static_assert(!kInlineRegister<QueueChain>);
+using CounterRep = universal2::CounterRep<RtBackend>;
+using CounterSim = universal2::WaitFreeSim<RtBackend, CounterRep>;
+static_assert(!kInlineRegister<CounterRep::Cell>);
+static_assert(!kInlineRegister<CounterSim::Rec>);
+static_assert(std::is_same_v<CASValueRegister<std::string>,
+                             BoundedCASValueRegister<std::string>>);
+static_assert(std::is_same_v<SWMRRegister<QueueChain>,
+                             BoundedSWMRRegister<QueueChain>>);
+// A 16-byte value that is not its bits (a double has two zeros) stays in
+// the arena: the CAS compares loaded bits.
+struct DoubleAndWord {
+  double d;
+  std::int64_t w;
+};
+static_assert(!kInlineRegister<DoubleAndWord>);
+
+// The value-compare contract the FArray relies on: Stamped's operator==
+// looks at seq alone, and the swap installs `desired` whatever payload
+// `expected` carried. Both register kinds must agree.
+template <class Reg>
+void expect_stamp_compare(Reg& reg) {
+  // Current {5, 41}; expected matches on seq, not on v: wins.
+  EXPECT_TRUE(reg.compare_exchange(0, Node{5, 0}, Node{6, 7}));
+  EXPECT_EQ(reg.read().seq, 6u);
+  EXPECT_EQ(reg.read().v, 7);
+  // Stale seq (payload matches the current one): loses, nothing changes.
+  EXPECT_FALSE(reg.compare_exchange(1, Node{5, 7}, Node{7, 9}));
+  EXPECT_EQ(reg.read().seq, 6u);
+  EXPECT_EQ(reg.read().v, 7);
+}
+
+TEST(InlineRegister, CasWinsOnMatchingStampWhateverThePayload) {
+  CASValueRegister<Node> inline_reg(2, Node{5, 41});
+  expect_stamp_compare(inline_reg);
+  BoundedCASValueRegister<Node> arena_reg(2, Node{5, 41});
+  expect_stamp_compare(arena_reg);
+}
+
+// Probe and injector see the same accesses on an inline register as on the
+// arena register it replaces, so sim-vs-rt access parity is untouched.
+struct AccessTally {
+  std::uint64_t reads, writes, cas, cas_fail, injected;
+  bool operator==(const AccessTally&) const = default;
+};
+
+// Runs script(reg, pid) on one harness thread with a probe and an injector
+// attached, and returns what they counted.
+template <class Reg, class Script>
+AccessTally tally(Reg& reg, Script script) {
+  obs::Registry registry;
+  const obs::RtProbe probe{.reads = &registry.counter("r"),
+                           .writes = &registry.counter("w"),
+                           .cas_ops = &registry.counter("c"),
+                           .cas_failures = &registry.counter("f"),
+                           .object = 0};
+  fault::RtInjector inj(fault::RtInjectOptions{});
+  reg.attach_probe(&probe);
+  reg.attach_injector(&inj);
+  parallel_run(1, [&](int pid) { script(reg, pid); });
+  reg.attach_probe(nullptr);
+  reg.attach_injector(nullptr);
+  return {registry.counter("r").value(), registry.counter("w").value(),
+          registry.counter("c").value(), registry.counter("f").value(),
+          inj.accesses(0)};
+}
+
+TEST(InlineRegister, ProbeAndInjectorCountsMatchTheArena) {
+  const auto swmr_script = [](auto& reg, int) {
+    for (std::int64_t i = 1; i <= 5; ++i) {
+      (void)reg.read();
+      reg.write(i);
+    }
+  };
+  InlineRegister<std::int64_t> inline_swmr(0);
+  BoundedSWMRRegister<std::int64_t> arena_swmr(0);
+  const AccessTally swmr = tally(inline_swmr, swmr_script);
+  EXPECT_EQ(swmr, tally(arena_swmr, swmr_script));
+  EXPECT_EQ(swmr, (AccessTally{5, 5, 0, 0, 10}));
+
+  const auto cas_script = [](auto& reg, int pid) {
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      (void)reg.read();
+      (void)reg.compare_exchange(pid, Node{i, 0}, Node{i + 1, 0});  // wins
+      (void)reg.compare_exchange(pid, Node{i, 0}, Node{0, -1});  // stale
+    }
+  };
+  CASValueRegister<Node> inline_cas(1, Node{0, 0});
+  BoundedCASValueRegister<Node> arena_cas(1, Node{0, 0});
+  const AccessTally cas = tally(inline_cas, cas_script);
+  EXPECT_EQ(cas, tally(arena_cas, cas_script));
+  EXPECT_EQ(cas, (AccessTally{5, 0, 10, 5, 15}));
+}
+
+// Concurrent stamped CASes on the double word: exactly one winner per seq,
+// and no reader ever sees a torn value (every install keeps v == -seq).
+TEST(InlineRegister, StampedCasConservesAndNeverTears) {
+  constexpr int kThreads = 4;
+  constexpr int kAttempts = 5000;
+  CASValueRegister<Node> reg(kThreads, Node{0, 0});
+  std::atomic<std::uint64_t> wins{0};
+  std::atomic<std::uint64_t> torn{0};
+  parallel_run(kThreads, [&](int pid) {
+    std::uint64_t my_wins = 0;
+    for (int i = 0; i < kAttempts; ++i) {
+      const Node cur = reg.read();
+      if (cur.v != -static_cast<std::int64_t>(cur.seq)) {
+        torn.fetch_add(1, std::memory_order_relaxed);
+      }
+      const std::uint64_t next = cur.seq + 1;
+      if (reg.compare_exchange(pid, cur,
+                               Node{next, -static_cast<std::int64_t>(next)})) {
+        ++my_wins;
+      }
+    }
+    wins.fetch_add(my_wins, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(reg.read().seq, wins.load());
+  EXPECT_GE(wins.load(), static_cast<std::uint64_t>(kAttempts));
 }
 
 TEST(ThreadHarness, PinningBeyondShardCapIsCountedNotSilent) {
