@@ -11,24 +11,43 @@
 // retrieves the result with get(), or co_awaits it from an enclosing
 // EagerCoro (the await is a no-op value fetch).
 //
-// The frame allocation this costs per call is the price of the single-source
-// guarantee; rt wrappers that care can be measured against hand-written
-// loops in bench_t1_throughput.
+// Every call still needs a coroutine frame, but the frame does not come from
+// the heap: the promise's operator new/delete take it from the calling
+// thread's BlockPool (util/block_pool.hpp), so a steady-state call reuses a
+// cached block and a nested call (write -> refresh_path) reuses one per
+// level. A frame may be destroyed on another thread; its block then joins
+// that thread's cache.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/block_pool.hpp"
 
 namespace apram::api {
+
+namespace detail {
+
+// Base of both promise types: coroutine frames come from the BlockPool.
+struct PooledFrame {
+  static void* operator new(std::size_t bytes) {
+    return BlockPool::allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    BlockPool::deallocate(frame, bytes);
+  }
+};
+
+}  // namespace detail
 
 template <class T>
 class [[nodiscard]] EagerCoro {
  public:
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     EagerCoro get_return_object() {
       return EagerCoro{
           std::coroutine_handle<promise_type>::from_promise(*this)};
@@ -82,7 +101,7 @@ class [[nodiscard]] EagerCoro {
 template <>
 class [[nodiscard]] EagerCoro<void> {
  public:
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     EagerCoro get_return_object() {
       return EagerCoro{
           std::coroutine_handle<promise_type>::from_promise(*this)};

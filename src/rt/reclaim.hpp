@@ -66,10 +66,12 @@
 
 namespace apram::rt::reclaim {
 
-// Snapshot of an arena's bookkeeping. Sums are exact once the harness has
-// joined its threads; while threads run the monotone counters are
-// approximations (same contract as obs counters), but `live` is one counter
-// and so is exact at the instant it was loaded.
+// Snapshot of an arena's bookkeeping, summed over its writers' counters.
+// Every sum is exact once the harness has joined its threads. While threads
+// run, each per-writer counter is exact at the instant it is loaded, but the
+// writers are loaded one after another, so a sum can mix instants (same
+// contract as obs counters); see live_versions() for what that means for
+// `live`.
 struct ReclaimStats {
   std::uint64_t allocated = 0;  // slots ever handed out (monotone)
   std::uint64_t live = 0;       // slots outside the free lists, see below
@@ -80,6 +82,11 @@ struct ReclaimStats {
   // Slots currently outside the free lists: the published version, versions
   // still held by readers, and slots a writer has allocated but not yet
   // published. Bounded by holders + writers + O(1), never by write count.
+  // Exact for a single-writer register and at quiescence. Under
+  // multi-writer churn the writers are loaded one after another, so a
+  // sample may also count slots that changed hands between two loads: it
+  // never underflows and stays near that bound, but only a quiescent sum is
+  // exact.
   std::uint64_t live_versions() const { return live; }
 
   ReclaimStats& operator+=(const ReclaimStats& o) {
@@ -172,9 +179,10 @@ class VersionArena {
     Slot& s = slot_at(idx);
     s.owner = static_cast<std::uint32_t>(writer);
     s.value.emplace(std::move(v));
-    stats_.allocated.fetch_add(1, std::memory_order_relaxed);
-    stats_.live.fetch_add(1, std::memory_order_relaxed);
-    if (reused) stats_.recycled.fetch_add(1, std::memory_order_relaxed);
+    FreeHead& mine = free_[static_cast<std::size_t>(writer)];
+    bump(mine.allocated);
+    if (reused) bump(mine.recycled);
+    mine.live.fetch_add(1, std::memory_order_relaxed);
     return idx;
   }
 
@@ -207,21 +215,26 @@ class VersionArena {
         transfer(held.slot, count_of(w));
         return true;
       }
-      stats_.acquire_contention.fetch_add(1, std::memory_order_relaxed);
+      // `slot` is unpublished, so its owner is the calling writer.
+      bump(free_[slot_at(slot).owner].acquire_contention);
     }
     return false;
   }
 
   // ---- diagnostics -------------------------------------------------------
 
+  // Sums the per-writer counters (see ReclaimStats for exactness).
   ReclaimStats stats() const {
     ReclaimStats out;
-    out.allocated = stats_.allocated.load(std::memory_order_relaxed);
-    out.live = stats_.live.load(std::memory_order_relaxed);
-    out.retired = stats_.retired.load(std::memory_order_relaxed);
-    out.recycled = stats_.recycled.load(std::memory_order_relaxed);
-    out.acquire_contention =
-        stats_.acquire_contention.load(std::memory_order_relaxed);
+    for (int w = 0; w < num_writers_; ++w) {
+      const FreeHead& f = free_[static_cast<std::size_t>(w)];
+      out.allocated += f.allocated.load(std::memory_order_relaxed);
+      out.live += f.live.load(std::memory_order_relaxed);
+      out.retired += f.retired.load(std::memory_order_relaxed);
+      out.recycled += f.recycled.load(std::memory_order_relaxed);
+      out.acquire_contention +=
+          f.acquire_contention.load(std::memory_order_relaxed);
+    }
     return out;
   }
 
@@ -247,27 +260,35 @@ class VersionArena {
 
   // The control word lives alone on its cache line: it is the single
   // hottest word (every read fetch_adds it), and sharing it with the chunk
-  // directory or stats would put cold metadata in the invalidation blast
-  // radius of every acquire.
+  // directory or a writer's line would put other traffic in the
+  // invalidation blast radius of every acquire.
   struct alignas(64) Ctrl {
     std::atomic<std::uint64_t> word{0};
   };
 
+  // One writer's free list and statistics, on one line. A slot joins its
+  // owner's list and is charged to its owner: `live` (+1 per alloc, −1 per
+  // free-list push) and `retired` take RMWs from any releasing thread.
+  // `allocated`, `recycled` and `acquire_contention` are bumped only by the
+  // owning writer (the single-consumer rule pop_free relies on), so a
+  // relaxed load + store suffices.
   struct alignas(64) FreeHead {
     std::atomic<std::uint32_t> head{kNilSlot};
-  };
-
-  struct alignas(64) Stats {
     std::atomic<std::uint64_t> allocated{0};
-    // +1 per alloc, −1 per free-list push. A slot's push happens after its
-    // alloc, and a single atomic's modification order respects that, so
-    // every load sees an exact count — never the skew of two counters
-    // loaded at different instants while a writer churns.
-    std::atomic<std::uint64_t> live{0};
-    std::atomic<std::uint64_t> retired{0};
     std::atomic<std::uint64_t> recycled{0};
     std::atomic<std::uint64_t> acquire_contention{0};
+    // A slot's push happens after its alloc and both land on the owner's
+    // `live`, whose modification order respects that, so each load is
+    // exact for the writer and never underflows.
+    std::atomic<std::uint64_t> live{0};
+    std::atomic<std::uint64_t> retired{0};
   };
+
+  // Owner-only increment: a plain load + store, no lock prefix.
+  static void bump(std::atomic<std::uint64_t>& counter) {
+    counter.store(counter.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
+  }
 
   static constexpr std::uint64_t pack(std::uint64_t count,
                                       std::uint32_t slot) {
@@ -321,7 +342,7 @@ class VersionArena {
   }
 
   void retire(std::uint32_t slot) const {
-    stats_.retired.fetch_add(1, std::memory_order_relaxed);
+    free_[slot_at(slot).owner].retired.fetch_add(1, std::memory_order_relaxed);
     push_free(slot);
   }
 
@@ -329,16 +350,19 @@ class VersionArena {
   // the payload first so retired versions release their heap memory (RSS
   // stays flat, not just slot counts). The release order on the winning CAS
   // pairs with pop_free's acquire so the next allocator sees the reset.
+  // `owner` is read before the push: once the slot is on the list its owner
+  // may pop it and rewrite it.
   void push_free(std::uint32_t slot) const {
     Slot& s = slot_at(slot);
     s.value.reset();
-    std::atomic<std::uint32_t>& head = free_[s.owner].head;
+    FreeHead& owner = free_[s.owner];
+    std::atomic<std::uint32_t>& head = owner.head;
     std::uint32_t h = head.load(std::memory_order_relaxed);
     do {
       s.next.store(h, std::memory_order_relaxed);
     } while (!head.compare_exchange_weak(h, slot, std::memory_order_release,
                                          std::memory_order_relaxed));
-    stats_.live.fetch_sub(1, std::memory_order_relaxed);
+    owner.live.fetch_sub(1, std::memory_order_relaxed);
   }
 
   // Single-consumer pop (only thread `writer` pops list `writer`): a CAS
@@ -362,23 +386,22 @@ class VersionArena {
   // Padding audit (see rt/arena.cpp for the whole-class checks): each hot
   // atomic owns its cache line. Slot::refs sits at offset 0 of a 64-aligned
   // struct and Slot::value is 64-aligned itself, so refcount RMWs and value
-  // reads never invalidate each other's lines; Ctrl/FreeHead/Stats are
-  // line-sized-or-aligned so the directory, free lists, and stats stay out
-  // of the control word's invalidation blast radius.
+  // reads never invalidate each other's lines; Ctrl and FreeHead are
+  // line-sized so the directory and the per-writer free lists and stats stay
+  // out of the control word's invalidation blast radius, and writers do
+  // not share a statistics line.
   static_assert(alignof(Slot) == 64 && sizeof(Slot) >= 128,
                 "Slot refcount and payload must live on separate lines");
   static_assert(alignof(Ctrl) == 64 && sizeof(Ctrl) == 64,
                 "control word must own its cache line");
   static_assert(alignof(FreeHead) == 64 && sizeof(FreeHead) == 64,
                 "free-list heads must not share lines");
-  static_assert(alignof(Stats) == 64, "stats must not share the ctrl line");
 
   int num_writers_;
   // Readers mutate the control word (the acquire fetch_add) and slot
   // refcounts from logically-const read paths; the arena's logical state —
   // the sequence of published values — is untouched by them.
   mutable Ctrl ctrl_;
-  mutable Stats stats_;
   std::unique_ptr<FreeHead[]> free_;  // one per writer
   std::atomic<std::uint32_t> next_fresh_{0};
   mutable std::atomic<Chunk*> chunks_[kMaxChunks] = {};

@@ -5,14 +5,19 @@
 // applied-table — per process, the opseq of its latest applied mutation and
 // that mutation's response. The table is the persistent evidence the
 // wrap-up needs: "did operation (pid, opseq) take effect?" is decidable
-// forever as applied[pid] >= opseq (opseqs are per-process increasing, and
-// a process starts opseq k+1 only after k completed, so the table entry for
-// an in-flight op is never overwritten).
+// forever as table[pid].opseq >= opseq (opseqs are per-process increasing,
+// and a process starts opseq k+1 only after k completed, so the table entry
+// for an in-flight op is never overwritten).
 //
 // Costs: fast-path mutation = 1 read + 1 CAS; read = 1 read (prepare
 // resolves it — reads linearize at the single cell read). Contrast with
 // the paper construction's n²−1 reads + n+1 writes per op (§6.2) — the gap
 // bench_e6 measures.
+//
+// Storage: the table is one contiguous block of {opseq, resp} entries from
+// the BlockPool (util/block_pool.hpp), so a cell copy costs one pooled
+// block. A Prep's `expected` carries only the seq — operator== compares
+// nothing else — so it needs no copy of the table.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +29,7 @@
 #include "objects/specs.hpp"
 #include "universal2/normalized.hpp"
 #include "util/assert.hpp"
+#include "util/block_pool.hpp"
 
 namespace apram::universal2 {
 
@@ -36,11 +42,17 @@ class CounterRep {
   using Invocation = CounterSpec::Invocation;
   using Response = CounterSpec::Response;
 
+  // A pid's latest applied mutation: its opseq and its response.
+  struct Applied {
+    std::uint64_t opseq = 0;
+    std::int64_t resp = 0;
+  };
+
   struct Cell {
     std::uint64_t seq = 0;  // == compares this alone (ABA-free value CAS)
     std::int64_t value = 0;
-    std::vector<std::uint64_t> applied;  // [n] latest applied opseq per pid
-    std::vector<std::int64_t> resp;      // [n] that operation's response
+    // [n], one entry per pid; empty in a Prep's `expected`.
+    std::vector<Applied, BlockAllocator<Applied>> table;
 
     friend bool operator==(const Cell& a, const Cell& b) {
       return a.seq == b.seq;
@@ -50,7 +62,7 @@ class CounterRep {
   struct Prep {
     bool done = false;
     Response resp = 0;
-    Cell expected{};  // the decision CAS (unused when done)
+    Cell expected{};  // the decision CAS, seq only (unused when done)
     Cell desired{};
   };
 
@@ -65,8 +77,7 @@ class CounterRep {
       : n_(num_procs) {
     APRAM_CHECK(num_procs >= 1);
     Cell init;
-    init.applied.assign(static_cast<std::size_t>(n_), 0);
-    init.resp.assign(static_cast<std::size_t>(n_), 0);
+    init.table.resize(static_cast<std::size_t>(n_));
     cell_ = &mem.template make_cas<Cell>(name + ".cell", std::move(init));
   }
 
@@ -77,9 +88,9 @@ class CounterRep {
     Cell cur = co_await ctx.read(*cell_);
     const auto pid = static_cast<std::size_t>(id.pid);
     Prep p;
-    if (cur.applied[pid] >= id.opseq) {  // already applied by a helper
+    if (cur.table[pid].opseq >= id.opseq) {  // already applied by a helper
       p.done = true;
-      p.resp = cur.resp[pid];
+      p.resp = cur.table[pid].resp;
       co_return p;
     }
     if (inv.kind == CounterSpec::Kind::kRead) {
@@ -88,12 +99,11 @@ class CounterRep {
       co_return p;
     }
     auto [next_value, resp] = CounterSpec::apply(cur.value, inv);
-    p.expected = cur;
+    p.expected.seq = cur.seq;
     p.desired = std::move(cur);
     p.desired.seq = p.expected.seq + 1;
     p.desired.value = next_value;
-    p.desired.applied[pid] = id.opseq;
-    p.desired.resp[pid] = resp;
+    p.desired.table[pid] = Applied{id.opseq, resp};
     co_return p;
   }
 
@@ -103,14 +113,14 @@ class CounterRep {
     const auto pid = static_cast<std::size_t>(id.pid);
     bool won = co_await ctx.cas(*cell_, prep.expected, prep.desired);
     if (won) {
-      co_return Outcome<Response>{true, prep.desired.resp[pid]};
+      co_return Outcome<Response>{true, prep.desired.table[pid].resp};
     }
     // The CAS lost — but a rival helper may have installed this very prep
     // (slow path) or the op may have applied via an earlier candidate; the
     // applied-table answers definitively.
     Cell cur = co_await ctx.read(*cell_);
-    if (cur.applied[pid] >= id.opseq) {
-      co_return Outcome<Response>{true, cur.resp[pid]};
+    if (cur.table[pid].opseq >= id.opseq) {
+      co_return Outcome<Response>{true, cur.table[pid].resp};
     }
     co_return Outcome<Response>{false, 0};
   }

@@ -159,8 +159,9 @@ TEST(ReclaimSoak, SwmrChurnKeepsLiveVersionsAndRssFlat) {
   const std::uint64_t rss_final = vm_rss_kb();
   // Live versions ≤ readers + writers + O(1): each reader holds ≤ 1 version
   // at a time, the writer ≤ 2 (a fresh slot and the outgoing version it is
-  // still transferring), plus the published one. live_versions() is one
-  // exact counter, so a concurrent sample is never skewed.
+  // still transferring), plus the published one. With a single writer every
+  // slot is charged to that writer's counter, which is exact when loaded,
+  // so a concurrent sample is never skewed.
   const std::uint64_t bound = kThreads + 4;
   EXPECT_LE(peak.max.load(), bound);
   EXPECT_LE(s.live_versions(), 2u);  // quiescent: published (+ slack)
@@ -244,6 +245,68 @@ TEST(ReclaimSoak, CasChurnCleansUpLosersAndConserves) {
       .set(static_cast<std::int64_t>(s.acquire_contention));
   soak_registry().gauge("soak.cas.wins")
       .set(static_cast<std::int64_t>(total_wins));
+}
+
+// ---------------------------------------------------------------------------
+// Per-writer accounting under CAS churn: each slot is charged to its owning
+// writer's counters and stats() sums the writers. At quiescence the sums are
+// exact; a concurrent sample loads the writers one after another, and must
+// still stay within the in-flight bound.
+// ---------------------------------------------------------------------------
+
+TEST(ReclaimSoak, CasChurnPerWriterCountersAreExactAtQuiescence) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kAttemptsPerThread = 4000;
+  constexpr std::uint64_t kAttempts = kThreads * kAttemptsPerThread;
+
+  CASValueRegister<SeqVal> reg(kThreads, SeqVal{0, 0, {}});
+  // Yields at access boundaries interleave the writers even where the
+  // scheduler would run them one after another on one CPU.
+  fault::RtInjectOptions opts;
+  opts.yield_prob = 0.5;
+  fault::RtInjector inj(opts);
+  reg.attach_injector(&inj);
+  LiveWatermark peak;
+  std::atomic<std::uint64_t> wins{0};
+
+  parallel_run(kThreads, [&](int pid) {
+    std::uint64_t my_wins = 0;
+    for (std::uint64_t i = 0; i < kAttemptsPerThread; ++i) {
+      const SeqVal cur = reg.read();
+      SeqVal next{cur.seq + 1, static_cast<std::uint64_t>(pid), {}};
+      if (reg.compare_exchange(pid, cur, std::move(next))) ++my_wins;
+      if ((i & 7) == 0) peak.sample(reg.reclaim_stats().live_versions());
+    }
+    wins.fetch_add(my_wins, std::memory_order_relaxed);
+  });
+
+  reg.attach_injector(nullptr);
+  const auto s = reg.reclaim_stats();
+  EXPECT_EQ(reg.read().seq, wins.load());
+  EXPECT_LT(wins.load(), kAttempts);  // the writers did race
+  // Only the published version is outside the free lists.
+  EXPECT_EQ(s.live_versions(), 1u);
+  // Every win superseded one version, and its last holder retired it.
+  EXPECT_EQ(s.retired, wins.load());
+  // The initial version, one per win, and one per install lost after a
+  // matching compare; an attempt allocates at most one slot.
+  EXPECT_GE(s.allocated, 1 + wins.load());
+  EXPECT_LE(s.allocated, 1 + kAttempts);
+  // Fresh slots (allocated − recycled) follow the peak concurrent demand,
+  // not the attempt count: a writer draws a fresh slot only when all of its
+  // slots are live — at most the published one, one held by each thread,
+  // its own prepared slot, and one in each thread's push window.
+  EXPECT_LE(s.recycled, s.allocated);
+  EXPECT_LE(s.allocated - s.recycled,
+            static_cast<std::uint64_t>(kThreads) * (2 * kThreads + 2) + 1);
+  EXPECT_LE(peak.max.load(), 2u * kThreads + 4);
+
+  soak_registry().gauge("soak.cas_writers.peak_live_versions")
+      .set(static_cast<std::int64_t>(peak.max.load()));
+  soak_registry().gauge("soak.cas_writers.fresh_slots")
+      .set(static_cast<std::int64_t>(s.allocated - s.recycled));
+  soak_registry().gauge("soak.cas_writers.wins")
+      .set(static_cast<std::int64_t>(wins.load()));
 }
 
 // ---------------------------------------------------------------------------

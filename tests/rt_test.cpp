@@ -1,16 +1,21 @@
 // Real-thread runtime tests: SWMR register publication, snapshot scans under
 // concurrent updaters, FastCounterRT conservation, approximate agreement
-// with real threads, and the thread harness itself.
+// with real threads, the thread harness itself, and the block pool that
+// serves EagerCoro frames.
 //
 // These run on however many hardware threads exist (including 1); they rely
 // on preemptive scheduling, not parallelism, so they are meaningful — if
 // less adversarial — on a single core.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <coroutine>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -30,6 +35,15 @@
 #include "snapshot/baselines/mutex_snapshot.hpp"
 #include "universal2/counter_rep.hpp"
 #include "universal2/wait_free_sim.hpp"
+#include "util/block_pool.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define APRAM_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define APRAM_TEST_ASAN 1
+#endif
+#endif
 
 namespace apram::rt {
 namespace {
@@ -271,6 +285,113 @@ TEST(InlineRegister, StampedCasConservesAndNeverTears) {
   EXPECT_EQ(reg.read().seq, wins.load());
   EXPECT_GE(wins.load(), static_cast<std::uint64_t>(kAttempts));
 }
+
+// ---------------------------------------------------------------------------
+// BlockPool: EagerCoro frames come from a per-thread cache of heap blocks.
+// Tests that count cached blocks run on a fresh thread, whose cache starts
+// empty.
+// ---------------------------------------------------------------------------
+
+// Records the address of the frame that awaits it, then resumes at once.
+struct FrameAddress {
+  void** out;
+  bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) const noexcept {
+    *out = h.address();
+    return false;
+  }
+  void await_resume() const noexcept {}
+};
+
+// noinline keeps the compiler from eliding the frame allocations under test.
+[[gnu::noinline]] api::EagerCoro<int> inner_frame(void** frame) {
+  co_await FrameAddress{frame};
+  co_return 1;
+}
+
+[[gnu::noinline]] api::EagerCoro<int> outer_frame(void** outer,
+                                                  void** inner) {
+  co_await FrameAddress{outer};
+  const int v = co_await inner_frame(inner);
+  co_return v + 1;
+}
+
+using BigArg = std::array<unsigned char, 2 * BlockPool::kMaxBlock>;
+
+// The parameter is copied into the frame, so the frame exceeds kMaxBlock.
+[[gnu::noinline]] api::EagerCoro<int> big_frame(BigArg arg) {
+  co_return arg.front() + arg.back();
+}
+
+TEST(BlockPool, NestedEagerCoroCallsReuseCachedBlocks) {
+  std::thread([] {
+    void* outer1 = nullptr;
+    void* inner1 = nullptr;
+    EXPECT_EQ(outer_frame(&outer1, &inner1).get(), 2);
+    EXPECT_EQ(BlockPool::cached_blocks(), 2u);  // both frames came back
+    void* outer2 = nullptr;
+    void* inner2 = nullptr;
+    EXPECT_EQ(outer_frame(&outer2, &inner2).get(), 2);
+    EXPECT_EQ(outer2, outer1);
+    EXPECT_EQ(inner2, inner1);
+    EXPECT_EQ(BlockPool::cached_blocks(), 2u);
+  }).join();
+}
+
+TEST(BlockPool, EagerCoroCreatedOnOneThreadIsDestroyedOnAnother) {
+  std::optional<api::EagerCoro<int>> coro;
+  void* frame = nullptr;
+  std::thread([&] { coro.emplace(inner_frame(&frame)); }).join();
+  std::thread([&] {
+    EXPECT_EQ(coro->get(), 1);
+    coro.reset();  // the block joins this thread's cache...
+    EXPECT_EQ(BlockPool::cached_blocks(), 1u);
+    void* again = nullptr;
+    EXPECT_EQ(inner_frame(&again).get(), 1);  // ...and serves its next frame
+    EXPECT_EQ(again, frame);
+  }).join();
+}
+
+TEST(BlockPool, ThreadExitsWithAFullCache) {
+  std::thread([] {
+    constexpr std::size_t kBytes = 200;
+    std::vector<void*> blocks;
+    for (std::uint32_t i = 0; i < BlockPool::kMaxCached + 8; ++i) {
+      blocks.push_back(BlockPool::allocate(kBytes));
+    }
+    for (void* b : blocks) BlockPool::deallocate(b, kBytes);
+    // The class keeps kMaxCached blocks and the rest go to the heap. The
+    // thread then exits with a full cache, which must not leak (LSan checks
+    // this in the ASan build).
+    EXPECT_EQ(BlockPool::cached_blocks(), BlockPool::kMaxCached);
+  }).join();
+}
+
+TEST(BlockPool, FrameAboveTheLargestClassRoundTripsThroughTheHeap) {
+  std::thread([] {
+    BigArg arg{};
+    arg.front() = 1;
+    arg.back() = 2;
+    EXPECT_EQ(big_frame(arg).get(), 3);
+    EXPECT_EQ(BlockPool::cached_blocks(), 0u);
+  }).join();
+}
+
+#ifdef APRAM_TEST_ASAN
+TEST(BlockPool, CachedBlocksArePoisonedUnderAsan) {
+  std::thread([] {
+    constexpr std::size_t kBytes = 100;  // served from the 128-byte class
+    void* p = BlockPool::allocate(kBytes);
+    BlockPool::deallocate(p, kBytes);
+    EXPECT_TRUE(__asan_address_is_poisoned(p));
+    EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(p) + 127));
+    void* q = BlockPool::allocate(kBytes);
+    EXPECT_EQ(q, p);
+    EXPECT_FALSE(__asan_address_is_poisoned(q));
+    BlockPool::deallocate(q, kBytes);
+  }).join();
+}
+#endif
 
 TEST(ThreadHarness, PinningBeyondShardCapIsCountedNotSilent) {
   const std::uint64_t before = obs::pinning_degraded();

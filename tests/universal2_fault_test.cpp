@@ -94,7 +94,8 @@ fault::Judge counter_judge() {
     const auto cell = x.c.rep().cell_register().peek();
     std::int64_t expected = 0;
     for (int p = 0; p < 3; ++p) {
-      const std::uint64_t applied = cell.applied[static_cast<std::size_t>(p)];
+      const std::uint64_t applied =
+          cell.table[static_cast<std::size_t>(p)].opseq;
       if (applied > 2) return "pid " + std::to_string(p) + " over-applied";
       expected += static_cast<std::int64_t>(applied) * (p + 1);
     }

@@ -363,8 +363,8 @@ TEST(U2CounterExplore, IncVsReadIsLinearizableOnEverySchedule) {
         auto& x = static_cast<CounterIncReadExec&>(e);
         ASSERT_TRUE(x.seen == 0 || x.seen == 1);
         const auto cell = x.c->rep().cell_register().peek();
-        ASSERT_EQ(cell.value, 1);        // applied exactly once
-        ASSERT_EQ(cell.applied[0], 1u);  // and recorded in the table
+        ASSERT_EQ(cell.value, 1);            // applied exactly once
+        ASSERT_EQ(cell.table[0].opseq, 1u);  // and recorded in the table
       });
   EXPECT_GT(stats.executions, 1u);
 }
@@ -400,7 +400,7 @@ TEST(U2Counter, CrashedAnnouncerIsCompletedByAHelperExactlyOnce) {
     // pid 1's inc is all-or-nothing: value is 2 (+100 iff its op was
     // announced in time), never a partial or doubled effect.
     EXPECT_TRUE(cell.value == 2 || cell.value == 102) << "at=" << at;
-    EXPECT_EQ(cell.value == 102, cell.applied[1] == 1u) << "at=" << at;
+    EXPECT_EQ(cell.value == 102, cell.table[1].opseq == 1u) << "at=" << at;
   }
 }
 
@@ -557,6 +557,98 @@ TEST(U2Counter, SimAndRtBackendsPerformTheSameAccesses) {
     EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
     EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Counter cell: a decision CAS compares the seq alone, so a Prep's
+// `expected` carries no table. Same checks on both backends.
+// ---------------------------------------------------------------------------
+
+// Runs one coroutine for one pid to completion: sim solo, rt inline.
+struct SimRunner {
+  using B = api::SimBackend;
+  explicit SimRunner(int n) : w(n), mem(w, "u2") {}
+  template <class F>
+  void run(int pid, F f) {
+    w.spawn(pid, [&](Context ctx) -> ProcessTask { co_await f(ctx); });
+    w.run_solo(pid);
+  }
+  World w;
+  B::Mem mem;
+};
+
+struct RtRunner {
+  using B = api::RtBackend;
+  explicit RtRunner(int n) : mem(n) {}
+  template <class F>
+  void run(int pid, F f) { f(B::Ctx{pid}).get(); }
+  B::Mem mem;
+};
+
+template <class Runner>
+void check_seq_only_expected() {
+  using B = typename Runner::B;
+  using Rep = CounterRep<B>;
+  using Ctx = typename B::Ctx;
+  using Step = typename B::template Coro<void>;
+  const int n = 3;
+  Runner r(n);
+  Rep rep(r.mem, n, "c");
+  const OpId a{0, 1};
+  const OpId b{1, 1};
+  typename Rep::Prep pa;
+  typename Rep::Prep pb;
+  r.run(0, [&](Ctx ctx) -> Step {
+    pa = co_await rep.prepare(ctx, a, CounterSpec::inc(5));
+  });
+  r.run(1, [&](Ctx ctx) -> Step {
+    pb = co_await rep.prepare(ctx, b, CounterSpec::inc(7));
+  });
+  for (const auto* p : {&pa, &pb}) {
+    ASSERT_FALSE(p->done);
+    EXPECT_EQ(p->expected.seq, 0u);
+    EXPECT_TRUE(p->expected.table.empty());
+    EXPECT_EQ(p->desired.seq, 1u);
+    EXPECT_EQ(p->desired.table.size(), static_cast<std::size_t>(n));
+  }
+
+  // pa expects the current seq with an empty table: it wins.
+  Outcome<std::int64_t> oa;
+  r.run(0, [&](Ctx ctx) -> Step {
+    oa = co_await rep.attempt(ctx, a, CounterSpec::inc(5), pa);
+  });
+  EXPECT_TRUE(oa.decided);
+
+  // pb's seq is now stale: its CAS loses and b is not applied.
+  Outcome<std::int64_t> ob;
+  r.run(1, [&](Ctx ctx) -> Step {
+    ob = co_await rep.attempt(ctx, b, CounterSpec::inc(7), pb);
+  });
+  EXPECT_FALSE(ob.decided);
+
+  // A hand-built candidate at the current seq, again with no table, wins.
+  typename Rep::Prep pc = pb;
+  pc.expected.seq = 1;
+  pc.desired.seq = 2;
+  pc.desired.value = 12;
+  pc.desired.table[0] = {1, 0};
+  Outcome<std::int64_t> oc;
+  r.run(1, [&](Ctx ctx) -> Step {
+    oc = co_await rep.attempt(ctx, b, CounterSpec::inc(7), pc);
+  });
+  EXPECT_TRUE(oc.decided);
+
+  typename Rep::Prep read;
+  r.run(2, [&](Ctx ctx) -> Step {
+    read = co_await rep.prepare(ctx, OpId{2, 1}, CounterSpec::read());
+  });
+  EXPECT_TRUE(read.done);
+  EXPECT_EQ(read.resp, 12);
+}
+
+TEST(U2Counter, DecisionCasExpectsTheSeqAloneOnBothBackends) {
+  check_seq_only_expected<SimRunner>();
+  check_seq_only_expected<RtRunner>();
 }
 
 // ---------------------------------------------------------------------------
