@@ -17,13 +17,12 @@
 #include <chrono>
 
 #include "bench_common.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/thread_harness.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "snapshot/scan_stats.hpp"
 
 namespace apram::bench {

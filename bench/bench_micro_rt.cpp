@@ -7,12 +7,13 @@
 #include <iostream>
 #include <string>
 
+#include "objects/fast_counter.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/rt_probe.hpp"
-#include "rt/fast_counter_rt.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/register.hpp"
+#include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 
 namespace apram::rt {
 namespace {

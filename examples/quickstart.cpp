@@ -8,12 +8,7 @@
 //               ./build/examples/quickstart
 #include <cstdio>
 
-#include "objects/counter.hpp"
-#include "snapshot/lattice_scan.hpp"
-#include "rt/thread_harness.hpp"
-#include "sim/scheduler.hpp"
-#include "sim/world.hpp"
-#include "snapshot/atomic_snapshot.hpp"
+#include "core/apram.hpp"
 
 using namespace apram;
 

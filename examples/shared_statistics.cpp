@@ -17,9 +17,9 @@
 #include <atomic>
 #include <cstdio>
 
-#include "snapshot/lattice_scan.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
+#include "snapshot/atomic_snapshot.hpp"
 
 using namespace apram;
 

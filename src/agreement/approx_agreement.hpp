@@ -15,19 +15,31 @@
 //
 // Theorem 5: every output completes within (2n+1)·log2(Δ/ε) + O(n) steps,
 // and all outputs lie within an ε-interval inside the input range.
+//
+// One backend template; ApproxAgreementSim and rt::ApproxAgreementRT wrap it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "agreement/approx_spec.hpp"
-#include "sim/world.hpp"
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
+#include "obs/span.hpp"
+#include "util/assert.hpp"
 
 namespace apram {
 
-class ApproxAgreementSim {
+template <class B>
+class ApproxAgreement {
  public:
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
+
   // One entry of the shared array r.
   struct Entry {
     double prefer = 0.0;
@@ -42,15 +54,16 @@ class ApproxAgreementSim {
     double prefer;
   };
 
-  ApproxAgreementSim(sim::World& world, int num_procs, double epsilon,
-                     const std::string& name = "aa")
+  ApproxAgreement(typename B::Mem& mem, int num_procs, double epsilon)
       : n_(num_procs), eps_(epsilon) {
     APRAM_CHECK(num_procs >= 1);
     APRAM_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
     r_.reserve(static_cast<std::size_t>(n_));
+    logs_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      r_.push_back(&world.make_register<Entry>(
-          name + ".r[" + std::to_string(p) + "]", Entry{}, /*writer=*/p));
+      r_.push_back(&mem.template make<Entry>(
+          "r[" + std::to_string(p) + "]", Entry{}, /*writer=*/p));
+      logs_.push_back(std::make_unique<Log>());
     }
   }
 
@@ -59,14 +72,13 @@ class ApproxAgreementSim {
 
   // input(P, x): installs x as P's initial preference (round 1); subsequent
   // calls have no effect. One read + (first time) one write.
-  sim::SimCoro<void> input(sim::Context ctx, double x) {
+  Coro<void> input(Ctx ctx, double x) {
     const int p = ctx.pid();
     ctx.op_begin(obs::OpKind::kInput);
     const Entry mine = co_await ctx.read(*r_[static_cast<std::size_t>(p)]);
     if (mine.round == 0) {
-      co_await ctx.write(*r_[static_cast<std::size_t>(p)],
-                         Entry{x, 1});
-      log_.push_back(WriteRecord{p, 1, x});
+      co_await ctx.write(*r_[static_cast<std::size_t>(p)], Entry{x, 1});
+      log(p, 1, x);
     }
     ctx.op_end(obs::OpKind::kInput);
   }
@@ -74,7 +86,7 @@ class ApproxAgreementSim {
   // output(P): the Figure 2 loop. P must have called input first (the paper
   // leaves output-before-any-input unspecified; we require the natural
   // discipline instead).
-  sim::SimCoro<double> output(sim::Context ctx) {
+  Coro<double> output(Ctx ctx) {
     const int p = ctx.pid();
     bool advance = false;
     ctx.op_begin(obs::OpKind::kOutput);
@@ -109,7 +121,7 @@ class ApproxAgreementSim {
         co_await ctx.write(
             *r_[static_cast<std::size_t>(p)],
             Entry{leaders.midpoint(), mine.round + 1});
-        log_.push_back(WriteRecord{p, mine.round + 1, leaders.midpoint()});
+        log(p, mine.round + 1, leaders.midpoint());
         advance = false;
       } else {
         advance = true;
@@ -118,26 +130,75 @@ class ApproxAgreementSim {
   }
 
   // Convenience: input followed by output.
-  sim::SimCoro<double> decide(sim::Context ctx, double x) {
+  Coro<double> decide(Ctx ctx, double x) {
     co_await input(ctx, x);
     const double y = co_await output(ctx);
     co_return y;
   }
 
   // Test/bench introspection: P's current entry (no simulation step).
+  // Simulator only: rt registers have no side-effect-free peek().
   Entry peek_entry(int pid) const {
     return r_[static_cast<std::size_t>(pid)]->peek();
   }
 
-  // Every (pid, round, prefer) ever written, in write order — the X_r sets
-  // of Lemmas 1-3, reconstructed from the execution itself.
-  const std::vector<WriteRecord>& write_log() const { return log_; }
+  // Every (pid, round, prefer) ever written — the X_r sets of Lemmas 1-3,
+  // reconstructed from the execution itself. Each process's writes appear
+  // in its write order; the processes are concatenated in pid order.
+  // Call at quiescence.
+  std::vector<WriteRecord> write_log() const {
+    std::vector<WriteRecord> out;
+    for (const auto& l : logs_) {
+      out.insert(out.end(), l->records.begin(), l->records.end());
+    }
+    return out;
+  }
 
  private:
+  // P's write log, on its own cache lines (P is its only writer).
+  struct alignas(64) Log {
+    std::vector<WriteRecord> records;
+  };
+
+  void log(int p, std::int64_t round, double prefer) {
+    logs_[static_cast<std::size_t>(p)]->records.push_back(
+        WriteRecord{p, round, prefer});
+  }
+
   int n_;
   double eps_;
-  std::vector<sim::Register<Entry>*> r_;
-  std::vector<WriteRecord> log_;
+  std::vector<typename B::template Reg<Entry>*> r_;
+  std::vector<std::unique_ptr<Log>> logs_;
 };
+
+class ApproxAgreementSim
+    : private api::SimObject,
+      public ApproxAgreement<api::SimBackend> {
+ public:
+  ApproxAgreementSim(sim::World& world, int num_procs, double epsilon,
+                     const std::string& name = "aa")
+      : SimObject(world, name),
+        ApproxAgreement<api::SimBackend>(mem_, num_procs, epsilon) {}
+};
+
+namespace rt {
+
+// Thread p may call only the p-indexed entry points.
+class ApproxAgreementRT : public api::RtObject {
+ public:
+  ApproxAgreementRT(int num_procs, double epsilon)
+      : RtObject(num_procs), impl_(mem_, num_procs, epsilon) {}
+
+  void input(int p, double x) { impl_.input(api::RtBackend::Ctx{p}, x).get(); }
+  double output(int p) { return impl_.output(api::RtBackend::Ctx{p}).get(); }
+  double decide(int p, double x) {
+    return impl_.decide(api::RtBackend::Ctx{p}, x).get();
+  }
+
+ private:
+  ApproxAgreement<api::RtBackend> impl_;
+};
+
+}  // namespace rt
 
 }  // namespace apram

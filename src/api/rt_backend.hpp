@@ -234,4 +234,34 @@ struct RtBackend {
 
 static_assert(CasBackendFor<RtBackend, int>);
 
+// Base of the <Name>RT wrappers: owns the Mem their backend-templated object
+// allocates in, and exposes its attach points. A wrapper adds the int-pid
+// entry points (thread p calls only the p-indexed ones); new code should
+// hold an RtBackend::Mem and the templated classes directly.
+class RtObject {
+ public:
+  explicit RtObject(int num_procs) : mem_(num_procs) {}
+
+  int num_procs() const { return mem_.num_procs(); }
+
+  // See the Mem members of the same names. Attach before concurrent use.
+  void attach_obs(obs::Registry& registry, const std::string& name,
+                  obs::Tracer* tracer = nullptr) {
+    mem_.attach_obs(registry, name, tracer);
+  }
+  void attach_injector(fault::RtInjector* injector) {
+    mem_.attach_injector(injector);
+  }
+  rt::reclaim::ReclaimStats reclaim_stats() const {
+    return mem_.reclaim_stats();
+  }
+  void export_reclaim_gauges(obs::Registry& registry,
+                             const std::string& name) const {
+    mem_.export_reclaim_gauges(registry, name);
+  }
+
+ protected:
+  RtBackend::Mem mem_;
+};
+
 }  // namespace apram::api

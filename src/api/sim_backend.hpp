@@ -56,4 +56,15 @@ struct SimBackend {
 
 static_assert(CasBackendFor<SimBackend, int>);
 
+// Base of the <Name>Sim wrappers (World& + register-name prefix): derive
+// from this first and from the backend-templated object second, so the Mem
+// exists before the object allocates its registers in it.
+class SimObject {
+ protected:
+  SimObject(sim::World& world, std::string prefix)
+      : mem_(world, std::move(prefix)) {}
+
+  SimBackend::Mem mem_;
+};
+
 }  // namespace apram::api

@@ -11,19 +11,26 @@
 //                 event tracer, JSON/table exporters, replay artifacts
 //   sim/        — the asynchronous PRAM simulator: coroutine processes,
 //                 atomic registers, schedulers, deterministic replay
+//   fault/      — crash/stall plans, wait-freedom certifier, rt injector
+//   rt/         — real-thread runtime: std::atomic registers, version
+//                 reclamation, thread harness
+//   api/        — the register-backend concept (SimBackend, RtBackend):
+//                 every algorithm below is one template over it, run in
+//                 the simulator and on threads via thin …Sim / …RT wrappers
 //   lattice/    — ∨-semilattices (max, set-union, tagged-vector, product)
-//   snapshot/   — the §6 lattice Scan and atomic snapshot object, plus the
-//                 double-collect / AADGMS / mutex baselines
+//   farray/     — the stamped-CAS f-array combine tree
+//   snapshot/   — the §6 lattice Scan and atomic snapshot object, the tree
+//                 snapshot, plus the double-collect / AADGMS / mutex baselines
 //   agreement/  — §4 approximate agreement (Figure 2), the midpoint
 //                 two-process testbed, and the Lemma 6 adversary
 //   algebra/    — §5.1 sequential specs and the commute/overwrite algebra
 //   graph/      — §5.3 precedence graphs and the Figure 3 lingraph
 //   core/       — §5.4 universal construction for commute/overwrite objects
 //   objects/    — counter, grow-set, max-register, Lamport clock,
-//                 type-optimized FastCounter, pseudo read-modify-write
+//                 type-optimized FastCounter, pseudo read-modify-write,
+//                 polylog queue, union-find
+//   universal2/ — normalized fast/slow-path wait-free objects
 //   lincheck/   — history recording and a Wing–Gong linearizability checker
-//   rt/         — real-thread (std::atomic) runtime: SWMR registers, the
-//                 same scan/snapshot/agreement algorithms, thread harness
 #pragma once
 
 #include "agreement/adversary.hpp"
@@ -32,7 +39,15 @@
 #include "agreement/midpoint_agreement.hpp"
 #include "algebra/check.hpp"
 #include "algebra/spec.hpp"
+#include "api/backend.hpp"
+#include "api/eager_coro.hpp"
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
 #include "core/universal.hpp"
+#include "farray/farray.hpp"
+#include "fault/certifier.hpp"
+#include "fault/nemesis.hpp"
+#include "fault/rt_inject.hpp"
 #include "graph/digraph.hpp"
 #include "graph/lingraph.hpp"
 #include "lattice/lattice.hpp"
@@ -44,9 +59,11 @@
 #include "objects/grow_set.hpp"
 #include "objects/join_map.hpp"
 #include "objects/logical_clock.hpp"
+#include "objects/polylog_queue.hpp"
 #include "objects/pseudo_rmw.hpp"
 #include "objects/randomized_consensus.hpp"
 #include "objects/specs.hpp"
+#include "objects/union_find.hpp"
 #include "obs/analyze.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
@@ -55,10 +72,6 @@
 #include "obs/rt_probe.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "rt/afek_snapshot_rt.hpp"
-#include "rt/approx_agreement_rt.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
 #include "sim/explore.hpp"
@@ -72,3 +85,5 @@
 #include "snapshot/lattice_agreement.hpp"
 #include "snapshot/lattice_scan.hpp"
 #include "snapshot/scan_stats.hpp"
+#include "snapshot/tree_snapshot.hpp"
+#include "universal2/rt.hpp"

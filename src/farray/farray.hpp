@@ -260,14 +260,6 @@ class FArrayTree {
     co_return std::move(root.v);
   }
 
-  // Test/debug access.
-  const typename B::template Reg<Value>& leaf_at(int p) const {
-    return leaf(p);
-  }
-  const typename B::template CasReg<Node>& node_at(int i) const {
-    return node(i);
-  }
-
   // Per-node contention telemetry (obs/contention.hpp); cell u = heap node
   // u. Exact at quiescence; empty/no-op when compiled out.
   const obs::NodeContention& contention() const { return contention_; }

@@ -21,6 +21,7 @@
 #include <concepts>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -133,6 +134,17 @@ struct TaggedVectorLattice {
     Value out(n);
     out[pid] = Cell{tag, std::move(value)};
     return out;
+  }
+
+  // The snapshot view of `joined`: one slot per process, nullopt where the
+  // cell is ⊥ (tag 0). Cells past `n` are ignored.
+  static std::vector<std::optional<T>> unpack(const Value& joined,
+                                              std::size_t n) {
+    std::vector<std::optional<T>> view(n);
+    for (std::size_t i = 0; i < joined.size() && i < n; ++i) {
+      if (joined[i].tag != 0) view[i] = joined[i].value;
+    }
+    return view;
   }
 };
 

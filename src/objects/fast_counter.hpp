@@ -12,31 +12,41 @@
 // Cost per op: update O(1), read O(n²) — versus the generic construction's
 // O(n²) for *every* operation plus graph maintenance. Bench E8 quantifies
 // the gap.
+//
+// One backend template; FastCounterSim and rt::FastCounterRT wrap it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 
 namespace apram {
 
-class FastCounterSim {
+template <class B>
+class FastCounter {
  public:
-  FastCounterSim(sim::World& world, int num_procs,
-                 const std::string& name = "fctr",
-                 ScanMode mode = ScanMode::kOptimized)
-      : snap_(world, num_procs, name, mode),
-        contribution_(static_cast<std::size_t>(num_procs), 0) {}
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
 
-  sim::SimCoro<void> inc(sim::Context ctx, std::int64_t by = 1) {
-    co_await add(ctx, by);
-  }
-  sim::SimCoro<void> dec(sim::Context ctx, std::int64_t by = 1) {
-    co_await add(ctx, -by);
+  FastCounter(typename B::Mem& mem, int num_procs,
+              ScanMode mode = ScanMode::kOptimized)
+      : snap_(mem, num_procs, mode) {
+    contribution_.reserve(static_cast<std::size_t>(num_procs));
+    for (int p = 0; p < num_procs; ++p) {
+      contribution_.push_back(std::make_unique<Cell>());
+    }
   }
 
-  sim::SimCoro<std::int64_t> read(sim::Context ctx) {
+  Coro<void> inc(Ctx ctx, std::int64_t by = 1) { return add(ctx, by); }
+  Coro<void> dec(Ctx ctx, std::int64_t by = 1) { return add(ctx, -by); }
+
+  Coro<std::int64_t> read(Ctx ctx) {
     SnapshotView<std::int64_t> view = co_await snap_.scan(ctx);
     std::int64_t sum = 0;
     for (const auto& c : view) {
@@ -46,16 +56,53 @@ class FastCounterSim {
   }
 
  private:
-  sim::SimCoro<void> add(sim::Context ctx, std::int64_t delta) {
-    auto& mine = contribution_[static_cast<std::size_t>(ctx.pid())];
+  // P's running total, on its own cache lines; only P touches it, and the
+  // authoritative copy lives in the snapshot object.
+  struct alignas(64) Cell {
+    std::int64_t value = 0;
+  };
+
+  Coro<void> add(Ctx ctx, std::int64_t delta) {
+    std::int64_t& mine =
+        contribution_[static_cast<std::size_t>(ctx.pid())]->value;
     mine += delta;
     co_await snap_.update(ctx, mine);
   }
 
-  AtomicSnapshotSim<std::int64_t> snap_;
-  // Each process's running total; only entry pid is touched by process pid,
-  // and the authoritative copy lives in the snapshot object.
-  std::vector<std::int64_t> contribution_;
+  snapshot::AtomicSnapshot<B, std::int64_t> snap_;
+  std::vector<std::unique_ptr<Cell>> contribution_;
 };
+
+class FastCounterSim
+    : private api::SimObject,
+      public FastCounter<api::SimBackend> {
+ public:
+  FastCounterSim(sim::World& world, int num_procs,
+                 const std::string& name = "fctr",
+                 ScanMode mode = ScanMode::kOptimized)
+      : SimObject(world, name),
+        FastCounter<api::SimBackend>(mem_, num_procs, mode) {}
+};
+
+namespace rt {
+
+class FastCounterRT : public api::RtObject {
+ public:
+  explicit FastCounterRT(int num_procs, ScanMode mode = ScanMode::kOptimized)
+      : RtObject(num_procs), impl_(mem_, num_procs, mode) {}
+
+  void inc(int p, std::int64_t by = 1) {
+    impl_.inc(api::RtBackend::Ctx{p}, by).get();
+  }
+  void dec(int p, std::int64_t by = 1) {
+    impl_.dec(api::RtBackend::Ctx{p}, by).get();
+  }
+  std::int64_t read(int p) { return impl_.read(api::RtBackend::Ctx{p}).get(); }
+
+ private:
+  FastCounter<api::RtBackend> impl_;
+};
+
+}  // namespace rt
 
 }  // namespace apram

@@ -275,12 +275,10 @@ class PolylogQueue {
 // rt convenience wrapper (int-pid call style; thread p calls only pid p's
 // entry points — the Local replay state is single-threaded per pid).
 
-class PolylogQueueRT {
+class PolylogQueueRT : public api::RtObject {
  public:
   explicit PolylogQueueRT(int num_procs)
-      : mem_(num_procs), impl_(mem_, num_procs) {}
-
-  int num_procs() const { return impl_.num_procs(); }
+      : RtObject(num_procs), impl_(mem_, num_procs) {}
 
   void enqueue(int p, std::int64_t v) {
     impl_.enqueue(api::RtBackend::Ctx{p}, v).get();
@@ -289,27 +287,12 @@ class PolylogQueueRT {
     return impl_.dequeue(api::RtBackend::Ctx{p}).get();
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
   void export_contention_gauges(obs::Registry& registry,
                                 const std::string& prefix) const {
     impl_.export_contention_gauges(registry, prefix);
   }
 
  private:
-  api::RtBackend::Mem mem_;
   PolylogQueue<api::RtBackend> impl_;
 };
 

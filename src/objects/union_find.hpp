@@ -212,12 +212,11 @@ class UnionFind {
 // --------------------------------------------------------------------------
 // rt convenience wrapper (int-pid call style).
 
-class UnionFindRT {
+class UnionFindRT : public api::RtObject {
  public:
   UnionFindRT(int num_procs, int universe)
-      : mem_(num_procs), impl_(mem_, num_procs, universe) {}
+      : RtObject(num_procs), impl_(mem_, num_procs, universe) {}
 
-  int num_procs() const { return impl_.num_procs(); }
   int universe() const { return impl_.universe(); }
 
   std::int32_t find(int p, std::int32_t x) {
@@ -233,23 +232,7 @@ class UnionFindRT {
     return impl_.num_sets(api::RtBackend::Ctx{p}).get();
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
  private:
-  api::RtBackend::Mem mem_;
   UnionFind<api::RtBackend> impl_;
 };
 

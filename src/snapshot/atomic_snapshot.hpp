@@ -14,13 +14,20 @@
 //
 // Scans are pairwise comparable (Lemma 32), which is what makes the returned
 // views linearizable as instantaneous snapshots (Theorem 33).
+//
+// One backend template; AtomicSnapshotSim and rt::AtomicSnapshotRT wrap it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
+#include "lattice/lattice.hpp"
 #include "snapshot/lattice_scan.hpp"
 
 namespace apram {
@@ -29,69 +36,107 @@ namespace apram {
 template <class T>
 using SnapshotView = std::vector<std::optional<T>>;
 
-template <class T>
-class AtomicSnapshotSim {
+namespace snapshot {
+
+template <class B, class T>
+class AtomicSnapshot {
  public:
   using Lattice = TaggedVectorLattice<T>;
   using LatticeValue = typename Lattice::Value;
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
 
-  AtomicSnapshotSim(sim::World& world, int num_procs,
-                    const std::string& name = "snap",
-                    ScanMode mode = ScanMode::kOptimized)
-      : n_(num_procs),
-        scan_(world, num_procs, name, mode),
-        next_tag_(static_cast<std::size_t>(num_procs), 1) {}
+  AtomicSnapshot(typename B::Mem& mem, int num_procs,
+                 ScanMode mode = ScanMode::kOptimized)
+      : n_(num_procs), scan_(mem, num_procs, mode) {
+    tags_.reserve(static_cast<std::size_t>(n_));
+    for (int p = 0; p < n_; ++p) tags_.push_back(std::make_unique<Tag>());
+  }
 
   int num_procs() const { return n_; }
 
   // Installs `v` as P's current value. One shared-memory write.
-  sim::SimCoro<void> update(sim::Context ctx, T v) {
-    const auto pid = static_cast<std::size_t>(ctx.pid());
-    const std::uint64_t tag = next_tag_[pid]++;
-    co_await scan_.post(ctx, Lattice::singleton(static_cast<std::size_t>(n_),
-                                                pid, tag, std::move(v)));
+  Coro<void> update(Ctx ctx, T v) {
+    LatticeValue mine = next_singleton(ctx.pid(), std::move(v));
+    co_await scan_.post(ctx, std::move(mine));
   }
 
   // Returns an instantaneous view of all slots.
-  sim::SimCoro<SnapshotView<T>> scan(sim::Context ctx) {
+  Coro<SnapshotView<T>> scan(Ctx ctx) {
     LatticeValue joined = co_await scan_.read_max(ctx);
-    co_return unpack(joined);
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   // Scan(P, v) proper: install `v` and return a view that includes it.
   // Costs the same as scan() (the update rides along for free).
-  sim::SimCoro<SnapshotView<T>> update_and_scan(sim::Context ctx, T v) {
-    const auto pid = static_cast<std::size_t>(ctx.pid());
-    const std::uint64_t tag = next_tag_[pid]++;
-    LatticeValue joined = co_await scan_.scan(
-        ctx, Lattice::singleton(static_cast<std::size_t>(n_), pid, tag,
-                                std::move(v)));
-    co_return unpack(joined);
+  Coro<SnapshotView<T>> update_and_scan(Ctx ctx, T v) {
+    LatticeValue mine = next_singleton(ctx.pid(), std::move(v));
+    LatticeValue joined = co_await scan_.scan(ctx, std::move(mine));
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   // The raw lattice view (tags included) — used by tests checking Lemma 32
-  // comparability and by the universal construction's precedence logic.
-  sim::SimCoro<LatticeValue> scan_tagged(sim::Context ctx) {
+  // comparability.
+  Coro<LatticeValue> scan_tagged(Ctx ctx) {
     LatticeValue joined = co_await scan_.read_max(ctx);
     co_return joined;
   }
 
-  LatticeScanSim<Lattice>& lattice_scan() { return scan_; }
-  const LatticeScanSim<Lattice>& lattice_scan() const { return scan_; }
+  const LatticeScan<B, Lattice>& lattice_scan() const { return scan_; }
 
  private:
-  SnapshotView<T> unpack(const LatticeValue& joined) const {
-    SnapshotView<T> view(static_cast<std::size_t>(n_));
-    for (std::size_t i = 0;
-         i < joined.size() && i < static_cast<std::size_t>(n_); ++i) {
-      if (joined[i].tag != 0) view[i] = joined[i].value;
-    }
-    return view;
+  // P's tag counter, on its own cache lines (P is its only writer).
+  struct alignas(64) Tag {
+    std::uint64_t value = 0;
+  };
+
+  // The singleton array carrying `v` under P's next tag.
+  LatticeValue next_singleton(int p, T v) {
+    const std::uint64_t tag = ++tags_[static_cast<std::size_t>(p)]->value;
+    return Lattice::singleton(static_cast<std::size_t>(n_),
+                              static_cast<std::size_t>(p), tag, std::move(v));
   }
 
   int n_;
-  LatticeScanSim<Lattice> scan_;
-  std::vector<std::uint64_t> next_tag_;
+  LatticeScan<B, Lattice> scan_;
+  std::vector<std::unique_ptr<Tag>> tags_;
 };
+
+}  // namespace snapshot
+
+template <class T>
+class AtomicSnapshotSim
+    : private api::SimObject,
+      public snapshot::AtomicSnapshot<api::SimBackend, T> {
+ public:
+  AtomicSnapshotSim(sim::World& world, int num_procs,
+                    const std::string& name = "snap",
+                    ScanMode mode = ScanMode::kOptimized)
+      : SimObject(world, name),
+        snapshot::AtomicSnapshot<api::SimBackend, T>(mem_, num_procs, mode) {}
+};
+
+namespace rt {
+
+template <class T>
+class AtomicSnapshotRT : public api::RtObject {
+ public:
+  explicit AtomicSnapshotRT(int num_procs,
+                            ScanMode mode = ScanMode::kOptimized)
+      : RtObject(num_procs), impl_(mem_, num_procs, mode) {}
+
+  void update(int p, T v) {
+    impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
+  }
+  SnapshotView<T> scan(int p) {
+    return impl_.scan(api::RtBackend::Ctx{p}).get();
+  }
+
+ private:
+  snapshot::AtomicSnapshot<api::RtBackend, T> impl_;
+};
+
+}  // namespace rt
 
 }  // namespace apram

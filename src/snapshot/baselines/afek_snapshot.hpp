@@ -7,21 +7,30 @@
 // double-collects, and if some process is seen to move *twice*, borrows that
 // process's embedded view — which is guaranteed to have been taken inside
 // the scan's own window. Both operations are wait-free with O(n²) reads.
+//
+// One backend template; AfekSnapshotSim and rt::AfekSnapshotRT wrap it.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/world.hpp"
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
 
 namespace apram {
 
-template <class T>
-class AfekSnapshotSim {
+namespace snapshot {
+
+template <class B, class T>
+class AfekSnapshot {
  public:
   using View = std::vector<std::optional<T>>;
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
 
   struct Slot {
     std::uint64_t seq = 0;  // 0 = never written
@@ -29,12 +38,10 @@ class AfekSnapshotSim {
     View embedded;  // scan taken during the update that wrote this slot
   };
 
-  AfekSnapshotSim(sim::World& world, int num_procs,
-                  const std::string& name = "afek")
-      : n_(num_procs) {
+  AfekSnapshot(typename B::Mem& mem, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      slots_.push_back(&world.make_register<Slot>(
-          name + ".slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      slots_.push_back(&mem.template make<Slot>(
+          "slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
     }
   }
 
@@ -42,18 +49,18 @@ class AfekSnapshotSim {
 
   // Wait-free scan: at most n+1 double collects (each retry pins a distinct
   // mover; after n+1 retries some process moved twice).
-  sim::SimCoro<View> scan(sim::Context ctx) {
+  Coro<View> scan(Ctx ctx) {
     std::vector<std::uint64_t> moved(static_cast<std::size_t>(n_), 0);
     std::vector<Slot> first(static_cast<std::size_t>(n_));
     std::vector<Slot> second(static_cast<std::size_t>(n_));
     for (;;) {
       for (int q = 0; q < n_; ++q) {
         Slot s = co_await ctx.read(*slots_[static_cast<std::size_t>(q)]);
-        first[static_cast<std::size_t>(q)] = s;
+        first[static_cast<std::size_t>(q)] = std::move(s);
       }
       for (int q = 0; q < n_; ++q) {
         Slot s = co_await ctx.read(*slots_[static_cast<std::size_t>(q)]);
-        second[static_cast<std::size_t>(q)] = s;
+        second[static_cast<std::size_t>(q)] = std::move(s);
       }
       bool clean = true;
       for (int q = 0; q < n_; ++q) {
@@ -81,7 +88,7 @@ class AfekSnapshotSim {
 
   // update = embedded scan + one write (the "helping" that makes scans
   // borrowable).
-  sim::SimCoro<void> update(sim::Context ctx, T v) {
+  Coro<void> update(Ctx ctx, T v) {
     View embedded = co_await scan(ctx);
     const auto pid = static_cast<std::size_t>(ctx.pid());
     Slot current = co_await ctx.read(*slots_[pid]);
@@ -94,7 +101,41 @@ class AfekSnapshotSim {
 
  private:
   int n_;
-  std::vector<sim::Register<Slot>*> slots_;
+  std::vector<typename B::template Reg<Slot>*> slots_;
 };
+
+}  // namespace snapshot
+
+template <class T>
+class AfekSnapshotSim
+    : private api::SimObject,
+      public snapshot::AfekSnapshot<api::SimBackend, T> {
+ public:
+  AfekSnapshotSim(sim::World& world, int num_procs,
+                  const std::string& name = "afek")
+      : SimObject(world, name),
+        snapshot::AfekSnapshot<api::SimBackend, T>(mem_, num_procs) {}
+};
+
+namespace rt {
+
+template <class T>
+class AfekSnapshotRT : public api::RtObject {
+ public:
+  using View = typename snapshot::AfekSnapshot<api::RtBackend, T>::View;
+
+  explicit AfekSnapshotRT(int num_procs)
+      : RtObject(num_procs), impl_(mem_, num_procs) {}
+
+  View scan(int p) { return impl_.scan(api::RtBackend::Ctx{p}).get(); }
+  void update(int p, T v) {
+    impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
+  }
+
+ private:
+  snapshot::AfekSnapshot<api::RtBackend, T> impl_;
+};
+
+}  // namespace rt
 
 }  // namespace apram

@@ -1,4 +1,4 @@
-// Baseline: double-collect snapshot (simulated).
+// Baseline: double-collect snapshot.
 //
 // The folklore algorithm the paper's snapshot improves on: a scan collects
 // all n slots twice and retries until two consecutive collects are
@@ -7,69 +7,78 @@
 // This is only *obstruction-free*: a scanner running alone finishes in 2n
 // reads, but concurrent updaters can force it to retry forever — the
 // starvation that wait-freedom (and E5's adversarial experiment) is about.
+//
+// One backend template; DoubleCollectSnapshotSim and
+// rt::DoubleCollectSnapshotRT wrap it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/world.hpp"
+#include "api/rt_backend.hpp"
+#include "api/sim_backend.hpp"
 
 namespace apram {
 
-template <class T>
-class DoubleCollectSnapshotSim {
+namespace snapshot {
+
+template <class B, class T>
+class DoubleCollectSnapshot {
  public:
+  using View = std::vector<std::optional<T>>;
+  using Ctx = typename B::Ctx;
+  template <class U>
+  using Coro = typename B::template Coro<U>;
+
   struct Slot {
     std::uint64_t tag = 0;  // 0 = never written
     T value{};
   };
 
-  DoubleCollectSnapshotSim(sim::World& world, int num_procs,
-                           const std::string& name = "dcoll")
-      : n_(num_procs), next_tag_(static_cast<std::size_t>(num_procs), 1) {
+  DoubleCollectSnapshot(typename B::Mem& mem, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      slots_.push_back(&world.make_register<Slot>(
-          name + ".slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      slots_.push_back(&mem.template make<Slot>(
+          "slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      tags_.push_back(std::make_unique<Tag>());
     }
   }
 
   int num_procs() const { return n_; }
 
   // One shared write.
-  sim::SimCoro<void> update(sim::Context ctx, T v) {
+  Coro<void> update(Ctx ctx, T v) {
     const auto pid = static_cast<std::size_t>(ctx.pid());
-    co_await ctx.write(*slots_[pid], Slot{next_tag_[pid]++, std::move(v)});
+    Slot next{++tags_[pid]->value, std::move(v)};
+    co_await ctx.write(*slots_[pid], std::move(next));
   }
 
   // Retries until a clean double collect; `max_attempts` bounds the retries
   // (0 = unbounded). Returns nullopt if the bound is exhausted — the
   // behaviour wait-free algorithms never exhibit.
-  sim::SimCoro<std::optional<std::vector<std::optional<T>>>> scan(
-      sim::Context ctx, int max_attempts = 0) {
+  Coro<std::optional<View>> scan(Ctx ctx, int max_attempts = 0) {
     std::vector<Slot> first(static_cast<std::size_t>(n_));
     std::vector<Slot> second(static_cast<std::size_t>(n_));
     for (int attempt = 0; max_attempts == 0 || attempt < max_attempts;
          ++attempt) {
       for (int q = 0; q < n_; ++q) {
         Slot s = co_await ctx.read(*slots_[static_cast<std::size_t>(q)]);
-        first[static_cast<std::size_t>(q)] = s;
+        first[static_cast<std::size_t>(q)] = std::move(s);
       }
       for (int q = 0; q < n_; ++q) {
         Slot s = co_await ctx.read(*slots_[static_cast<std::size_t>(q)]);
-        second[static_cast<std::size_t>(q)] = s;
+        second[static_cast<std::size_t>(q)] = std::move(s);
       }
       bool clean = true;
-      for (int q = 0; q < n_; ++q) {
-        if (first[static_cast<std::size_t>(q)].tag !=
-            second[static_cast<std::size_t>(q)].tag) {
-          clean = false;
-          break;
-        }
+      for (int q = 0; q < n_ && clean; ++q) {
+        clean = first[static_cast<std::size_t>(q)].tag ==
+                second[static_cast<std::size_t>(q)].tag;
       }
       if (clean) {
-        std::vector<std::optional<T>> view(static_cast<std::size_t>(n_));
+        View view(static_cast<std::size_t>(n_));
         for (int q = 0; q < n_; ++q) {
           const Slot& s = second[static_cast<std::size_t>(q)];
           if (s.tag != 0) view[static_cast<std::size_t>(q)] = s.value;
@@ -81,9 +90,61 @@ class DoubleCollectSnapshotSim {
   }
 
  private:
+  // P's tag counter, on its own cache lines (P is its only writer).
+  struct alignas(64) Tag {
+    std::uint64_t value = 0;
+  };
+
   int n_;
-  std::vector<sim::Register<Slot>*> slots_;
-  std::vector<std::uint64_t> next_tag_;
+  std::vector<typename B::template Reg<Slot>*> slots_;
+  std::vector<std::unique_ptr<Tag>> tags_;
 };
+
+}  // namespace snapshot
+
+template <class T>
+class DoubleCollectSnapshotSim
+    : private api::SimObject,
+      public snapshot::DoubleCollectSnapshot<api::SimBackend, T> {
+ public:
+  DoubleCollectSnapshotSim(sim::World& world, int num_procs,
+                           const std::string& name = "dcoll")
+      : SimObject(world, name),
+        snapshot::DoubleCollectSnapshot<api::SimBackend, T>(mem_, num_procs) {}
+};
+
+namespace rt {
+
+template <class T>
+class DoubleCollectSnapshotRT : public api::RtObject {
+ public:
+  using View =
+      typename snapshot::DoubleCollectSnapshot<api::RtBackend, T>::View;
+
+  explicit DoubleCollectSnapshotRT(int num_procs)
+      : RtObject(num_procs), impl_(mem_, num_procs) {}
+
+  void update(int p, T v) {
+    impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
+  }
+  // Retries until a clean double collect (unbounded). `attempts_out`, when
+  // provided, reports how many collect pairs were needed — the quantity
+  // that distinguishes this baseline from the wait-free scan.
+  View scan(int p, std::uint64_t* attempts_out = nullptr) {
+    for (std::uint64_t attempts = 1;; ++attempts) {
+      std::optional<View> view =
+          impl_.scan(api::RtBackend::Ctx{p}, /*max_attempts=*/1).get();
+      if (view.has_value()) {
+        if (attempts_out != nullptr) *attempts_out = attempts;
+        return std::move(*view);
+      }
+    }
+  }
+
+ private:
+  snapshot::DoubleCollectSnapshot<api::RtBackend, T> impl_;
+};
+
+}  // namespace rt
 
 }  // namespace apram

@@ -1,8 +1,8 @@
 // The atomic scan of Section 6 (Figure 5), over an arbitrary ∨-semilattice —
 // written ONCE against the apram::api register-backend concept and
 // instantiated both in the simulator (apram::LatticeScanSim below) and on
-// real threads (apram::rt::LatticeScanRT / apram::rt::AtomicSnapshotRT,
-// also below).
+// real threads (apram::rt::LatticeScanRT, also below). The snapshot object
+// built on it is snapshot/atomic_snapshot.hpp.
 //
 // Processes share an n×(n+2) matrix `scan[1..n][0..n+1]` of single-writer
 // multi-reader registers holding lattice values; process P writes only row P.
@@ -28,9 +28,7 @@
 // each register has a single writer, so the owner always knows its contents.
 #pragma once
 
-#include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,7 +84,6 @@ class LatticeScan {
   }
 
   int num_procs() const { return n_; }
-  ScanMode mode() const { return mode_; }
 
   // Figure 5 verbatim. Joins v into P's input cell, performs the n+1 merge
   // passes, and returns the join of everything the passes saw.
@@ -202,59 +199,31 @@ class LatticeScan {
 }  // namespace snapshot
 
 // Simulator instantiation under the historical name and constructor
-// signature (World& + register-name prefix). Forwarding methods hand back
-// the impl's SimCoro directly.
+// signature (World& + register-name prefix).
 template <Semilattice L>
-class LatticeScanSim {
+class LatticeScanSim
+    : private api::SimObject,
+      public snapshot::LatticeScan<api::SimBackend, L> {
  public:
-  using Value = typename L::Value;
-
   LatticeScanSim(sim::World& world, int num_procs, const std::string& name,
                  ScanMode mode = ScanMode::kOptimized)
-      : mem_(world, name), impl_(mem_, num_procs, mode) {}
-
-  int num_procs() const { return impl_.num_procs(); }
-  ScanMode mode() const { return impl_.mode(); }
-
-  sim::SimCoro<Value> scan(sim::Context ctx, Value v) {
-    return impl_.scan(ctx, std::move(v));
-  }
-  sim::SimCoro<void> write_l(sim::Context ctx, Value v) {
-    return impl_.write_l(ctx, std::move(v));
-  }
-  sim::SimCoro<Value> read_max(sim::Context ctx) {
-    return impl_.read_max(ctx);
-  }
-  sim::SimCoro<void> post(sim::Context ctx, Value v) {
-    return impl_.post(ctx, std::move(v));
-  }
-
-  const sim::Register<Value>& register_at(int p, int i) const {
-    return impl_.register_at(p, i);
-  }
-
- private:
-  api::SimBackend::Mem mem_;
-  snapshot::LatticeScan<api::SimBackend, L> impl_;
+      : SimObject(world, name),
+        snapshot::LatticeScan<api::SimBackend, L>(mem_, num_procs, mode) {}
 };
 
-// Real-thread instantiations under the historical rt class names: thin
-// wrappers that instantiate the backend-templated class with
-// apram::api::RtBackend and expose the old int-pid call style. New code
-// should hold an api::RtBackend::Mem and the backend-templated class
-// directly. Thread p may call only the p-indexed entry points (the
+// Real-thread instantiation under the historical rt class name: a thin
+// wrapper over the backend-templated class with the int-pid call style (see
+// api::RtObject). Thread p may call only the p-indexed entry points (the
 // single-writer discipline of the model).
 namespace rt {
 
 template <Semilattice L>
-class LatticeScanRT {
+class LatticeScanRT : public api::RtObject {
  public:
   using Value = typename L::Value;
 
   explicit LatticeScanRT(int num_procs, ScanMode mode = ScanMode::kOptimized)
-      : mem_(num_procs), impl_(mem_, num_procs, mode) {}
-
-  int num_procs() const { return impl_.num_procs(); }
+      : RtObject(num_procs), impl_(mem_, num_procs, mode) {}
 
   // Figure 5; callable only by thread p.
   Value scan(int p, Value v) {
@@ -274,106 +243,8 @@ class LatticeScanRT {
     impl_.post(api::RtBackend::Ctx{p}, std::move(v)).get();
   }
 
-  // Instruments every register of the scan matrix: aggregate counters
-  // `rt.<name>.reads` / `rt.<name>.writes` (and `.cas`, unused here) in
-  // `registry`, plus per-access trace events (object id = p*(n+2)+i) when
-  // `tracer` is non-null. Attach before concurrent use; registry/tracer must
-  // outlive this object.
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-
-  // Attaches a fault injector to every register of the scan matrix (see
-  // fault/rt_inject.hpp); nullptr detaches. Attach before concurrent use.
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-
-  // Reclamation accounting over the whole scan matrix; exact at quiescence
-  // (see api::RtBackend::Mem::reclaim_stats / export_reclaim_gauges).
-  reclaim::ReclaimStats reclaim_stats() const { return mem_.reclaim_stats(); }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
  private:
-  api::RtBackend::Mem mem_;
   snapshot::LatticeScan<api::RtBackend, L> impl_;
-};
-
-// Snapshot object on the tagged-vector lattice (end of §6), rt flavour.
-template <class T>
-class AtomicSnapshotRT {
- public:
-  using Lattice = TaggedVectorLattice<T>;
-  using LatticeValue = typename Lattice::Value;
-
-  explicit AtomicSnapshotRT(int num_procs,
-                            ScanMode mode = ScanMode::kOptimized)
-      : n_(num_procs),
-        scan_(num_procs, mode),
-        next_tag_(static_cast<std::size_t>(num_procs)) {
-    for (auto& t : next_tag_) t = std::make_unique<Tag>();
-  }
-
-  int num_procs() const { return n_; }
-
-  void update(int p, T v) {
-    const std::uint64_t tag = ++next_tag_[static_cast<std::size_t>(p)]->value;
-    scan_.post(p, Lattice::singleton(static_cast<std::size_t>(n_),
-                                     static_cast<std::size_t>(p), tag,
-                                     std::move(v)));
-  }
-
-  std::vector<std::optional<T>> scan(int p) {
-    return unpack(scan_.read_max(p));
-  }
-
-  // Forwards to the underlying scan matrix (see LatticeScanRT::attach_obs).
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    scan_.attach_obs(registry, name, tracer);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    scan_.attach_injector(injector);
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const {
-    return scan_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    scan_.export_reclaim_gauges(registry, name);
-  }
-
-  std::vector<std::optional<T>> update_and_scan(int p, T v) {
-    const std::uint64_t tag = ++next_tag_[static_cast<std::size_t>(p)]->value;
-    return unpack(scan_.scan(
-        p, Lattice::singleton(static_cast<std::size_t>(n_),
-                              static_cast<std::size_t>(p), tag,
-                              std::move(v))));
-  }
-
- private:
-  struct alignas(64) Tag {
-    std::uint64_t value = 0;
-  };
-
-  std::vector<std::optional<T>> unpack(const LatticeValue& joined) const {
-    std::vector<std::optional<T>> view(static_cast<std::size_t>(n_));
-    for (std::size_t i = 0;
-         i < joined.size() && i < static_cast<std::size_t>(n_); ++i) {
-      if (joined[i].tag != 0) view[i] = joined[i].value;
-    }
-    return view;
-  }
-
-  int n_;
-  LatticeScanRT<Lattice> scan_;
-  std::vector<std::unique_ptr<Tag>> next_tag_;
 };
 
 }  // namespace rt

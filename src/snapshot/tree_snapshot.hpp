@@ -120,14 +120,6 @@ class TreeScan {
     co_return out;
   }
 
-  // Test/debug access (forwarded from the tree).
-  const typename B::template Reg<Value>& leaf_at(int p) const {
-    return tree_.leaf_at(p);
-  }
-  const typename B::template CasReg<Node>& node_at(int i) const {
-    return tree_.node_at(i);
-  }
-
   // Per-node contention telemetry (forwarded from the tree).
   const obs::NodeContention& contention() const { return tree_.contention(); }
   void export_contention_gauges(obs::Registry& registry,
@@ -145,7 +137,7 @@ class TreeScan {
 };
 
 // Snapshot object over the tagged-vector lattice (end of §6), tree flavour:
-// the TreeScan counterpart of AtomicSnapshotSim / AtomicSnapshotRT.
+// the TreeScan counterpart of snapshot/atomic_snapshot.hpp's AtomicSnapshot.
 template <class B, class T>
 class TreeSnapshot {
  public:
@@ -176,13 +168,13 @@ class TreeSnapshot {
 
   Coro<View> scan(Ctx ctx) {
     LatticeValue joined = co_await scan_.scan(ctx);
-    co_return unpack(joined);
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   Coro<View> update_and_scan(Ctx ctx, T v) {
     co_await update(ctx, std::move(v));
     LatticeValue joined = co_await scan_.scan(ctx);
-    co_return unpack(joined);
+    co_return Lattice::unpack(joined, static_cast<std::size_t>(n_));
   }
 
   TreeScan<B, Lattice>& tree() { return scan_; }
@@ -197,34 +189,22 @@ class TreeSnapshot {
     std::uint64_t value = 0;
   };
 
-  View unpack(const LatticeValue& joined) const {
-    View view(static_cast<std::size_t>(n_));
-    for (std::size_t i = 0;
-         i < joined.size() && i < static_cast<std::size_t>(n_); ++i) {
-      if (joined[i].tag != 0) view[i] = joined[i].value;
-    }
-    return view;
-  }
-
   int n_;
   TreeScan<B, Lattice> scan_;
   std::vector<std::unique_ptr<Tag>> next_tag_;
 };
 
 // --------------------------------------------------------------------------
-// rt convenience wrappers: own the Mem, expose the int-pid call style of the
-// other rt structures. Thread p may call only the p-indexed entry points'
-// update paths; scans are callable by anyone.
+// rt convenience wrappers (see api::RtObject). Thread p may call only the
+// p-indexed update paths; scans are callable by anyone.
 
 template <Semilattice L>
-class TreeScanRT {
+class TreeScanRT : public api::RtObject {
  public:
   using Value = typename L::Value;
 
   explicit TreeScanRT(int num_procs)
-      : mem_(num_procs), impl_(mem_, num_procs) {}
-
-  int num_procs() const { return impl_.num_procs(); }
+      : RtObject(num_procs), impl_(mem_, num_procs) {}
 
   void update(int p, Value v) {
     impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
@@ -234,41 +214,22 @@ class TreeScanRT {
     return impl_.update_and_scan(api::RtBackend::Ctx{p}, std::move(v)).get();
   }
 
-  // See api::RtBackend::Mem::attach_obs / attach_injector /
-  // reclaim_stats / export_reclaim_gauges.
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
   void export_contention_gauges(obs::Registry& registry,
                                 const std::string& prefix) const {
     impl_.export_contention_gauges(registry, prefix);
   }
 
  private:
-  api::RtBackend::Mem mem_;
   TreeScan<api::RtBackend, L> impl_;
 };
 
 template <class T>
-class TreeSnapshotRT {
+class TreeSnapshotRT : public api::RtObject {
  public:
   using View = std::vector<std::optional<T>>;
 
   explicit TreeSnapshotRT(int num_procs)
-      : mem_(num_procs), impl_(mem_, num_procs) {}
-
-  int num_procs() const { return impl_.num_procs(); }
+      : RtObject(num_procs), impl_(mem_, num_procs) {}
 
   void update(int p, T v) {
     impl_.update(api::RtBackend::Ctx{p}, std::move(v)).get();
@@ -278,27 +239,12 @@ class TreeSnapshotRT {
     return impl_.update_and_scan(api::RtBackend::Ctx{p}, std::move(v)).get();
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
   void export_contention_gauges(obs::Registry& registry,
                                 const std::string& prefix) const {
     impl_.export_contention_gauges(registry, prefix);
   }
 
  private:
-  api::RtBackend::Mem mem_;
   TreeSnapshot<api::RtBackend, T> impl_;
 };
 

@@ -1,32 +1,27 @@
 // apram::universal2 — real-thread convenience wrappers.
 //
-// Same shape as the rt wrappers in snapshot/lattice_scan.hpp: each owns an
-// api::RtBackend::Mem plus the backend-templated object, exposes the old
-// int-pid call style (thread p may call only the p-indexed entry points),
-// and forwards the Mem's observability / fault-injection / reclamation
-// attach points. New code that composes objects should hold the Mem and
-// the templated classes directly.
+// Same shape as every rt wrapper (see api::RtObject): each owns an
+// api::RtBackend::Mem plus the backend-templated object and exposes the
+// int-pid call style (thread p may call only the p-indexed entry points).
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "api/rt_backend.hpp"
+#include "core/universal.hpp"
 #include "universal2/counter_rep.hpp"
 #include "universal2/linked_list.hpp"
-#include "universal2/paper_universal.hpp"
 
 namespace apram::universal2 {
 
 // Wait-free counter (normalized fast/slow path) on real threads.
-class Counter2RT {
+class Counter2RT : public api::RtObject {
  public:
   using Config = Counter2<api::RtBackend>::Config;
 
   explicit Counter2RT(int num_procs, Config cfg = {})
-      : mem_(num_procs), counter_(mem_, num_procs, "u2c", cfg) {}
-
-  int num_procs() const { return counter_.sim().num_procs(); }
+      : RtObject(num_procs), counter_(mem_, num_procs, "u2c", cfg) {}
 
   std::int64_t inc(int p, std::int64_t by = 1) {
     return counter_.inc(api::RtBackend::Ctx{p}, by).get();
@@ -45,38 +40,18 @@ class Counter2RT {
     return counter_.sim().slow_path_entries(p);
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
-  Counter2<api::RtBackend>& object() { return counter_; }
-
  private:
-  api::RtBackend::Mem mem_;
   Counter2<api::RtBackend> counter_;
 };
 
 // Wait-free sorted linked-list set on real threads.
-class SortedSetRT {
+class SortedSetRT : public api::RtObject {
  public:
   using Config = SortedSet<api::RtBackend>::Config;
 
   SortedSetRT(int num_procs, int capacity_per_proc, Config cfg = {})
-      : mem_(num_procs),
+      : RtObject(num_procs),
         set_(mem_, num_procs, capacity_per_proc, "u2set", cfg) {}
-
-  int num_procs() const { return set_.sim().num_procs(); }
 
   std::int64_t insert(int p, std::int64_t key) {
     return set_.insert(api::RtBackend::Ctx{p}, key).get();
@@ -97,51 +72,23 @@ class SortedSetRT {
     return set_.sim().slow_path_entries(p);
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-  void attach_injector(fault::RtInjector* injector) {
-    mem_.attach_injector(injector);
-  }
-  rt::reclaim::ReclaimStats reclaim_stats() const {
-    return mem_.reclaim_stats();
-  }
-  void export_reclaim_gauges(obs::Registry& registry,
-                             const std::string& name) const {
-    mem_.export_reclaim_gauges(registry, name);
-  }
-
-  SortedSet<api::RtBackend>& object() { return set_; }
-
  private:
-  api::RtBackend::Mem mem_;
   SortedSet<api::RtBackend> set_;
 };
 
 // The paper's universal construction on real threads (bench baseline).
 template <SequentialSpec S>
-class PaperUniversalRT {
+class PaperUniversalRT : public api::RtObject {
  public:
   explicit PaperUniversalRT(int num_procs,
                             ScanMode mode = ScanMode::kOptimized)
-      : mem_(num_procs), obj_(mem_, num_procs, mode) {}
-
-  int num_procs() const { return obj_.num_procs(); }
+      : RtObject(num_procs), obj_(mem_, num_procs, mode) {}
 
   typename S::Response execute(int p, typename S::Invocation inv) {
     return obj_.execute(api::RtBackend::Ctx{p}, std::move(inv)).get();
   }
 
-  void attach_obs(obs::Registry& registry, const std::string& name,
-                  obs::Tracer* tracer = nullptr) {
-    mem_.attach_obs(registry, name, tracer);
-  }
-
-  PaperUniversal<api::RtBackend, S>& object() { return obj_; }
-
  private:
-  api::RtBackend::Mem mem_;
   PaperUniversal<api::RtBackend, S> obj_;
 };
 

@@ -30,8 +30,8 @@
 #include "fault_seeds.hpp"
 #include "lincheck/checker.hpp"
 #include "lincheck/history.hpp"
+#include "objects/fast_counter.hpp"
 #include "objects/specs.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/thread_harness.hpp"
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"

@@ -14,8 +14,8 @@
 #include "fault/rt_inject.hpp"
 #include "lincheck/checker.hpp"
 #include "lincheck/history.hpp"
+#include "objects/fast_counter.hpp"
 #include "objects/specs.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
 #include "util/rng.hpp"

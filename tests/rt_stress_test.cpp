@@ -13,12 +13,13 @@
 #include <vector>
 
 #include "lincheck/checker.hpp"
+#include "objects/fast_counter.hpp"
 #include "objects/specs.hpp"
-#include "rt/afek_snapshot_rt.hpp"
-#include "rt/fast_counter_rt.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/thread_harness.hpp"
 #include "rt_recorder.hpp"
+#include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/baselines/afek_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "snapshot/tree_snapshot.hpp"
 
 namespace apram::rt {

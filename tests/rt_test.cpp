@@ -19,20 +19,21 @@
 #include <type_traits>
 #include <vector>
 
+#include "agreement/approx_agreement.hpp"
 #include "agreement/approx_spec.hpp"
 #include "api/rt_backend.hpp"
 #include "farray/farray.hpp"
 #include "fault/rt_inject.hpp"
+#include "objects/fast_counter.hpp"
 #include "objects/polylog_queue.hpp"
 #include "obs/metrics.hpp"
-#include "rt/approx_agreement_rt.hpp"
-#include "rt/double_collect_rt.hpp"
-#include "rt/fast_counter_rt.hpp"
 #include "rt/reclaim.hpp"
-#include "snapshot/lattice_scan.hpp"
 #include "rt/register.hpp"
 #include "rt/thread_harness.hpp"
+#include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "universal2/counter_rep.hpp"
 #include "universal2/wait_free_sim.hpp"
 #include "util/block_pool.hpp"
