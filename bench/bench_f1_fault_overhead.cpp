@@ -8,7 +8,8 @@
 //       and an active injector (yields enabled);
 //   (b) simulator scheduling throughput for a bare RandomScheduler vs the
 //       Nemesis wrapper vs the full certifier stack (recording + nemesis),
-//       i.e. what a campaign schedule costs over a plain run.
+//       i.e. what a campaign schedule costs over a plain run. The plan's
+//       crashes are armed on the World, as the certifier arms them.
 #include <chrono>
 #include <functional>
 
@@ -113,25 +114,25 @@ int run(int argc, char** argv) {
     return w.global_step();
   });
   time_run("nemesis(random)", [&] {
-    sim::World w(3);
-    std::vector<sim::Register<int>*> regs;
-    make_exec(w, regs);
-    sim::RandomScheduler inner(1);
     Rng rng(7);
     fault::PlanOptions popts;
     const fault::FaultPlan plan = fault::random_plan(rng, 3, popts);
+    sim::World w(3, {.crashes = plan.crashes});
+    std::vector<sim::Register<int>*> regs;
+    make_exec(w, regs);
+    sim::RandomScheduler inner(1);
     fault::Nemesis sched(inner, plan);
     w.run(sched);
     return w.global_step();
   });
   time_run("recording(nemesis(random))", [&] {
-    sim::World w(3);
-    std::vector<sim::Register<int>*> regs;
-    make_exec(w, regs);
-    sim::RandomScheduler inner(1);
     Rng rng(7);
     fault::PlanOptions popts;
     const fault::FaultPlan plan = fault::random_plan(rng, 3, popts);
+    sim::World w(3, {.crashes = plan.crashes});
+    std::vector<sim::Register<int>*> regs;
+    make_exec(w, regs);
+    sim::RandomScheduler inner(1);
     fault::Nemesis nem(inner, plan);
     sim::RecordingScheduler sched(nem);
     w.run(sched);

@@ -52,12 +52,11 @@ int main() {
       finished[static_cast<std::size_t>(pid)] = true;
     });
   }
-  sim::RandomScheduler random_sched(/*seed=*/99, /*stickiness=*/0.8);
   // The trigger counts sensor 3's OWN accesses: 7 accesses into its phase-2
   // output call (on top of its phase-1 work), it dies.
-  sim::CrashingScheduler sched(random_sched,
-                               {{world.counts(3).total() + 7, /*pid=*/3}});
-  world.run(sched);
+  world.schedule_crash(/*pid=*/3, world.counts(3).total() + 7);
+  sim::RandomScheduler random_sched(/*seed=*/99, /*stickiness=*/0.8);
+  world.run(random_sched);
 
   std::printf("raw readings        : ");
   for (double r : readings) std::printf("%7.3f ", r);

@@ -18,11 +18,11 @@ namespace apram::fault {
 
 Judge step_bound_judge(std::vector<StepBound> bounds) {
   return [bounds = std::move(bounds)](sim::Execution& exec) -> std::string {
-    sim::World& w = exec.world();
+    const sim::World& w = exec.world();
     const int n = std::min(w.num_procs(), static_cast<int>(bounds.size()));
     for (int pid = 0; pid < n; ++pid) {
-      const std::uint64_t reads = w.metrics_reads(pid).value();
-      const std::uint64_t writes = w.metrics_writes(pid).value();
+      const std::uint64_t reads = w.counts(pid).reads;
+      const std::uint64_t writes = w.counts(pid).writes;
       const StepBound& b = bounds[static_cast<std::size_t>(pid)];
       if (reads > b.reads) {
         return "pid " + std::to_string(pid) + ": " + std::to_string(reads) +
@@ -55,6 +55,7 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   obs::Registry registry(/*num_shards=*/1);
   std::unique_ptr<sim::Execution> exec = factory();
   sim::World& w = exec->world();
+  const FaultPlan plan = random_plan(rng, w.num_procs(), opts.plan);
   std::unique_ptr<obs::Tracer> tracer;
   if (!opts.artifact_dir.empty()) {
     tracer = std::make_unique<obs::Tracer>(w.num_procs(),
@@ -64,6 +65,7 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   wopts.metrics = &registry;
   wopts.metrics_prefix = "cert";
   wopts.tracer = tracer.get();
+  wopts.crashes = plan.crashes;  // fired by the World, not the Nemesis
   w.apply_options(wopts);
 
   // Flight recorder: the violation branch dumps through it, and installing
@@ -79,14 +81,14 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
     obs::set_panic_recorder(recorder.get());
   }
 
-  const FaultPlan plan = random_plan(rng, w.num_procs(), opts.plan);
-
   sim::RandomScheduler random(sched_seed, stickiness);
   Nemesis nemesis(random, plan);
   sim::RecordingScheduler rec(nemesis);
   const sim::RunResult run = w.run_steps(rec, opts.max_steps);
 
-  result.crashes_fired += nemesis.crashes_fired();
+  for (const sim::World::CrashPoint& c : plan.crashes) {
+    if (w.crashed(c.pid)) ++result.crashes_fired;
+  }
   result.stall_deflections += nemesis.stall_deflections();
   result.burst_grants += nemesis.burst_grants();
 
@@ -147,7 +149,7 @@ std::unique_ptr<sim::Execution> replay_artifact(
   // simply stop at its crash point, so replaying the grants reproduces every
   // access — including the victim's — without re-firing the crash itself.
   return sim::replay(factory, obs::read_schedule_file(path),
-                     sim::ReplayMode::kStrict);
+                     sim::FixedScheduler::Divergence::kFail);
 }
 
 }  // namespace apram::fault

@@ -3,20 +3,22 @@
 // certify_wait_freedom() runs an algorithm (packaged as a deterministic
 // sim::ExecutionFactory) under a campaign of seeded adversaries: for each
 // schedule i, seed base_seed+i derives a RandomScheduler (with random
-// stickiness), a random FaultPlan (crashes/stalls/bursts), and a Nemesis
-// combining them. Every run must
+// stickiness) and a random FaultPlan (crashes/stalls/bursts). The plan's
+// crashes are armed on the World (World::schedule_crash semantics) and a
+// Nemesis imposes its stalls and bursts over the RandomScheduler. Every run
+// must
 //
 //   (1) complete — every non-crashed process finishes within max_steps
 //       grants (wait-freedom: bounded own-steps under every adversary), and
-//   (2) satisfy the caller's Judge — typically a per-operation step bound
-//       read from the obs metrics registry the certifier attaches, e.g.
-//       Scan ≤ n²−1 reads + n+1 writes (§6.2) or the agreement bound
-//       (2n+1)·log2(Δ/ε) + O(n) (Theorem 5).
+//   (2) satisfy the caller's Judge — typically a per-process step bound
+//       read from World::counts, e.g. Scan ≤ n²−1 reads + n+1 writes (§6.2)
+//       or the agreement bound (2n+1)·log2(Δ/ε) + O(n) (Theorem 5).
 //
 // Violations are recorded with the full interleaving (captured by a
 // RecordingScheduler around the Nemesis) and — when artifact_dir is set —
-// written as an annotated replay artifact plus a metrics JSON dump.
-// replay_artifact() re-executes an artifact strictly (ReplayMode::kStrict),
+// written as an annotated replay artifact plus a metrics JSON dump that
+// carries the per-pid `cert.{reads,writes}.p<pid>` counters.
+// replay_artifact() re-executes an artifact strictly (Divergence::kFail),
 // reproducing the violating run step-identically.
 #pragma once
 
@@ -32,10 +34,9 @@
 
 namespace apram::fault {
 
-// Per-pid bound on an execution's accesses, checked against the obs
-// counters the certifier attaches (`cert.reads.p<pid>` etc.). The canonical
-// reads/writes triple lives in obs (see obs::AccessCounts); this is the
-// historical name for it.
+// Per-pid bound on an execution's accesses, checked against
+// World::counts(pid). The canonical reads/writes triple lives in obs (see
+// obs::AccessCounts); this is the historical name for it.
 using StepBound = obs::AccessCounts;
 
 // Inspects a finished campaign execution; returns "" when the property
@@ -61,7 +62,7 @@ struct Violation {
 
 struct CampaignResult {
   int schedules_run = 0;
-  std::uint64_t crashes_fired = 0;
+  std::uint64_t crashes_fired = 0;  // plan victims crashed by the run's end
   std::uint64_t stall_deflections = 0;
   std::uint64_t burst_grants = 0;
   std::vector<Violation> violations;

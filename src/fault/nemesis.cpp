@@ -9,7 +9,7 @@ namespace apram::fault {
 std::string FaultPlan::describe() const {
   std::string s = "plan:";
   if (empty()) return s + " (none)";
-  for (const CrashFault& c : crashes) {
+  for (const sim::World::CrashPoint& c : crashes) {
     s += " crash(p" + std::to_string(c.pid) + "@" +
          std::to_string(c.at_access) + ")";
   }
@@ -49,8 +49,7 @@ FaultPlan random_plan(Rng& rng, int num_procs, const PlanOptions& opts) {
     const std::uint64_t n_crashes = rng.below(budget + 1);
     for (std::uint64_t i = 0; i < n_crashes; ++i) {
       const std::size_t j = rng.below(eligible.size());
-      plan.crashes.push_back(
-          CrashFault{eligible[j], rng.below(opts.crash_horizon)});
+      plan.crashes.push_back({eligible[j], rng.below(opts.crash_horizon)});
       eligible.erase(eligible.begin() + static_cast<std::ptrdiff_t>(j));
     }
   }
@@ -78,7 +77,7 @@ FaultPlan random_plan(Rng& rng, int num_procs, const PlanOptions& opts) {
 }
 
 Nemesis::Nemesis(sim::Scheduler& inner, FaultPlan plan)
-    : inner_(&inner), plan_(std::move(plan)), pending_crashes_(plan_.crashes) {}
+    : inner_(&inner), plan_(std::move(plan)) {}
 
 bool Nemesis::stalled(int pid, std::uint64_t step) const {
   for (const StallFault& f : plan_.stalls) {
@@ -90,29 +89,10 @@ bool Nemesis::stalled(int pid, std::uint64_t step) const {
   return false;
 }
 
-int Nemesis::pick(sim::World& w) {
-  // 1) Fire due crashes (victim-keyed; completion wins, as in
-  //    CrashingScheduler).
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < pending_crashes_.size(); ++i) {
-    const CrashFault c = pending_crashes_[i];
-    if (!w.spawned(c.pid)) {
-      pending_crashes_[keep++] = c;
-      continue;
-    }
-    if (w.done(c.pid) || w.crashed(c.pid)) continue;
-    if (w.counts(c.pid).total() >= c.at_access) {
-      w.crash(c.pid);
-      ++crashes_fired_;
-      continue;
-    }
-    pending_crashes_[keep++] = c;
-  }
-  pending_crashes_.resize(keep);
-
+int Nemesis::pick(const sim::World& w) {
   const std::uint64_t step = w.global_step();
 
-  // 2) An active burst window pre-empts the inner scheduler entirely.
+  // 1) An active burst window pre-empts the inner scheduler entirely.
   for (const BurstFault& b : plan_.bursts) {
     if (step >= b.from_step && step < b.from_step + b.duration &&
         w.runnable(b.pid) && !stalled(b.pid, step)) {
@@ -121,7 +101,7 @@ int Nemesis::pick(sim::World& w) {
     }
   }
 
-  // 3) Delegate; deflect picks of stalled pids onto some other runnable
+  // 2) Delegate; deflect picks of stalled pids onto some other runnable
   //    process (round-robin so the deflection target rotates).
   const int pid = inner_->pick(w);
   if (pid < 0 || !stalled(pid, step)) return pid;

@@ -1,12 +1,13 @@
 // apram::fault — nemesis-style fault campaigns for the simulator.
 //
 // Wait-freedom quantifies over EVERY adversary, including ones that crash,
-// starve, and burst-schedule processes. A Nemesis is a scheduler combinator
-// that layers a seeded FaultPlan over any inner scheduler:
+// starve, and burst-schedule processes. A seeded FaultPlan describes all
+// three:
 //
-//   * crashes — victim-keyed, like CrashingScheduler: {pid, at_access}
-//     halts pid before its (at_access+1)-th own access, wherever the inner
-//     scheduler put that access in the interleaving.
+//   * crashes — victim-keyed World::CrashPoints: {pid, at_access} halts pid
+//     before its (at_access+1)-th own access, wherever the scheduler put
+//     that access in the interleaving. The World fires them: arm them with
+//     World::schedule_crash or Options::crashes before the run.
 //   * stalls  — starvation windows [from_step, from_step+duration) in
 //     global steps: while active, picks of the stalled pid are deflected to
 //     some other runnable process. A stall never deadlocks the run: if
@@ -16,9 +17,11 @@
 //   * bursts  — windows in which one pid is scheduled exclusively,
 //     modelling the bursty interleavings that break non-wait-free code.
 //
-// A Nemesis is a pure function of (inner scheduler, plan): runs are exactly
-// reproducible from the campaign seed, and a RecordingScheduler wrapped
-// around it captures the full interleaving as a replay artifact.
+// A Nemesis is the scheduler combinator that imposes a plan's stalls and
+// bursts over any inner scheduler. It only chooses; it never crashes. A run
+// is a pure function of (inner scheduler, plan): exactly reproducible from
+// the campaign seed, and a RecordingScheduler wrapped around the Nemesis
+// captures the full interleaving as a replay artifact.
 #pragma once
 
 #include <cstdint>
@@ -26,14 +29,10 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
+#include "sim/world.hpp"
 #include "util/rng.hpp"
 
 namespace apram::fault {
-
-struct CrashFault {
-  int pid = 0;
-  std::uint64_t at_access = 0;  // victim's own access count, 0-based
-};
 
 struct StallFault {
   int pid = 0;
@@ -48,7 +47,7 @@ struct BurstFault {
 };
 
 struct FaultPlan {
-  std::vector<CrashFault> crashes;
+  std::vector<sim::World::CrashPoint> crashes;
   std::vector<StallFault> stalls;
   std::vector<BurstFault> bursts;
 
@@ -75,14 +74,14 @@ struct PlanOptions {
 // at least one process always survives to be measured.
 FaultPlan random_plan(Rng& rng, int num_procs, const PlanOptions& opts);
 
+// Imposes `plan`'s stalls and bursts; `plan.crashes` is ignored here.
 class Nemesis final : public sim::Scheduler {
  public:
   Nemesis(sim::Scheduler& inner, FaultPlan plan);
 
-  int pick(sim::World& w) override;
+  int pick(const sim::World& w) override;
 
   // Campaign accounting (summed by the certifier).
-  std::uint64_t crashes_fired() const { return crashes_fired_; }
   std::uint64_t stall_deflections() const { return stall_deflections_; }
   std::uint64_t burst_grants() const { return burst_grants_; }
 
@@ -91,8 +90,6 @@ class Nemesis final : public sim::Scheduler {
 
   sim::Scheduler* inner_;
   FaultPlan plan_;
-  std::vector<CrashFault> pending_crashes_;
-  std::uint64_t crashes_fired_ = 0;
   std::uint64_t stall_deflections_ = 0;
   std::uint64_t burst_grants_ = 0;
   int rr_cursor_ = 0;  // deflection fallback position

@@ -172,7 +172,7 @@ struct BoundReport {
   std::string formula;         // canonical formula string
   std::uint64_t checked = 0;   // complete ops inspected
   std::uint64_t excluded = 0;  // truncated/open ops of the kind, skipped
-  std::vector<BoundViolation> violations;
+  std::vector<BoundViolation> violations{};
 
   bool ok() const { return violations.empty(); }
 };

@@ -91,12 +91,6 @@ Histogram& Registry::histogram(const std::string& name) {
   return ref;
 }
 
-const Counter* Registry::find_counter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  return it == counters_.end() ? nullptr : it->second.get();
-}
-
 std::vector<const Counter*> Registry::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<const Counter*> out;

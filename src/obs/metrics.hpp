@@ -272,9 +272,6 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  // Lookup without creation; nullptr when absent (or a different kind).
-  const Counter* find_counter(const std::string& name) const;
-
   // Sorted-by-name views for exporters. The vectors are snapshots of the
   // registration set; the pointed-to metrics keep updating.
   std::vector<const Counter*> counters() const;
@@ -308,34 +305,15 @@ class CounterDelta {
 
 // The canonical reads/writes/total triple. Every layer that accounts for
 // shared-memory accesses speaks this one type: the simulator's per-process
-// step counters (`sim::StepCounts` is an alias), the fault certifier's
-// per-pid bounds (`fault::StepBound` is an alias), and AccessDelta regions
-// below. A compare-and-swap counts as one write: it is one atomic step of
-// the extended model, and folding it into `writes` keeps the paper's
-// reads/writes bookkeeping intact for algorithms that never CAS.
+// step counters (`sim::StepCounts` is an alias) and the fault certifier's
+// per-pid bounds (`fault::StepBound` is an alias). A compare-and-swap counts
+// as one write: it is one atomic step of the extended model, and folding it
+// into `writes` keeps the paper's reads/writes bookkeeping intact for
+// algorithms that never CAS.
 struct AccessCounts {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t total() const { return reads + writes; }
-};
-
-// CounterDelta over a reads/writes counter pair, yielding AccessCounts.
-// The standard way to measure one operation's step cost against metrics a
-// World or rt Mem attached (see World::access_delta).
-class AccessDelta {
- public:
-  AccessDelta(const Counter& reads, const Counter& writes)
-      : reads_(reads), writes_(writes) {}
-
-  AccessCounts delta() const { return {reads_.delta(), writes_.delta()}; }
-  void reset() {
-    reads_.reset();
-    writes_.reset();
-  }
-
- private:
-  CounterDelta reads_;
-  CounterDelta writes_;
 };
 
 }  // namespace apram::obs

@@ -238,10 +238,6 @@ class VersionArena {
     return out;
   }
 
-  std::uint32_t current_slot() const {
-    return slot_of(ctrl_.word.load(std::memory_order_acquire));
-  }
-
  private:
   // Slot layout: the reference count is hot (every release and every
   // transfer lands on it) and sits on its own cache line so those RMWs do

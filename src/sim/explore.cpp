@@ -14,10 +14,10 @@ struct Explorer {
   std::vector<int> prefix;
 
   void dfs() {
-    // Rebuild the execution at this node (deterministic replay). Lenient
-    // mode: DFS prefixes are extended speculatively and may legitimately
-    // overrun a process's completion point.
-    auto exec = replay(factory, prefix, ReplayMode::kLenient);
+    // Rebuild the execution at this node (deterministic replay). Divergent
+    // entries are skipped: DFS prefixes are extended speculatively and may
+    // legitimately overrun a process's completion point.
+    auto exec = replay(factory, prefix, FixedScheduler::Divergence::kSkip);
     World& w = exec->world();
     stats.max_depth = std::max(stats.max_depth,
                                static_cast<std::uint64_t>(prefix.size()));

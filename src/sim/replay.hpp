@@ -29,28 +29,23 @@ class Execution {
 
 using ExecutionFactory = std::function<std::unique_ptr<Execution>()>;
 
-// How replay treats a prefix entry whose pid is not runnable at that point:
-//   kStrict  — abort loudly (FixedScheduler::Divergence::kFail). The default:
-//              a recorded schedule that stops matching its execution means a
-//              corrupt/truncated artifact or a non-deterministic factory,
-//              and drifting past the divergence would silently replay some
-//              OTHER execution.
-//   kLenient — skip the entry (the pre-strict behaviour). For callers that
-//              extend prefixes speculatively past completion points
-//              (sim/explore's DFS, the Lemma 6 adversary).
-enum class ReplayMode { kStrict, kLenient };
-
 // Replays `prefix` on a fresh execution and returns it, positioned right
-// after the prefix.
-std::unique_ptr<Execution> replay(const ExecutionFactory& factory,
-                                  const std::vector<int>& prefix,
-                                  ReplayMode mode = ReplayMode::kStrict);
+// after the prefix. `divergence` says what a prefix entry whose pid is not
+// runnable at that point does (see FixedScheduler). kFail is the default: a
+// recorded schedule that stops matching its execution means a corrupt or
+// truncated artifact or a non-deterministic factory, and drifting past the
+// divergence would silently replay some OTHER execution. kSkip is for
+// callers that extend prefixes speculatively past completion points
+// (sim/explore's DFS, the Lemma 6 adversary).
+std::unique_ptr<Execution> replay(
+    const ExecutionFactory& factory, const std::vector<int>& prefix,
+    FixedScheduler::Divergence divergence = FixedScheduler::Divergence::kFail);
 
 // Replays `prefix`, then runs `pid` alone until its process completes.
 // Aborts if the solo run exceeds `solo_cap` steps (a wait-freedom failure).
 std::unique_ptr<Execution> replay_then_solo(
     const ExecutionFactory& factory, const std::vector<int>& prefix, int pid,
     std::uint64_t solo_cap = World::kDefaultMaxSteps,
-    ReplayMode mode = ReplayMode::kStrict);
+    FixedScheduler::Divergence divergence = FixedScheduler::Divergence::kFail);
 
 }  // namespace apram::sim

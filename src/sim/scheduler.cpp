@@ -4,7 +4,7 @@
 
 namespace apram::sim {
 
-int RoundRobinScheduler::pick(World& w) {
+int RoundRobinScheduler::pick(const World& w) {
   // First runnable pid at or after the cursor, wrapping once — the same
   // order as the historical linear scan, via the runnable set's O(1)
   // successor query.
@@ -15,7 +15,7 @@ int RoundRobinScheduler::pick(World& w) {
   return pid;
 }
 
-int RandomScheduler::pick(World& w) {
+int RandomScheduler::pick(const World& w) {
   // The sticky shortcut only applies to the same incarnation that was
   // granted last time: a crash + revive (or done + spawn) bumps the
   // World's spawn epoch and the new process starts with a fresh draw.
@@ -31,7 +31,7 @@ int RandomScheduler::pick(World& w) {
   return last_;
 }
 
-int FixedScheduler::pick(World& w) {
+int FixedScheduler::pick(const World& w) {
   while (pos_ < schedule_.size()) {
     const int pid = schedule_[pos_];
     ++pos_;
@@ -54,76 +54,9 @@ int FixedScheduler::pick(World& w) {
   return -1;
 }
 
-int RecordingScheduler::pick(World& w) {
+int RecordingScheduler::pick(const World& w) {
   const int pid = inner_->pick(w);
   if (pid >= 0) picks_.push_back(pid);
-  return pid;
-}
-
-CrashingScheduler::CrashingScheduler(
-    Scheduler& inner, std::vector<std::pair<std::uint64_t, int>> crashes)
-    : inner_(&inner), pending_(std::move(crashes)) {}
-
-void CrashingScheduler::check_victim(World& w, int pid) {
-  auto it = armed_.find(pid);
-  if (it == armed_.end()) return;
-  if (w.done(pid) || w.crashed(pid)) {
-    armed_.erase(it);  // completion wins; a crash retires the entry too
-    return;
-  }
-  if (w.counts(pid).total() >= it->second) {
-    w.crash(pid);
-    armed_.erase(it);
-  }
-}
-
-void CrashingScheduler::sweep(World& w) {
-  // Arm entries whose victim has spawned. Several entries for one victim
-  // collapse to the minimum quota: the smallest fires first, and both a
-  // fired crash and a completion retire every entry for that victim.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const auto [quota, victim] = pending_[i];
-    if (!w.spawned(victim)) {
-      pending_[keep++] = pending_[i];
-      continue;
-    }
-    auto [it, inserted] = armed_.try_emplace(victim, quota);
-    if (!inserted && quota < it->second) it->second = quota;
-  }
-  pending_.resize(keep);
-
-  for (auto it = armed_.begin(); it != armed_.end();) {
-    const int victim = it->first;
-    if (w.done(victim) || w.crashed(victim)) {
-      it = armed_.erase(it);
-      continue;
-    }
-    if (w.counts(victim).total() >= it->second) {
-      w.crash(victim);
-      it = armed_.erase(it);
-      continue;
-    }
-    ++it;
-  }
-}
-
-int CrashingScheduler::pick(World& w) {
-  // The check runs before the next grant is chosen, so a victim with quota
-  // S is crashed after its S-th access and before its (S+1)-th. Between two
-  // of our picks only the granted pid's count can change, so checking
-  // `last_` alone is exact — unless steps happened outside our grants
-  // (global-step mismatch) or some victims are still unspawned, both of
-  // which fall back to a full sweep.
-  if (!primed_ || !pending_.empty() || w.global_step() != expected_step_) {
-    sweep(w);
-    primed_ = true;
-  } else if (last_ >= 0) {
-    check_victim(w, last_);
-  }
-  const int pid = inner_->pick(w);
-  last_ = pid;
-  expected_step_ = w.global_step() + 1;
   return pid;
 }
 

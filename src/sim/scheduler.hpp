@@ -3,17 +3,17 @@
 // A Scheduler decides, before each atomic step, which runnable process moves
 // next. The model places no fairness constraints on this choice; wait-free
 // algorithms must terminate under *every* scheduler, including ones that
-// stall or crash other processes. The concrete schedulers here cover the
-// executions the paper's proofs quantify over:
+// stall other processes. The concrete schedulers here cover the executions
+// the paper's proofs quantify over:
 //
 //   RoundRobinScheduler   — fair interleaving (the "synchronous-ish" case)
 //   RandomScheduler       — seeded uniform interleavings, optionally biased
 //   FixedScheduler        — replays an explicit schedule (determinism/replay)
 //   RecordingScheduler    — wraps another scheduler and records its picks
-//   CrashingScheduler     — wraps another scheduler, crashing chosen pids
-//                           after a chosen number of their own steps
-//                           (failure injection)
-//   SoloScheduler         — runs a single process to completion
+//
+// Schedulers only choose: pick() sees the World read-only. Crashes are the
+// World's job (World::schedule_crash, Options::crashes), so a crash plan
+// rides along under any scheduler stack, and a solo run is World::run_solo.
 //
 // All pick() implementations are O(1) amortized in the number of processes,
 // riding the World's incrementally maintained runnable set — a World with
@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,14 +42,13 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   // Returns the pid of a runnable process to grant the next step, or -1 to
-  // stop the run. The World is passed mutably so failure-injecting and
-  // adversarial schedulers can crash processes.
-  virtual int pick(World& w) = 0;
+  // stop the run.
+  virtual int pick(const World& w) = 0;
 };
 
 class RoundRobinScheduler final : public Scheduler {
  public:
-  int pick(World& w) override;
+  int pick(const World& w) override;
 
  private:
   int next_ = 0;
@@ -67,7 +65,7 @@ class RandomScheduler final : public Scheduler {
   explicit RandomScheduler(std::uint64_t seed, double stickiness = 0.0)
       : rng_(seed), stickiness_(stickiness) {}
 
-  int pick(World& w) override;
+  int pick(const World& w) override;
 
  private:
   Rng rng_;
@@ -103,7 +101,7 @@ class FixedScheduler final : public Scheduler {
         fallback_(fallback),
         divergence_(divergence) {}
 
-  int pick(World& w) override;
+  int pick(const World& w) override;
 
   std::size_t position() const { return pos_; }
 
@@ -119,63 +117,13 @@ class RecordingScheduler final : public Scheduler {
  public:
   explicit RecordingScheduler(Scheduler& inner) : inner_(&inner) {}
 
-  int pick(World& w) override;
+  int pick(const World& w) override;
 
   const std::vector<int>& picks() const { return picks_; }
 
  private:
   Scheduler* inner_;
   std::vector<int> picks_;
-};
-
-// Crash injection keyed to the victim's OWN step count. A pair {S, pid}
-// crashes `pid` before its (S+1)-th shared-memory access: the victim
-// performs exactly S accesses, or fewer only because its program is shorter
-// — a process that completes before reaching S is never crashed (completion
-// wins, matching the model where a finished process has nothing left to
-// lose). Unlike a global-step trigger, this pins the crash point *within
-// the victim's operation* independently of how the other processes are
-// interleaved, which is what "crash a writer one step before its final
-// write" needs to mean under an arbitrary scheduler.
-//
-// Cost: O(1) per pick once every victim has spawned. A victim's count only
-// changes when a grant goes to that victim, so between picks only the
-// previously granted pid needs re-checking; entries for not-yet-spawned
-// victims are re-scanned per pick until they spawn, and any step taken
-// outside this scheduler's grants (detected by a global-step mismatch)
-// forces one full re-scan — semantics are exactly the historical
-// every-entry-every-pick sweep, without its O(k) rewrite per grant.
-class CrashingScheduler final : public Scheduler {
- public:
-  CrashingScheduler(Scheduler& inner,
-                    std::vector<std::pair<std::uint64_t, int>> crashes);
-
-  int pick(World& w) override;
-
- private:
-  // Fires/retires the armed entry for `pid`, if any.
-  void check_victim(World& w, int pid);
-  // Re-evaluates every entry: drains newly spawned victims from pending_
-  // into armed_, drops finished/crashed victims, fires met quotas.
-  void sweep(World& w);
-
-  Scheduler* inner_;
-  std::vector<std::pair<std::uint64_t, int>> pending_;  // victims not spawned
-  std::unordered_map<int, std::uint64_t> armed_;  // live victim → min quota
-  bool primed_ = false;
-  int last_ = -1;                   // pid granted by the previous pick
-  std::uint64_t expected_step_ = 0; // predicted global_step at the next pick
-};
-
-class SoloScheduler final : public Scheduler {
- public:
-  explicit SoloScheduler(int pid) : pid_(pid) {}
-  int pick(World& w) override {
-    return w.runnable(pid_) ? pid_ : -1;
-  }
-
- private:
-  int pid_;
 };
 
 }  // namespace apram::sim

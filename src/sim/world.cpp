@@ -19,7 +19,6 @@ World::World(int num_procs, const Options& options)
 }
 
 void World::apply_options(const Options& options) {
-  if (options.trace) trace_enabled_ = true;
   if (options.lazy_spawn) lazy_spawn_ = true;
   if (options.metrics != nullptr) {
     attach_metrics_impl(*options.metrics, options.metrics_prefix,
@@ -147,13 +146,6 @@ void World::attach_metrics_impl(obs::Registry& registry,
   }
 }
 
-void World::detach_metrics() {
-  obs_reads_total_ = nullptr;
-  obs_writes_total_ = nullptr;
-  obs_reads_.clear();
-  obs_writes_.clear();
-}
-
 void World::set_tracer_impl(obs::Tracer* tracer) {
   APRAM_CHECK_MSG(tracer == nullptr || tracer->num_rings() >= num_procs(),
                   "tracer needs one ring per process");
@@ -226,9 +218,6 @@ void World::count_access(int pid, int register_id, bool is_write) {
       }
     }
   }
-  if (trace_enabled_) {
-    trace_.push_back(AccessEvent{global_step_, pid, register_id, is_write});
-  }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{
         global_step_, pid,
@@ -245,10 +234,6 @@ void World::count_cas(int pid, int register_id, bool success) {
     if (!obs_writes_.empty()) {
       obs_writes_[static_cast<std::size_t>(pid)]->add_shard(0, 1);
     }
-  }
-  if (trace_enabled_) {
-    trace_.push_back(
-        AccessEvent{global_step_, pid, register_id, /*is_write=*/true});
   }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kCas,

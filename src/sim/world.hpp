@@ -9,9 +9,9 @@
 // an arbitrary (here: scheduler-chosen) order.
 //
 // The World counts reads and writes per process — the step-complexity
-// measure used by all the paper's theorems — and can optionally record a
-// full access trace for debugging and for history-based linearizability
-// checking.
+// measure used by all the paper's theorems — and is the one place a
+// simulated process is crashed (crash(), schedule_crash()) or logged: an
+// attached obs::Tracer gets one event per access and per lifecycle change.
 //
 // Per-process state is stored structure-of-arrays (one status byte, one
 // counts struct, one resume handle per pid in parallel vectors) rather than
@@ -45,14 +45,6 @@ namespace apram::sim {
 
 class Scheduler;
 
-// One entry of the optional access trace.
-struct AccessEvent {
-  std::uint64_t step;  // global step index (0-based)
-  int pid;
-  int register_id;
-  bool is_write;
-};
-
 // Per-process step counters — the canonical obs reads/writes/total triple
 // (kept under the historical name; see obs::AccessCounts).
 using StepCounts = obs::AccessCounts;
@@ -79,14 +71,13 @@ class World {
     std::uint64_t at_access = 0;  // see schedule_crash
   };
   struct Options {
-    bool trace = false;               // record the AccessEvent trace
     obs::Registry* metrics = nullptr; // mirror accesses into this registry
     std::string metrics_prefix = "sim";
     obs::Tracer* tracer = nullptr;    // per-step obs events (ring per pid)
     // Default grant budget for run()/run_solo() calls that do not pass an
     // explicit budget. Wait-free code exceeding it is a genuine bug.
     std::uint64_t max_steps = kDefaultMaxSteps;
-    std::vector<CrashPoint> crashes;  // victim-keyed crash schedule
+    std::vector<CrashPoint> crashes{};  // victim-keyed crash schedule
     // Defer coroutine-frame creation to the first scheduler grant. Off by
     // default: eager spawn is the documented semantics (a zero-access
     // program is done() immediately after spawn()). Scenario drivers turn
@@ -184,10 +175,12 @@ class World {
   // Schedules a crash keyed to the process's OWN accesses: `pid` is crashed
   // as soon as its cumulative access count (reads + writes, across respawns)
   // reaches `at_access` — i.e. before its (at_access+1)-th access — no
-  // matter which scheduler drives the run. Fires immediately if the
-  // threshold is already met. Completion wins: a process whose program
-  // finishes below the threshold is never crashed. This is how fault plans
-  // inject crashes under schedulers they do not control (explore, replay).
+  // matter which scheduler drives the run or whether steps come from run()
+  // or step(). Fires immediately if the threshold is already met, and at
+  // spawn() for a victim not yet spawned. Completion wins: a process whose
+  // program finishes below the threshold is never crashed. One threshold
+  // per pid; a later call replaces it. Every simulated crash plan (tests,
+  // fault campaigns, Options::crashes) goes through here.
   void schedule_crash(int pid, std::uint64_t at_access);
 
   // --- Execution -----------------------------------------------------------
@@ -225,34 +218,25 @@ class World {
   StepCounts total_counts() const;
   std::uint64_t global_step() const { return global_step_; }
 
-  const std::vector<AccessEvent>& trace() const { return trace_; }
-
   // --- Observability (apram::obs) ------------------------------------------
 
   // Applies Options to an already-built World. For infrastructure that
   // receives a World it did not construct (the fault certifier, replay
   // drivers); everything else should pass Options to the constructor.
-  // Only non-default fields take effect: `trace` enables (never disables)
-  // the access trace, `metrics`/`tracer` attach when non-null, and every
-  // entry of `crashes` is scheduled. `max_steps` replaces the run budget.
+  // Only non-default fields take effect: `lazy_spawn` enables (never
+  // disables) lazy frames, `metrics`/`tracer` attach when non-null, and
+  // every entry of `crashes` is scheduled. `max_steps` replaces the run
+  // budget.
   //
   // Metrics attachment mirrors every subsequent access into per-pid counters
   // `<prefix>.reads.p<pid>` / `<prefix>.writes.p<pid>` plus the totals
   // `<prefix>.reads` and `<prefix>.writes`; the registry must outlive the
-  // World (or a detach_metrics call). A tracer gets one obs event per atomic
-  // step (kRead/kWrite/kCas with the register id at the current global step)
-  // plus kSpawn/kDone/kCrash lifecycle events, and needs a ring per process.
+  // World. A tracer gets one obs event per atomic step (kRead/kWrite/kCas,
+  // object = register id, when = the current global step) plus
+  // kSpawn/kDone/kCrash lifecycle events, and needs a ring per process.
   void apply_options(const Options& options);
 
-  void detach_metrics();
   obs::Tracer* tracer() const { return tracer_; }
-
-  // The attached reads/writes counter pair for `pid`, as a region-delta
-  // handle: `auto d = w.access_delta(0); ...; d.delta().reads`. Aborts
-  // unless metrics are attached.
-  obs::AccessDelta access_delta(int pid) const {
-    return obs::AccessDelta(metrics_reads(pid), metrics_writes(pid));
-  }
 
   // Attached per-pid counters, for obs::CounterDelta-style region
   // measurement. Aborts unless attach_metrics was called with
@@ -320,7 +304,7 @@ class World {
   }
   void count_access(int pid, int register_id, bool is_write);
   // A CAS is one atomic step, counted as one write (see obs::AccessCounts);
-  // the trace records it as kCas with arg = success.
+  // the tracer records it as kCas with arg = success.
   void count_cas(int pid, int register_id, bool success);
   void check_write_allowed(int pid, const RegisterBase& reg) {
     APRAM_CHECK_MSG(
@@ -356,9 +340,7 @@ class World {
   std::vector<std::unique_ptr<RegisterBase>> registers_;
   std::uint64_t global_step_ = 0;
   std::uint64_t default_max_steps_ = kDefaultMaxSteps;
-  bool trace_enabled_ = false;
   bool lazy_spawn_ = false;
-  std::vector<AccessEvent> trace_;
 
   // obs hooks; null/empty when not attached. The simulator is single-
   // threaded, so counter updates go to shard 0 directly.

@@ -244,9 +244,9 @@ TEST(ApproxAgreement, SurvivorFinishesDespiteCrash) {
         outs[static_cast<std::size_t>(pid)] = co_await aa.output(ctx);
       });
     }
+    w.schedule_crash(0, phase2 + crash_at);
     sim::RoundRobinScheduler rr;
-    sim::CrashingScheduler sched(rr, {{phase2 + crash_at, 0}});
-    const auto r = w.run(sched, 1'000'000);
+    const auto r = w.run(rr, 1'000'000);
     EXPECT_TRUE(r.all_done);
     ASSERT_FALSE(std::isnan(outs[1])) << "crash_at=" << crash_at;
     // The survivor's output must lie in the input range; and if the crashed
@@ -278,12 +278,12 @@ TEST(ApproxAgreement, ManyProcessesCrashAllButOne) {
   }
   // Victim-keyed triggers: each offset is on top of that pid's own phase-1
   // access count, so every crash lands partway through its phase-2 output.
+  w.schedule_crash(0, w.counts(0).total() + 10);
+  w.schedule_crash(1, w.counts(1).total() + 12);
+  w.schedule_crash(2, w.counts(2).total() + 14);
+  w.schedule_crash(3, w.counts(3).total() + 16);
   sim::RandomScheduler rnd(4242);
-  sim::CrashingScheduler sched(rnd, {{w.counts(0).total() + 10, 0},
-                                     {w.counts(1).total() + 12, 1},
-                                     {w.counts(2).total() + 14, 2},
-                                     {w.counts(3).total() + 16, 3}});
-  const auto r = w.run(sched, 1'000'000);
+  const auto r = w.run(rnd, 1'000'000);
   EXPECT_TRUE(r.all_done);
   EXPECT_FALSE(std::isnan(outs[n - 1]));
   EXPECT_GE(outs[n - 1], 0.0);

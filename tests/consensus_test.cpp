@@ -145,9 +145,9 @@ TEST(RandomizedConsensus, SurvivorDecidesDespiteRivalCrash) {
     w.spawn(1, [&](Context ctx) -> ProcessTask {
       d1 = co_await cons.propose(ctx, 1, 10);
     });
+    w.schedule_crash(0, crash_at);
     sim::RandomScheduler rnd(crash_at);
-    sim::CrashingScheduler sched(rnd, {{crash_at, 0}});
-    const auto res = w.run(sched, 500'000);
+    const auto res = w.run(rnd, 500'000);
     EXPECT_TRUE(res.all_done);
     EXPECT_TRUE(d1 == 0 || d1 == 1) << "crash_at=" << crash_at;
   }

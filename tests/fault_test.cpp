@@ -1,10 +1,11 @@
 // Fault injection and wait-freedom certification (sim side).
 //
-// Covers: victim-keyed crash semantics (CrashingScheduler and
-// World::schedule_crash), strict/lenient replay divergence handling, the
-// Nemesis scheduler-combinator (crash/stall/burst plans), the campaign
-// certifier with step-bound judges, replay artifacts for violations, and
-// exhaustive exploration of crash-during-Scan interleavings.
+// Covers: victim-keyed crash semantics (World::schedule_crash), strict and
+// skipping replay divergence handling, fault plans (crashes armed on the
+// World, stalls and bursts imposed by the Nemesis scheduler combinator), the
+// campaign certifier with step-bound judges and its exact fault accounting,
+// replay artifacts for violations, and exhaustive exploration of
+// crash-during-Scan interleavings.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -49,9 +50,9 @@ TEST(CrashSemantics, VictimPerformsExactlyItsQuota) {
     w.spawn(0, [&](Context ctx) { return writer(ctx, r0, 10); });
     w.spawn(1, [&](Context ctx) { return writer(ctx, r1, 10); });
     w.spawn(2, [&](Context ctx) { return writer(ctx, r2, 10); });
+    w.schedule_crash(0, 4);
     sim::RandomScheduler rnd(seed);
-    sim::CrashingScheduler sched(rnd, {{4, 0}});
-    EXPECT_TRUE(w.run(sched).all_done);
+    EXPECT_TRUE(w.run(rnd).all_done);
     EXPECT_TRUE(w.crashed(0));
     EXPECT_EQ(w.counts(0).total(), 4u) << "seed=" << seed;
     EXPECT_EQ(r0.peek(), 4);  // last completed write
@@ -69,9 +70,9 @@ TEST(CrashSemantics, WriterCrashesOneStepBeforeFinalWrite) {
   auto& other = w.make_register<int>("other", 0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, k); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 3); });
+  w.schedule_crash(0, static_cast<std::uint64_t>(k - 1));
   sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{static_cast<std::uint64_t>(k - 1), 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
+  EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_TRUE(w.crashed(0));
   EXPECT_EQ(w.counts(0).writes, static_cast<std::uint64_t>(k - 1));
   EXPECT_EQ(reg.peek(), k - 1);  // the k-th write was lost to the crash
@@ -82,9 +83,9 @@ TEST(CrashSemantics, CompletionWins) {
   World w(1);
   auto& reg = w.make_register<int>("reg", 0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
+  w.schedule_crash(0, 5);
   sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{5, 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
+  EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_FALSE(w.crashed(0));
   EXPECT_TRUE(w.done(0));
   EXPECT_EQ(reg.peek(), 5);
@@ -96,17 +97,17 @@ TEST(CrashSemantics, QuotaZeroPreventsAllAccesses) {
   auto& other = w.make_register<int>("other", 0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 5); });
+  w.schedule_crash(0, 0);
   sim::RoundRobinScheduler rr;
-  sim::CrashingScheduler sched(rr, {{0, 0}});
-  EXPECT_TRUE(w.run(sched).all_done);
+  EXPECT_TRUE(w.run(rr).all_done);
   EXPECT_TRUE(w.crashed(0));
   EXPECT_EQ(w.counts(0).total(), 0u);
   EXPECT_EQ(reg.peek(), 0);
 }
 
 TEST(CrashSemantics, ScheduleCrashOnWorldMatchesScheduler) {
-  // World::schedule_crash gives the same semantics without a scheduler
-  // wrapper — usable under explore/replay, which own the scheduler.
+  // A threshold armed on the World holds under any scheduler — including
+  // explore/replay, which own theirs.
   World w(1);
   auto& reg = w.make_register<int>("reg", 0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 9); });
@@ -130,7 +131,7 @@ TEST(CrashSemantics, ScheduleCrashFiresImmediatelyWhenThresholdMet) {
 }
 
 // ---------------------------------------------------------------------------
-// Strict vs lenient replay divergence
+// Replay divergence: kFail (strict, the default) vs kSkip
 // ---------------------------------------------------------------------------
 
 // Two processes, two writes each. Schedules that grant pid 0 a third step
@@ -150,24 +151,24 @@ struct TwoByTwoExec final : Execution {
   sim::Register<int>* r1;
 };
 
-TEST(ReplayModeDeathTest, StrictReplayAbortsOnDivergence) {
+TEST(ReplayDivergenceDeathTest, StrictReplayAbortsOnDivergence) {
   // The third grant schedules a process that is already done: a schedule
   // that does not match its execution must fail loudly, not drift.
   EXPECT_DEATH(
       sim::replay([] { return std::make_unique<TwoByTwoExec>(); }, {0, 0, 0},
-                  sim::ReplayMode::kStrict),
+                  sim::FixedScheduler::Divergence::kFail),
       "diverged");
 }
 
-TEST(ReplayMode, LenientReplaySkipsDivergentEntries) {
+TEST(ReplayDivergence, LenientReplaySkipsDivergentEntries) {
   auto exec = sim::replay([] { return std::make_unique<TwoByTwoExec>(); },
-                          {0, 0, 0}, sim::ReplayMode::kLenient);
+                          {0, 0, 0}, sim::FixedScheduler::Divergence::kSkip);
   EXPECT_TRUE(exec->world().done(0));
   EXPECT_EQ(exec->world().counts(0).total(), 2u);
   EXPECT_EQ(exec->world().counts(1).total(), 0u);  // bogus entry skipped
 }
 
-TEST(ReplayMode, StrictReplayOfFaithfulScheduleSucceeds) {
+TEST(ReplayDivergence, StrictReplayOfFaithfulScheduleSucceeds) {
   auto exec = sim::replay([] { return std::make_unique<TwoByTwoExec>(); },
                           {0, 1, 1, 0});  // strict is the default
   EXPECT_TRUE(exec->world().all_done());
@@ -183,7 +184,8 @@ TEST(FixedSchedulerDeathTest, StrictModeNamesTheDivergencePosition) {
 }
 
 // ---------------------------------------------------------------------------
-// Nemesis: seeded crash/stall/burst plans over any inner scheduler
+// Fault plans: crashes armed on the World, stalls and bursts imposed by the
+// Nemesis over any inner scheduler
 // ---------------------------------------------------------------------------
 
 struct ThreeWriterExec final : Execution {
@@ -207,6 +209,7 @@ TEST(Nemesis, SameSeedSamePlanSameSchedule) {
     Rng rng(seed);
     fault::FaultPlan plan = fault::random_plan(rng, 3, {});
     ThreeWriterExec exec;
+    exec.w.apply_options({.crashes = plan.crashes});
     sim::RandomScheduler inner(seed * 77 + 1);
     fault::Nemesis nemesis(inner, plan);
     sim::RecordingScheduler rec(nemesis);
@@ -218,14 +221,14 @@ TEST(Nemesis, SameSeedSamePlanSameSchedule) {
   }
 }
 
-TEST(Nemesis, CrashFaultsFireVictimKeyed) {
+TEST(Nemesis, PlanCrashesFireVictimKeyed) {
   ThreeWriterExec exec;
   fault::FaultPlan plan;
-  plan.crashes.push_back(fault::CrashFault{1, 4});
+  plan.crashes.push_back({1, 4});
+  exec.w.apply_options({.crashes = plan.crashes});
   sim::RoundRobinScheduler inner;
   fault::Nemesis nemesis(inner, plan);
   EXPECT_TRUE(exec.w.run(nemesis).all_done);
-  EXPECT_EQ(nemesis.crashes_fired(), 1u);
   EXPECT_TRUE(exec.w.crashed(1));
   EXPECT_EQ(exec.w.counts(1).total(), 4u);
   EXPECT_EQ(exec.w.counts(0).total(), 10u);
@@ -293,7 +296,7 @@ TEST(RandomPlan, RespectsNeverCrashAndSurvivorFloor) {
 
 TEST(RandomPlan, DescribeMentionsEveryFault) {
   fault::FaultPlan plan;
-  plan.crashes.push_back(fault::CrashFault{0, 5});
+  plan.crashes.push_back({0, 5});
   plan.stalls.push_back(fault::StallFault{1, 10, 8});
   const std::string s = plan.describe();
   EXPECT_NE(s.find("crash(p0@5)"), std::string::npos) << s;
@@ -348,6 +351,27 @@ TEST(Certifier, SnapshotCampaignCertifies) {
   EXPECT_GT(result.crashes_fired + result.stall_deflections +
                 result.burst_grants,
             0u);
+}
+
+TEST(Certifier, CampaignFaultAccountingIsExact) {
+  // A fixed-seed campaign whose plans bite on all three fault kinds. The
+  // counts are pinned exactly: a change in when crashes fire or in how the
+  // Nemesis deflects and bursts shifts them and fails here, instead of
+  // silently moving every campaign schedule.
+  fault::CampaignOptions opts;
+  opts.schedules = 50;
+  opts.base_seed = 2024;
+  opts.plan.max_crashes = 2;
+  opts.plan.crash_horizon = 12;
+  opts.plan.step_horizon = 32;
+  opts.plan.max_window = 8;
+  const fault::CampaignResult result = fault::certify_wait_freedom(
+      [] { return std::make_unique<ThreeWriterExec>(); },
+      fault::step_bound_judge({{0, 10}, {0, 10}, {0, 10}}), opts);
+  EXPECT_TRUE(result.certified());
+  EXPECT_EQ(result.crashes_fired, 36u);
+  EXPECT_EQ(result.stall_deflections, 48u);
+  EXPECT_EQ(result.burst_grants, 102u);
 }
 
 TEST(Certifier, ImpossibleBoundProducesViolationWithSchedule) {

@@ -198,13 +198,9 @@ std::vector<RecordedOp<C>> record_counter_run(std::uint64_t seed, int n,
       }
     });
   }
+  if (inject_crashes) w.schedule_crash(0, 30 + seed % 7);
   sim::RandomScheduler rnd(seed);
-  if (inject_crashes) {
-    sim::CrashingScheduler sched(rnd, {{30 + seed % 7, 0}});
-    w.run(sched);
-  } else {
-    w.run(rnd);
-  }
+  w.run(rnd);
   return rec.ops();
 }
 

@@ -304,7 +304,9 @@ TEST(PolylogQueueRt, ThreadsPreservePerProducerFifoAndLoseNothing) {
     for (const std::int64_t v : seq) {
       const std::int64_t producer = v / 1000;
       const auto it = last_of.find(producer);
-      if (it != last_of.end()) EXPECT_LT(it->second, v);
+      if (it != last_of.end()) {
+        EXPECT_LT(it->second, v);
+      }
       last_of[producer] = v;
     }
   };

@@ -1,8 +1,8 @@
 // Tests for the million-process scale path: the RunnableSet the World's
 // O(1) scheduler queries are built on, lazy coroutine-frame spawning, the
-// epoch fix for RandomScheduler stickiness, the incremental
-// CrashingScheduler, and the scenario suite (Zipf writers, bursty arrivals,
-// crash/recovery churn, record/replay).
+// epoch fix for RandomScheduler stickiness, victim-keyed crashes armed with
+// World::schedule_crash, and the scenario suite (Zipf writers, bursty
+// arrivals, crash/recovery churn, record/replay).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/runnable_set.hpp"
 #include "sim/scenario.hpp"
 #include "sim/scheduler.hpp"
@@ -268,24 +269,25 @@ TEST(RandomScheduler, IsDeterministicPerSeedAtScale) {
   EXPECT_NE(run_once(5), run_once(6));
 }
 
-// ---------------------------------------------------- CrashingScheduler ----
+// ---------------------------------------------------------- ScheduleCrash --
 
 ProcessTask spin_writer(Context ctx, Register<int>& reg, int k) {
   for (int i = 0; i < k; ++i) co_await ctx.write(reg, i);
 }
 
-TEST(CrashingScheduler, VictimStopsAfterExactlyItsQuota) {
+TEST(ScheduleCrash, VictimStopsAfterExactlyItsQuota) {
   const int n = 8;
   World w(n);
   auto& reg = w.make_register<int>("r", 0, kAnyWriter);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&](Context ctx) { return spin_writer(ctx, reg, 20); });
   }
+  w.schedule_crash(3, 7);
+  w.schedule_crash(5, 11);
   RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{7, 3}, {11, 5}});
-  w.run(cs);
-  // Victims performed exactly their quota before the injected crash; the
-  // incremental check must not let a grant slip through past it.
+  w.run(rr);
+  // Victims performed exactly their quota before the injected crash; no
+  // grant may slip through past it.
   EXPECT_TRUE(w.crashed(3));
   EXPECT_EQ(w.counts(3).total(), 7u);
   EXPECT_TRUE(w.crashed(5));
@@ -296,35 +298,35 @@ TEST(CrashingScheduler, VictimStopsAfterExactlyItsQuota) {
   }
 }
 
-TEST(CrashingScheduler, ArmsVictimsThatSpawnMidRun) {
+TEST(ScheduleCrash, ArmsVictimsThatSpawnMidRun) {
   World w(2);
   auto& reg = w.make_register<int>("r", 0, kAnyWriter);
   w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
+  w.schedule_crash(1, 4);  // victim 1 is not spawned yet
   RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{4, 1}});
-  w.run_steps(cs, 5);
-  // Victim 1 spawns only now; its pending entry must arm on the next pick.
+  w.run_steps(rr, 5);
+  // Victim 1 spawns only now; its threshold must still hold it to 4.
   w.spawn(1, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
-  w.run(cs);
+  w.run(rr);
   EXPECT_TRUE(w.done(0));
   EXPECT_TRUE(w.crashed(1));
   EXPECT_EQ(w.counts(1).total(), 4u);
 }
 
-TEST(CrashingScheduler, DetectsStepsTakenOutsideItsGrants) {
+TEST(ScheduleCrash, FiresOnStepsTakenOutsideRun) {
   World w(2);
   auto& reg = w.make_register<int>("r", 0, kAnyWriter);
   w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
   w.spawn(1, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
+  w.schedule_crash(1, 3);
   RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{3, 1}});
-  w.run_steps(cs, 2);  // grants pid 0 then pid 1
-  // Push the victim to its quota behind the scheduler's back; the global-
-  // step mismatch must force a sweep on the next pick, so the crash fires
-  // before the victim is granted a 4th access.
+  w.run_steps(rr, 2);  // grants pid 0 then pid 1
+  // Push the victim to its quota with World::step, outside any run(); the
+  // crash fires there, before the victim can be granted a 4th access.
   w.step(1);
   w.step(1);
-  w.run(cs);
+  EXPECT_TRUE(w.crashed(1));
+  w.run(rr);
   EXPECT_TRUE(w.done(0));
   EXPECT_TRUE(w.crashed(1));
   EXPECT_EQ(w.counts(1).total(), 3u);
@@ -416,16 +418,23 @@ TEST(Scenario, ZipfSkewConcentratesWritesOnHotRegisters) {
   opts.ops_per_process = 16;
   opts.zipf_s = 1.5;
   opts.total_steps = 100'000;
+  // Per pid: spawn, 16 × (op begin, write, op end), done.
+  obs::Tracer tracer(opts.num_procs, 64);
   World::Options wopts = scenario_world_options(opts);
-  wopts.trace = true;
+  wopts.tracer = &tracer;
   World w(opts.num_procs, wopts);
   RoundRobinScheduler rr;
   const ScenarioResult r = run_scenario(w, rr, opts);
   ASSERT_TRUE(r.all_done);
+  ASSERT_EQ(tracer.dropped(), 0u);
   std::map<int, std::uint64_t> per_reg;
-  for (const AccessEvent& ev : w.trace()) {
-    ASSERT_TRUE(ev.is_write);
-    ++per_reg[ev.register_id];
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.kind != obs::EventKind::kRead && ev.kind != obs::EventKind::kWrite &&
+        ev.kind != obs::EventKind::kCas) {
+      continue;
+    }
+    ASSERT_EQ(ev.kind, obs::EventKind::kWrite);
+    ++per_reg[ev.object];
   }
   // Register ids follow creation order, so id 0 is Zipf rank 0: the single
   // hottest register, holding well over the uniform share (1/64) of writes.

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
 
@@ -133,8 +134,21 @@ TEST(RandomScheduler, StickinessKeepsBursts) {
   EXPECT_LT(alternations, 25);
 }
 
+// The access events (kRead/kWrite/kCas) a tracer recorded, in step order.
+std::vector<obs::TraceEvent> access_events(const obs::Tracer& tracer) {
+  std::vector<obs::TraceEvent> out;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.kind == obs::EventKind::kRead || ev.kind == obs::EventKind::kWrite ||
+        ev.kind == obs::EventKind::kCas) {
+      out.push_back(ev);
+    }
+  }
+  return out;
+}
+
 TEST(Trace, GlobalStepMatchesTraceLength) {
-  World w(2, {.trace = true});
+  obs::Tracer tracer(2, 64);
+  World w(2, {.tracer = &tracer});
   auto& reg = w.make_register<int>("r", 0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
@@ -144,16 +158,18 @@ TEST(Trace, GlobalStepMatchesTraceLength) {
   }
   RoundRobinScheduler rr;
   w.run(rr);
-  EXPECT_EQ(w.trace().size(), w.global_step());
+  const std::vector<obs::TraceEvent> trace = access_events(tracer);
+  EXPECT_EQ(trace.size(), w.global_step());
   // Steps in the trace are strictly increasing and attributed correctly.
-  for (std::size_t i = 0; i < w.trace().size(); ++i) {
-    EXPECT_EQ(w.trace()[i].step, i);
-    EXPECT_TRUE(w.trace()[i].pid == 0 || w.trace()[i].pid == 1);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(trace[i].when, i);
+    EXPECT_TRUE(trace[i].pid == 0 || trace[i].pid == 1);
   }
 }
 
 TEST(Trace, ReadsAndWritesAttributedToRightRegisters) {
-  World w(1, {.trace = true});
+  obs::Tracer tracer(1, 64);
+  World w(1, {.tracer = &tracer});
   auto& a = w.make_register<int>("a", 0);
   auto& b = w.make_register<int>("b", 0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -162,12 +178,13 @@ TEST(Trace, ReadsAndWritesAttributedToRightRegisters) {
     co_await ctx.read(b);
   });
   w.run_solo(0);
-  ASSERT_EQ(w.trace().size(), 3u);
-  EXPECT_EQ(w.trace()[0].register_id, a.id());
-  EXPECT_FALSE(w.trace()[0].is_write);
-  EXPECT_EQ(w.trace()[1].register_id, b.id());
-  EXPECT_TRUE(w.trace()[1].is_write);
-  EXPECT_EQ(w.trace()[2].register_id, b.id());
+  const std::vector<obs::TraceEvent> trace = access_events(tracer);
+  ASSERT_EQ(trace.size(), 3u);
+  EXPECT_EQ(trace[0].object, a.id());
+  EXPECT_EQ(trace[0].kind, obs::EventKind::kRead);
+  EXPECT_EQ(trace[1].object, b.id());
+  EXPECT_EQ(trace[1].kind, obs::EventKind::kWrite);
+  EXPECT_EQ(trace[2].object, b.id());
 }
 
 TEST(World, RegisterNamesAndIdsAreStable) {
@@ -208,7 +225,7 @@ TEST(World, ZeroAccessProgramCompletesAtSpawn) {
   EXPECT_TRUE(w.all_done());
 }
 
-TEST(CrashingScheduler, CrashAtStepZeroPreventsAllProgress) {
+TEST(ScheduleCrash, CrashAtStepZeroPreventsAllProgress) {
   World w(2);
   auto& reg = w.make_register<int>("r", 0);
   for (int pid = 0; pid < 2; ++pid) {
@@ -216,9 +233,9 @@ TEST(CrashingScheduler, CrashAtStepZeroPreventsAllProgress) {
       for (int i = 0; i < 4; ++i) co_await ctx.read(reg);
     });
   }
+  w.schedule_crash(0, 0);
   RoundRobinScheduler rr;
-  CrashingScheduler sched(rr, {{0, 0}});
-  w.run(sched);
+  w.run(rr);
   EXPECT_EQ(w.counts(0).reads, 0u);
   EXPECT_EQ(w.counts(1).reads, 4u);
 }

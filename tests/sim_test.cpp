@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "sim/replay.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
@@ -119,17 +120,25 @@ TEST(World, CrashStopsProcessButOthersFinish) {
 }
 
 TEST(World, TraceRecordsAccesses) {
-  World w(1, {.trace = true});
+  obs::Tracer tracer(1, 64);
+  World w(1, {.tracer = &tracer});
   auto& src = w.make_register<int>("src", 0);
   auto& dst = w.make_register<int>("dst", 0);
   w.spawn(0, [&](Context ctx) { return copier(ctx, src, dst, 2); });
   w.run_solo(0);
-  ASSERT_EQ(w.trace().size(), 4u);
-  EXPECT_FALSE(w.trace()[0].is_write);
-  EXPECT_EQ(w.trace()[0].register_id, src.id());
-  EXPECT_TRUE(w.trace()[1].is_write);
-  EXPECT_EQ(w.trace()[1].register_id, dst.id());
-  EXPECT_EQ(w.trace()[3].step, 3u);
+  std::vector<obs::TraceEvent> accesses;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.kind == obs::EventKind::kRead || ev.kind == obs::EventKind::kWrite ||
+        ev.kind == obs::EventKind::kCas) {
+      accesses.push_back(ev);
+    }
+  }
+  ASSERT_EQ(accesses.size(), 4u);
+  EXPECT_EQ(accesses[0].kind, obs::EventKind::kRead);
+  EXPECT_EQ(accesses[0].object, src.id());
+  EXPECT_EQ(accesses[1].kind, obs::EventKind::kWrite);
+  EXPECT_EQ(accesses[1].object, dst.id());
+  EXPECT_EQ(accesses[3].when, 3u);
 }
 
 // Sub-coroutine (SimCoro) composition: a shared-memory procedure awaited by
@@ -260,7 +269,7 @@ TEST(Scheduler, RecordingSchedulerReproducesRun) {
   EXPECT_EQ(order1, order2);
 }
 
-TEST(Scheduler, CrashingSchedulerInjectsFailure) {
+TEST(ScheduleCrash, InjectsFailureUnderRoundRobin) {
   World w(2);
   auto& reg = w.make_register<int>("r", 0);
   for (int pid = 0; pid < 2; ++pid) {
@@ -268,9 +277,9 @@ TEST(Scheduler, CrashingSchedulerInjectsFailure) {
       for (int i = 0; i < 10; ++i) co_await ctx.read(reg);
     });
   }
+  w.schedule_crash(0, 4);  // crash pid 0 before its 5th own access
   RoundRobinScheduler rr;
-  CrashingScheduler cs(rr, {{4, 0}});  // crash pid 0 at global step 4
-  const RunResult r = w.run(cs);
+  const RunResult r = w.run(rr);
   EXPECT_TRUE(r.all_done);
   EXPECT_FALSE(w.done(0));
   EXPECT_TRUE(w.crashed(0));

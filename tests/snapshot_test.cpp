@@ -340,10 +340,12 @@ TEST(AtomicSnapshot, ScanCompletesDespiteCrashes) {
       (void)co_await snap.scan(ctx);
       scanned = true;
     });
-    sim::RandomScheduler rnd(seed);
     // Crash all updaters at staggered points; the scanner must still finish.
-    sim::CrashingScheduler sched(rnd, {{5 + seed, 0}, {9 + seed, 1}, {13 + seed, 2}});
-    const auto r = w.run(sched);
+    w.schedule_crash(0, 5 + seed);
+    w.schedule_crash(1, 9 + seed);
+    w.schedule_crash(2, 13 + seed);
+    sim::RandomScheduler rnd(seed);
+    const auto r = w.run(rnd);
     EXPECT_TRUE(r.all_done);
     EXPECT_TRUE(scanned) << "seed=" << seed;
   }

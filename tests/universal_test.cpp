@@ -210,10 +210,11 @@ TEST(UniversalCounter, SurvivorCompletesDespiteCrashes) {
       co_await c.inc(ctx, 1);
       survivor_read = co_await c.read(ctx);
     });
+    w.schedule_crash(0, 20 + seed);
+    w.schedule_crash(1, 30 + seed);
+    w.schedule_crash(2, 40 + seed);
     sim::RandomScheduler rnd(seed);
-    sim::CrashingScheduler sched(
-        rnd, {{20 + seed, 0}, {30 + seed, 1}, {40 + seed, 2}});
-    const auto r = w.run(sched);
+    const auto r = w.run(rnd);
     EXPECT_TRUE(r.all_done);
     EXPECT_GE(survivor_read, 1) << "seed=" << seed;
   }

@@ -57,7 +57,6 @@ using apram::obs::TraceAnalysis;
       "  apram-trace heatmap <metrics.json> [--top K] [--json <out.json>]\n"
       "  apram-trace helpgraph <metrics.json> [--n N]\n"
       "  apram-trace diff <baseline.json> <current.json> [--top K]\n"
-      "               [--fail-above PCT]\n"
       "bounds: scan[=n^2-1]  tree_update[=1+8ceil(log2n)]  tree_scan[=1]\n"
       "        agreement[=(2n+1)(log2(delta/eps)+3)+8n] (needs --log_ratio)\n"
       "        u2_help[=n-1]  scenario_op[=1]  queue_op[=clog2n]\n");
@@ -413,7 +412,7 @@ int run_helpgraph(const std::string& path, int n) {
 // --- diff ------------------------------------------------------------------
 
 int run_diff(const std::string& base_path, const std::string& cur_path,
-             int top, double fail_above_pct) {
+             int top) {
   const MetricsDoc base = apram::obs::load_metrics_json(base_path);
   const MetricsDoc cur = apram::obs::load_metrics_json(cur_path);
 
@@ -487,18 +486,6 @@ int run_diff(const std::string& base_path, const std::string& cur_path,
   for (const std::string& name : removed) {
     std::printf("  removed: %s\n", name.c_str());
   }
-
-  if (fail_above_pct >= 0.0) {
-    bool failed = false;
-    for (const Delta& d : deltas) {
-      if (std::abs(d.rel) * 100.0 > fail_above_pct) {
-        std::printf("FAIL diff: %s changed %.2f%% (> %.2f%%)\n",
-                    d.name.c_str(), 100.0 * d.rel, fail_above_pct);
-        failed = true;
-      }
-    }
-    if (failed) return 1;
-  }
   return 0;
 }
 
@@ -512,7 +499,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> bounds;
   std::string path2, json_out;
   int n = 0, top = 10;
-  double log_ratio = -1.0, fail_above = -1.0;
+  double log_ratio = -1.0;
   int i = 3;
   if (cmd == "diff") {
     if (argc < 4) usage();
@@ -537,8 +524,6 @@ int main(int argc, char** argv) {
       top = std::atoi(value("--top").c_str());
     } else if (arg.rfind("--json", 0) == 0) {
       json_out = value("--json");
-    } else if (arg.rfind("--fail-above", 0) == 0) {
-      fail_above = std::atof(value("--fail-above").c_str());
     } else {
       usage();
     }
@@ -554,6 +539,6 @@ int main(int argc, char** argv) {
   }
   if (cmd == "heatmap") return run_heatmap(path, top, json_out);
   if (cmd == "helpgraph") return run_helpgraph(path, n);
-  if (cmd == "diff") return run_diff(path, path2, top, fail_above);
+  if (cmd == "diff") return run_diff(path, path2, top);
   usage();
 }
