@@ -107,16 +107,21 @@ constexpr std::uint64_t farray_write_max_accesses(int num_procs) {
 
 constexpr std::uint64_t farray_read_accesses() { return 1; }
 
-// The node-recompute hook: given the node's current value and the two child
-// values just read, produce the value to install. Pure combiners recompute
-// f(left, right) from scratch and ignore `cur`; order-accumulating clients
-// (the polylog queue's operation log) EXTEND `cur` with what the children
-// added. The helping lemma holds for any refresher — it argues about when
-// the child reads happened, never about the value computed from them.
+// The node-recompute hook: given the refreshing process's pid, the node's
+// current value and the two child values just read, produce the value to
+// install. Pure combiners recompute f(left, right) from scratch and ignore
+// `pid` and `cur`; order-accumulating clients (the polylog queue's block
+// chains) EXTEND `cur` with what the children added, allocating from the
+// refreshing process's own store. The helping lemma holds for any refresher
+// — it argues about when the child reads happened, never about the value
+// computed from them.
 template <class R, class T>
-concept NodeRefresherFor = requires(const T& cur, T l, T r) {
+concept NodeRefresherFor = requires(R& refresher, int pid, const T& cur, T l,
+                                    T r) {
   { R::identity() } -> std::convertible_to<T>;
-  { R::refresh(cur, std::move(l), std::move(r)) } -> std::convertible_to<T>;
+  {
+    refresher.refresh(pid, cur, std::move(l), std::move(r))
+  } -> std::convertible_to<T>;
 };
 
 // Refresher of a pure combiner: nodes hold f(subtree), recomputed from the
@@ -126,7 +131,7 @@ template <class T, class F>
   requires CombinerFor<F, T>
 struct CombineRefresh {
   static T identity() { return F::identity(); }
-  static T refresh(const T& /*cur*/, T l, T r) {
+  static T refresh(int /*pid*/, const T& /*cur*/, T l, T r) {
     return F::combine(std::move(l), std::move(r));
   }
 };
@@ -150,7 +155,8 @@ class FArrayTree {
   template <class U>
   using Coro = typename B::template Coro<U>;
 
-  FArrayTree(typename B::Mem& mem, int num_procs) : n_(num_procs) {
+  FArrayTree(typename B::Mem& mem, int num_procs, R refresher = R{})
+      : n_(num_procs), refresher_(std::move(refresher)) {
     APRAM_CHECK(num_procs >= 1);
     m_ = 1;
     while (m_ < n_) m_ *= 2;
@@ -225,7 +231,9 @@ class FArrayTree {
           Node rs = co_await ctx.read(node(rc));
           rv = std::move(rs.v);
         }
-        Node next{cur.seq + 1, R::refresh(cur.v, std::move(lv), std::move(rv))};
+        Node next{cur.seq + 1, refresher_.refresh(ctx.pid(), cur.v,
+                                                  std::move(lv),
+                                                  std::move(rv))};
         bool ok = co_await ctx.cas(node(u), std::move(cur), std::move(next));
         if (ok) {
           installed = true;
@@ -280,6 +288,7 @@ class FArrayTree {
 
   int n_;
   int m_;  // bit_ceil(n): number of leaf slots of the perfect tree
+  [[no_unique_address]] R refresher_;
   std::vector<typename B::template Reg<Value>*> leaves_;   // [n]
   std::vector<typename B::template CasReg<Node>*> nodes_;  // [m], 0 unused
   mutable obs::NodeContention contention_;  // cell u = node u, 0 unused

@@ -3,52 +3,55 @@
 // Polylogarithmic Step Complexity", arXiv:2305.07229), built on the farray
 // tree (farray/farray.hpp).
 //
-// Construction. Each process appends its operations (enqueue(v) / dequeue)
-// to a single-writer log; a tournament tree over the n logs — the farray
-// with an order-accumulating refresher instead of a pure combine — agrees
-// on ONE total order of all operations:
+// Construction. Each process appends its operations to a chain of blocks
+// in its single-writer leaf; the farray, with a block-appending refresher in
+// place of a combine, agrees on ONE total order of all operations. Every
+// register holds a pointer to the newest immutable QueueBlock of its chain,
+// so leaves are word registers and nodes Stamped<pointer> double words. A
+// leaf block is one operation: its value and the process's cumulative
+// enqueue and dequeue counts. A node block is one install: it covers the
+// child blocks in (prev.left, left] and (prev.right, right], and its counts
+// are the sums of its children's. A block is written once, by the process
+// that allocates it, before the leaf write or CAS that publishes it; CAS
+// lineage makes every chain prefix-stable (installs only extend it).
 //
-//   node value = an immutable chain of blocks; each successful stamped-CAS
-//   install appends one block holding exactly the child entries not yet
-//   covered (the chain records, per install, the child chains it consumed,
-//   so the diff is computed by walking the child chain back to the recorded
-//   base — no rescans, no duplicates). CAS lineage makes every node's chain
-//   PREFIX-STABLE: installs only extend, so once an operation has a
-//   position at the root, that position never changes.
+// Linearization. Root blocks are ordered by install. Within one root block,
+// its enqueues come first, then its dequeues, each group in child order
+// (left subtree before right, recursively). This is legal: every operation
+// in a root block B was invoked before B's install (its leaf write precedes
+// the reads B was built from) and responds after it (the double-refresh
+// helping lemma of farray/farray.hpp puts it in the root before its walk
+// returns, and B is the first root block to cover it). So the operations of
+// one block are pairwise concurrent, and the block order extends real time.
 //
-// The double-refresh helping lemma (see farray/farray.hpp — it is purely
-// temporal, so it applies to this refresher verbatim) guarantees that when
-// an operation's root-path walk returns, the operation is in the root
-// chain. The root order is the linearization: it extends real-time order
-// (an op enters the tree only after its invocation, and is at the root
-// before its response), and responses are COMPUTED from it — a dequeue
-// reads the root once and replays the FIFO semantics over the prefix up to
-// its own entry, so agreement on responses is agreement on the order, and
-// no per-item CAS races (hence no unbounded retry loops) exist anywhere.
-// Replay is process-local: each process keeps a cursor into the (prefix-
-// stable) root order, so total local replay work is amortized O(1) per
-// entry and zero shared accesses.
+// Responses. Let P be the root block before B, size(P) the queue size after
+// P and enq(B) = enqs(B) − enqs(P). The i-th dequeue of B succeeds iff
+// i ≤ size(P) + enq(B), and then returns enqueue number
+// enqs(P) − size(P) + i. After its walk a dequeue reads the root once. It
+// then finds its rank bottom-up (at each level, the block covering it and
+// its place among that block's dequeues) and the matching enqueue top-down.
+// Each level is one search along one chain over Myers' skew-binary jump
+// pointers, set once when a block is created: O(log L) steps for a chain of
+// L blocks, reading immutable blocks only.
 //
 // Step counts (shared accesses; h = ⌈log2 n⌉, exact solo for n a power of
 // two):
 //
-//   enqueue:  1 + 4h solo, ≤ 1 + 8h contended  (leaf append + root path)
+//   enqueue:  1 + 4h solo, ≤ 1 + 8h contended  (leaf write + root path)
 //   dequeue:  2 + 4h solo, ≤ 2 + 8h contended  (+ one root read)
 //
 // apram-trace certifies both under `--bound queue_op` against the paper's
-// O(log² n) envelope (12·⌈log2 n⌉² — our register-model cost is O(log n)
-// REGISTER accesses because a node's whole chain lives in one register; the
-// paper pays the extra log factor to keep node values word-sized, the same
-// modelling convention as TaggedVectorLattice's O(n) register values).
-// Space is unbounded: the chain holds the full history (the paper's own
-// unbounded-counter construction has the same shape).
+// O(log² n) envelope (12·⌈log2 n⌉²). The searches are local work on the
+// value read, as in the paper's large-register model: a register's value is
+// the immutable chain its pointer reaches. Space is unbounded: the queue
+// owns every block in per-process stores and frees them on destruction.
 #pragma once
 
-#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/backend.hpp"
@@ -60,92 +63,109 @@
 
 namespace apram {
 
-// One operation in a log: (pid, seq) is its identity, seq 1-based per pid.
-struct QueueOp {
-  std::int32_t pid = 0;
-  std::uint32_t seq = 0;
-  bool is_enq = false;
-  std::int64_t value = 0;  // enqueue payload
+// One immutable block of a leaf or node chain. Counts are cumulative over
+// the chain up to and including this block.
+struct QueueBlock {
+  const QueueBlock* prev;   // the block before this one in its chain
+  const QueueBlock* jump;   // skew-binary jump pointer (an older block)
+  const QueueBlock* left;   // node: left child's newest covered block
+  const QueueBlock* right;  // node: right child's newest covered block
+  std::uint64_t depth;      // position in the chain, 1-based
+  std::uint64_t enqs;
+  std::uint64_t deqs;
+  std::uint64_t size;  // queue size after this block, were it the root's
+  std::int64_t value;  // leaf: the enqueued value
 };
 
-// One immutable block of a chain. A chain (Ptr; nullptr = empty) is the
-// value of a leaf or internal-node register; blocks are shared across
-// registers by shared_ptr, so copying a register value is O(1).
-struct QueueLog {
-  using Ptr = std::shared_ptr<const QueueLog>;
+// A chain is named by its newest block.
+using QueueChain = const QueueBlock*;
 
-  Ptr prev;                  // rest of this chain
-  std::vector<QueueOp> ops;  // entries this install appended, in order
-  std::uint64_t len = 0;     // cumulative entries including this block
-  // Child chains this install consumed (internal nodes only): the next
-  // install diffs the then-current child chains against these bases.
-  Ptr left_base;
-  Ptr right_base;
+// The empty chain: a block with zero counts that is its own predecessor,
+// jump and children, so walks and searches never meet a null pointer.
+inline constexpr QueueBlock kEmptyQueueChain{
+    &kEmptyQueueChain, &kEmptyQueueChain, &kEmptyQueueChain,
+    &kEmptyQueueChain, 0, 0, 0, 0, 0};
 
-  QueueLog() = default;
-  QueueLog(const QueueLog&) = delete;
-  QueueLog& operator=(const QueueLog&) = delete;
+namespace queue_detail {
 
-  // Iterative teardown: chains reach the full history, and a recursive
-  // shared_ptr cascade (prev → prev → …) would overflow the stack.
-  ~QueueLog() {
-    std::vector<Ptr> work;
-    work.push_back(std::move(prev));
-    work.push_back(std::move(left_base));
-    work.push_back(std::move(right_base));
-    while (!work.empty()) {
-      Ptr c = std::move(work.back());
-      work.pop_back();
-      if (c && c.use_count() == 1) {
-        // Sole owner: strip the links so `c`'s destructor is shallow.
-        auto& b = const_cast<QueueLog&>(*c);
-        work.push_back(std::move(b.prev));
-        work.push_back(std::move(b.left_base));
-        work.push_back(std::move(b.right_base));
-      }
-    }
+// One process's blocks: a bump allocator over fixed-size chunks, used only
+// by that process (rt thread p allocates from store p alone), plus the
+// newest block of its leaf chain, which mirrors its leaf register.
+class alignas(64) BlockStore {
+ public:
+  // Appends one operation to the leaf chain and returns the new leaf value.
+  QueueChain append_op(bool is_enq, std::int64_t v) {
+    leaf_ = make(leaf_, &kEmptyQueueChain, &kEmptyQueueChain,
+                 leaf_->enqs + (is_enq ? 1 : 0),
+                 leaf_->deqs + (is_enq ? 0 : 1), v);
+    return leaf_;
   }
-};
 
-using QueueChain = QueueLog::Ptr;
-
-inline std::uint64_t queue_chain_len(const QueueChain& c) {
-  return c ? c->len : 0;
-}
-
-// The order-accumulating node refresher (farray::NodeRefresherFor): extend
-// the node's current chain with whatever the children appended since the
-// last install. Pure in its three inputs — the consumed bases ride inside
-// the chain value itself.
-struct QueueOrderRefresh {
-  static QueueChain identity() { return nullptr; }
-
-  static QueueChain refresh(const QueueChain& cur, QueueChain l,
-                            QueueChain r) {
-    auto b = std::make_shared<QueueLog>();
-    append_diff(b->ops, l, cur ? cur->left_base : nullptr);
-    append_diff(b->ops, r, cur ? cur->right_base : nullptr);
-    b->prev = cur;
-    b->len = queue_chain_len(cur) + b->ops.size();
-    b->left_base = std::move(l);
-    b->right_base = std::move(r);
-    return b;
+  // Appends a block after `prev` and fills in its chain fields: depth, the
+  // jump pointer and the size by the within-block rule.
+  QueueChain make(QueueChain prev, QueueChain left, QueueChain right,
+                  std::uint64_t enqs, std::uint64_t deqs, std::int64_t value) {
+    if (used_ == kChunk) {
+      chunks_.push_back(std::make_unique_for_overwrite<QueueBlock[]>(kChunk));
+      used_ = 0;
+    }
+    QueueBlock& b = chunks_.back()[used_++];
+    const QueueChain j = prev->jump;
+    const std::uint64_t have = prev->size + enqs - prev->enqs;
+    const std::uint64_t taken = deqs - prev->deqs;
+    b = QueueBlock{
+        .prev = prev,
+        .jump = prev->depth - j->depth == j->depth - j->jump->depth ? j->jump
+                                                                    : prev,
+        .left = left,
+        .right = right,
+        .depth = prev->depth + 1,
+        .enqs = enqs,
+        .deqs = deqs,
+        .size = have > taken ? have - taken : 0,
+        .value = value};
+    return &b;
   }
 
  private:
-  // Entries of `now` newer than `base`. `base` is always an ancestor block
-  // of `now` (chains only extend, and `base` was read from this child
-  // earlier), so the walk terminates by pointer equality.
-  static void append_diff(std::vector<QueueOp>& out, const QueueChain& now,
-                          const QueueChain& base) {
-    std::vector<const QueueLog*> fresh;
-    for (const QueueLog* b = now.get(); b != base.get(); b = b->prev.get()) {
-      APRAM_CHECK_MSG(b != nullptr, "queue chain base is not an ancestor");
-      fresh.push_back(b);
+  static constexpr std::size_t kChunk = 1024;
+  std::vector<std::unique_ptr<QueueBlock[]>> chunks_;
+  std::size_t used_ = kChunk;
+  QueueChain leaf_ = &kEmptyQueueChain;
+};
+
+// The oldest block at or before `x` in its chain that `covers`, given that
+// `x` does, the empty chain does not, and `covers` is monotone along the
+// chain. Skew-binary jumps make this O(log depth(x)) steps.
+template <class Pred>
+QueueChain earliest(QueueChain x, Pred covers) {
+  for (;;) {
+    if (covers(x->jump)) {
+      x = x->jump;
+    } else if (covers(x->prev)) {
+      x = x->prev;
+    } else {
+      return x;
     }
-    for (auto it = fresh.rbegin(); it != fresh.rend(); ++it) {
-      out.insert(out.end(), (*it)->ops.begin(), (*it)->ops.end());
-    }
+  }
+}
+
+}  // namespace queue_detail
+
+// The block-appending node refresher (farray::NodeRefresherFor): extend the
+// node's chain with one block covering what the children appended since
+// `cur`, allocated from the refreshing process's store. Children that have
+// not moved leave `cur` as it is.
+struct QueueRefresh {
+  queue_detail::BlockStore* stores;  // [n], owned by the queue
+
+  static QueueChain identity() { return &kEmptyQueueChain; }
+
+  QueueChain refresh(int pid, QueueChain cur, QueueChain l,
+                     QueueChain r) const {
+    if (l == cur->left && r == cur->right) return cur;
+    return stores[pid].make(cur, l, r, l->enqs + r->enqs, l->deqs + r->deqs,
+                            0);
   }
 };
 
@@ -157,14 +177,12 @@ class PolylogQueue {
   using Ctx = typename B::Ctx;
   template <class T>
   using Coro = typename B::template Coro<T>;
-  using Tree = farray::FArrayTree<B, QueueChain, QueueOrderRefresh>;
+  using Tree = farray::FArrayTree<B, QueueChain, QueueRefresh>;
 
-  PolylogQueue(typename B::Mem& mem, int num_procs) : tree_(mem, num_procs) {
-    locals_.reserve(static_cast<std::size_t>(num_procs));
-    for (int p = 0; p < num_procs; ++p) {
-      locals_.push_back(std::make_unique<Local>());
-    }
-  }
+  PolylogQueue(typename B::Mem& mem, int num_procs)
+      : stores_(std::make_unique<queue_detail::BlockStore[]>(
+            static_cast<std::size_t>(num_procs))),
+        tree_(mem, num_procs, QueueRefresh{stores_.get()}) {}
 
   int num_procs() const { return tree_.num_procs(); }
   int height() const { return tree_.height(); }
@@ -172,11 +190,8 @@ class PolylogQueue {
   // Appends the value; on return the enqueue has a fixed position in the
   // agreed total order. 1 + 4h accesses solo, ≤ 1 + 8h contended.
   Coro<void> enqueue(Ctx ctx, std::int64_t v) {
-    const int p = ctx.pid();
-    Local& l = local(p);
     ctx.op_begin(obs::OpKind::kEnqueue);
-    QueueChain leaf = append_own(l, p, /*is_enq=*/true, v);
-    co_await tree_.write(ctx, std::move(leaf));
+    co_await tree_.write(ctx, store(ctx.pid()).append_op(true, v));
     ctx.op_end(obs::OpKind::kEnqueue);
   }
 
@@ -185,19 +200,14 @@ class PolylogQueue {
   // 2 + 4h accesses solo, ≤ 2 + 8h contended.
   Coro<std::int64_t> dequeue(Ctx ctx) {
     const int p = ctx.pid();
-    Local& l = local(p);
     ctx.op_begin(obs::OpKind::kDequeue);
-    const std::uint32_t seq = l.num_ops + 1;
-    QueueChain leaf = append_own(l, p, /*is_enq=*/false, 0);
-    co_await tree_.write(ctx, std::move(leaf));
+    const QueueChain own = store(p).append_op(false, 0);
+    co_await tree_.write(ctx, own);
     QueueChain root = co_await tree_.read_f(ctx);
-    const std::int64_t resp = replay_to(l, p, seq, root);
+    const std::int64_t resp = respond(p, own, root);
     ctx.op_end(obs::OpKind::kDequeue);
     co_return resp;
   }
-
-  // Test/debug: the agreed total order so far (root chain length).
-  Tree& tree() { return tree_; }
 
   void export_contention_gauges(obs::Registry& registry,
                                 const std::string& prefix) const {
@@ -205,75 +215,77 @@ class PolylogQueue {
   }
 
  private:
-  struct alignas(64) Local {
-    QueueChain leaf;            // mirror of own leaf register (single writer)
-    std::uint32_t num_ops = 0;  // == queue_chain_len(leaf)
-    // FIFO replay cursor over the root order. The root chain is
-    // prefix-stable, so the cursor never rewinds and replay work is
-    // amortized O(1) per linearized entry.
-    std::uint64_t consumed = 0;  // root entries already replayed
-    std::uint64_t front = 0;     // next enqueue (by root order) to hand out
-    std::vector<std::int64_t> enq_values;  // enqueue payloads in root order
-  };
-
-  Local& local(int p) { return *locals_[static_cast<std::size_t>(p)]; }
-
-  QueueChain append_own(Local& l, int pid, bool is_enq, std::int64_t v) {
-    auto b = std::make_shared<QueueLog>();
-    b->prev = l.leaf;
-    b->ops.push_back(QueueOp{static_cast<std::int32_t>(pid), l.num_ops + 1,
-                             is_enq, v});
-    b->len = l.num_ops + 1;
-    l.leaf = b;
-    ++l.num_ops;
-    return b;
+  queue_detail::BlockStore& store(int p) {
+    return stores_[static_cast<std::size_t>(p)];
   }
 
-  // Replays the FIFO semantics over the root order up to (and including)
-  // entry (pid, seq) — which the helping lemma guarantees is present —
-  // returning that dequeue's response. Local work only.
-  std::int64_t replay_to(Local& l, int pid, std::uint32_t seq,
-                         const QueueChain& root) {
-    std::vector<const QueueLog*> blocks;
-    for (const QueueLog* b = root.get(); b != nullptr && b->len > l.consumed;
-         b = b->prev.get()) {
-      blocks.push_back(b);
+  // The response of p's dequeue `own`, from the root value read after its
+  // walk. Local work only: bottom-up to own's root block and rank, then
+  // top-down to the enqueue it returns.
+  std::int64_t respond(int p, QueueChain own, QueueChain root) const {
+    using queue_detail::earliest;
+    const int h = tree_.height();
+    const std::uint64_t slot =
+        std::uint64_t{1} << h | static_cast<std::uint64_t>(p);
+    // Whether p's path turns right below depth k.
+    const auto right = [&](int k) { return (slot >> (h - 1 - k) & 1) != 0; };
+    std::array<QueueChain, 32> heads{};  // newest block per depth, from root
+    heads[0] = root;
+    for (int k = 0; k < h; ++k) {
+      heads[k + 1] = right(k) ? heads[k]->right : heads[k]->left;
     }
-    for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
-      const QueueLog* b = *it;
-      const std::uint64_t start = b->len - b->ops.size();
-      std::size_t i =
-          l.consumed > start ? static_cast<std::size_t>(l.consumed - start)
-                             : 0;
-      for (; i < b->ops.size(); ++i) {
-        const QueueOp& op = b->ops[i];
-        ++l.consumed;
-        std::int64_t resp = 0;
-        if (op.is_enq) {
-          l.enq_values.push_back(op.value);
-        } else {
-          resp = -1;
-          if (l.front < l.enq_values.size()) {
-            resp = l.enq_values[static_cast<std::size_t>(l.front)];
-            ++l.front;
-          }
-        }
-        if (op.pid == pid && op.seq == seq) return resp;
-      }
-    }
-    APRAM_CHECK_MSG(false,
+    APRAM_CHECK_MSG(heads[h] == own,
                     "dequeue missing from the root after its refresh walk — "
                     "the double-refresh helping lemma was violated");
-    return -1;
+
+    // b = the block covering own at depth k; d = own's dequeue number in
+    // that chain (left range before right range within each block).
+    QueueChain b = own;
+    std::uint64_t d = own->deqs;
+    for (int k = h - 1; k >= 0; --k) {
+      if (right(k)) {
+        b = earliest(heads[k],
+                     [d](QueueChain x) { return x->right->deqs >= d; });
+        d += b->left->deqs;
+      } else {
+        b = earliest(heads[k],
+                     [d](QueueChain x) { return x->left->deqs >= d; });
+        d += b->prev->right->deqs;
+      }
+    }
+    const QueueChain prev = b->prev;
+    const std::uint64_t i = d - prev->deqs;
+    if (i > prev->size + b->enqs - prev->enqs) return -1;
+
+    // Enqueue number e of the root order: down from b, at each depth the
+    // covering block, then its left range or its right range.
+    std::uint64_t e = prev->enqs - prev->size + i;
+    const auto covers_e = [&e](QueueChain x) { return x->enqs >= e; };
+    QueueChain x = b;
+    for (int k = 0; k < h; ++k) {
+      x = earliest(x, covers_e);
+      const std::uint64_t e_left = e - x->prev->right->enqs;
+      if (e_left <= x->left->enqs) {
+        e = e_left;
+        x = x->left;
+      } else {
+        e -= x->left->enqs;
+        x = x->right;
+      }
+    }
+    x = earliest(x, covers_e);
+    APRAM_CHECK_MSG(x->enqs == e && x->prev->enqs + 1 == e,
+                    "queue enqueue search did not land on an enqueue");
+    return x->value;
   }
 
+  std::unique_ptr<queue_detail::BlockStore[]> stores_;  // [n]
   Tree tree_;
-  std::vector<std::unique_ptr<Local>> locals_;  // [n]
 };
 
 // --------------------------------------------------------------------------
 // rt convenience wrapper (int-pid call style; thread p calls only pid p's
-// entry points — the Local replay state is single-threaded per pid).
+// entry points — each process's block store is single-threaded).
 
 class PolylogQueueRT : public api::RtObject {
  public:

@@ -3,7 +3,8 @@
 // the same register accesses. RtProbe counts a CAS apart from the writes,
 // so the comparison is rt reads == sim reads and rt writes + cas == sim
 // writes (a CAS is one sim write). TreeScan, FArray and the universal2
-// counter carry the same check in their own suites.
+// counter carry the same check in their own suites; the queue and
+// union-find, FArray's other two clients, are checked here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +14,9 @@
 #include "api/sim_backend.hpp"
 #include "core/universal.hpp"
 #include "objects/fast_counter.hpp"
+#include "objects/polylog_queue.hpp"
 #include "objects/specs.hpp"
+#include "objects/union_find.hpp"
 #include "obs/metrics.hpp"
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"
@@ -119,6 +122,25 @@ TEST(SimRtParity, ApproxAgreement) {
         (void)co_await aa.decide(ctx, 0.5);
       },
       /*epsilon=*/0.1);
+}
+
+TEST(SimRtParity, PolylogQueue) {
+  expect_same_accesses<PolylogQueue>(
+      [](auto& q, auto ctx) -> VoidCoro<decltype(ctx)> {
+        co_await q.enqueue(ctx, 7);
+        (void)co_await q.dequeue(ctx);
+        (void)co_await q.dequeue(ctx);
+      });
+}
+
+TEST(SimRtParity, UnionFind) {
+  expect_same_accesses<UnionFind>(
+      [](auto& uf, auto ctx) -> VoidCoro<decltype(ctx)> {
+        co_await uf.unite(ctx, 3, 5);
+        (void)co_await uf.find(ctx, 5);
+        (void)co_await uf.num_sets(ctx);
+      },
+      /*universe=*/8);
 }
 
 TEST(SimRtParity, UniversalConstruction) {

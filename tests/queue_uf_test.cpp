@@ -89,6 +89,35 @@ TEST(PolylogQueue, SoloRunsAreFifoAcrossProcesses) {
   EXPECT_EQ(deq(1), -1);
 }
 
+// Within one root block, enqueues linearize before dequeues. Both leaf
+// writes land before either process refreshes, so pid 0's walk installs one
+// root block holding pid 0's dequeue and pid 1's enqueue; the dequeue must
+// take the value even though its leaf is to the left of the enqueue's.
+TEST(PolylogQueue, SameRootBlockEnqueueLinearizesBeforeDequeue) {
+  World w(2);
+  api::SimBackend::Mem mem(w, "q");
+  SimQueue q(mem, 2);
+  std::int64_t got = -2;
+  w.spawn(0, [&](Context ctx) -> ProcessTask {
+    got = co_await q.dequeue(ctx);
+  });
+  w.spawn(1, [&](Context ctx) -> ProcessTask {
+    co_await q.enqueue(ctx, 5);
+  });
+  ASSERT_TRUE(w.step(0));  // pid 0's leaf write
+  ASSERT_TRUE(w.step(1));  // pid 1's leaf write
+  w.run_solo(0);  // pid 1 stays mid-enqueue, so not all_done
+  EXPECT_EQ(got, 5);
+  ASSERT_TRUE(w.run_solo(1).all_done);
+
+  std::int64_t after = -2;
+  w.spawn(1, [&](Context ctx) -> ProcessTask {
+    after = co_await q.dequeue(ctx);
+  });
+  ASSERT_TRUE(w.run_solo(1).all_done);
+  EXPECT_EQ(after, -1);  // the one value was taken exactly once
+}
+
 // ---------------------------------------------------------------------------
 // Queue: exact solo step counts (the register-model costs the queue_op
 // trace bound certifies with margin).
@@ -158,10 +187,14 @@ std::vector<RecordedOp<QSpec>> record_queue_run(std::uint64_t seed, int n,
   return rec.ops();
 }
 
+// n = 4 walks right subtrees at both levels; n = 5 has padding leaves.
 TEST(PolylogQueue, RandomScheduleHistoriesAreLinearizable) {
-  for (std::uint64_t seed = 0; seed < 15; ++seed) {
-    auto h = record_queue_run(seed, 3, 3);
-    EXPECT_TRUE(is_linearizable<QSpec>(std::move(h))) << "seed=" << seed;
+  for (int n : {2, 3, 4, 5}) {
+    for (std::uint64_t seed = 0; seed < 15; ++seed) {
+      auto h = record_queue_run(seed, n, 3);
+      EXPECT_TRUE(is_linearizable<QSpec>(std::move(h)))
+          << "n=" << n << " seed=" << seed;
+    }
   }
 }
 

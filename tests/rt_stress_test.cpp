@@ -14,6 +14,7 @@
 
 #include "lincheck/checker.hpp"
 #include "objects/fast_counter.hpp"
+#include "objects/polylog_queue.hpp"
 #include "objects/specs.hpp"
 #include "rt/thread_harness.hpp"
 #include "rt_recorder.hpp"
@@ -62,6 +63,31 @@ TEST(RtStress, FastCounterConservationUnderLoad) {
   std::uint64_t total = 0;
   for (auto c : tr.ops_per_thread()) total += c;
   EXPECT_EQ(ctr.read(0), static_cast<std::int64_t>(total));
+}
+
+TEST(RtStress, PolylogQueueHistoriesAreLinearizable) {
+  using Q = QueueSpec;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 4;
+    PolylogQueueRT q(n);
+    RtRecorder<Q> rec;
+    parallel_run(n, [&](int pid) {
+      for (int i = 0; i < 3; ++i) {
+        {
+          const std::int64_t v = pid * 100 + i;
+          const auto tok = rec.begin(pid, Q::enq(v));
+          q.enqueue(pid, v);
+          rec.end(tok, 0);
+        }
+        {
+          const auto tok = rec.begin(pid, Q::deq());
+          const std::int64_t got = q.dequeue(pid);
+          rec.end(tok, got);
+        }
+      }
+    });
+    EXPECT_TRUE(is_linearizable<Q>(rec.take())) << "trial " << trial;
+  }
 }
 
 // Snapshot spec over 3 slots for the rt snapshot objects.

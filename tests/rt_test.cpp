@@ -165,15 +165,17 @@ static_assert(std::is_same_v<CASValueRegister<std::int32_t>,
                              InlineRegister<std::int32_t>>);
 static_assert(!kInlineRegister<std::vector<std::uint64_t>>);
 static_assert(!kInlineRegister<std::string>);
-static_assert(!kInlineRegister<QueueChain>);
+static_assert(kInlineRegister<QueueChain>);
+static_assert(kInlineRegister<farray::Stamped<QueueChain>> ==
+              detail::kHaveCas16);
 using CounterRep = universal2::CounterRep<RtBackend>;
 using CounterSim = universal2::WaitFreeSim<RtBackend, CounterRep>;
 static_assert(!kInlineRegister<CounterRep::Cell>);
 static_assert(!kInlineRegister<CounterSim::Rec>);
 static_assert(std::is_same_v<CASValueRegister<std::string>,
                              BoundedCASValueRegister<std::string>>);
-static_assert(std::is_same_v<SWMRRegister<QueueChain>,
-                             BoundedSWMRRegister<QueueChain>>);
+static_assert(std::is_same_v<SWMRRegister<std::string>,
+                             BoundedSWMRRegister<std::string>>);
 // A 16-byte value that is not its bits (a double has two zeros) stays in
 // the arena: the CAS compares loaded bits.
 struct DoubleAndWord {
