@@ -21,18 +21,17 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <exception>
-#include <optional>
 #include <utility>
 
 #include "util/assert.hpp"
 #include "util/block_pool.hpp"
+#include "util/coro_result.hpp"
 
 namespace apram::api {
 
 namespace detail {
 
-// Base of both promise types: coroutine frames come from the BlockPool.
+// Base of the promise type: coroutine frames come from the BlockPool.
 struct PooledFrame {
   static void* operator new(std::size_t bytes) {
     return BlockPool::allocate(bytes);
@@ -47,18 +46,15 @@ struct PooledFrame {
 template <class T>
 class [[nodiscard]] EagerCoro {
  public:
-  struct promise_type : detail::PooledFrame {
+  // PooledFrame is empty, so the promise is just its result half: the
+  // value, then the exception.
+  struct promise_type : detail::PooledFrame, CoroResult<T> {
     EagerCoro get_return_object() {
       return EagerCoro{
           std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_always final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { exception = std::current_exception(); }
-
-    std::optional<T> value;
-    std::exception_ptr exception;
   };
 
   explicit EagerCoro(std::coroutine_handle<promise_type> h) : handle_(h) {}
@@ -75,7 +71,7 @@ class [[nodiscard]] EagerCoro {
     APRAM_CHECK_MSG(handle_ && handle_.done(),
                     "EagerCoro did not run to completion — a suspending "
                     "awaiter leaked into an rt-backend coroutine");
-    return take();
+    return handle_.promise().take();
   }
 
   // Awaitable, for composition inside other EagerCoros. The child already
@@ -84,65 +80,9 @@ class [[nodiscard]] EagerCoro {
   void await_suspend(std::coroutine_handle<>) const {
     APRAM_CHECK_MSG(false, "co_await on an unfinished EagerCoro");
   }
-  T await_resume() { return take(); }
+  T await_resume() { return handle_.promise().take(); }
 
  private:
-  T take() {
-    auto& p = handle_.promise();
-    if (p.exception) std::rethrow_exception(p.exception);
-    APRAM_CHECK_MSG(p.value.has_value(),
-                    "EagerCoro finished without a value");
-    return std::move(*p.value);
-  }
-
-  std::coroutine_handle<promise_type> handle_;
-};
-
-template <>
-class [[nodiscard]] EagerCoro<void> {
- public:
-  struct promise_type : detail::PooledFrame {
-    EagerCoro get_return_object() {
-      return EagerCoro{
-          std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { exception = std::current_exception(); }
-
-    std::exception_ptr exception;
-  };
-
-  explicit EagerCoro(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  EagerCoro(EagerCoro&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)) {}
-  EagerCoro(const EagerCoro&) = delete;
-  EagerCoro& operator=(const EagerCoro&) = delete;
-  EagerCoro& operator=(EagerCoro&&) = delete;
-  ~EagerCoro() {
-    if (handle_) handle_.destroy();
-  }
-
-  void get() {
-    APRAM_CHECK_MSG(handle_ && handle_.done(),
-                    "EagerCoro did not run to completion — a suspending "
-                    "awaiter leaked into an rt-backend coroutine");
-    check();
-  }
-
-  bool await_ready() const noexcept { return handle_ && handle_.done(); }
-  void await_suspend(std::coroutine_handle<>) const {
-    APRAM_CHECK_MSG(false, "co_await on an unfinished EagerCoro");
-  }
-  void await_resume() { check(); }
-
- private:
-  void check() {
-    auto& p = handle_.promise();
-    if (p.exception) std::rethrow_exception(p.exception);
-  }
-
   std::coroutine_handle<promise_type> handle_;
 };
 

@@ -7,14 +7,17 @@
 // to completion — EagerCoro (see api/eager_coro.hpp) is built around exactly
 // that guarantee, and rt convenience wrappers drain it with .get().
 //
+// Reg<T> and CasReg<T> are both rt::Register<T>, as SimBackend's are both
+// sim::Register<T>: make() builds it for one writer, make_cas() for
+// num_procs.
+//
 // Mem owns the registers (type-erased holders keep names and creation-order
 // object ids) and is the single attach point for observability and fault
 // injection: attach_obs() instruments every register created SO FAR with
 // aggregate counters "rt.<name>.reads" / ".writes" / ".cas" plus optional
-// trace events, mirroring the sim World's attach_metrics shape; a CAS is
-// counted separately in ".cas" (one atomic step — add it to ".writes" when
-// comparing against sim StepCounts, where a CAS counts as one write).
-// Attach after construction, before concurrent use.
+// trace events. A CAS is counted separately in ".cas" (one atomic step —
+// add it to ".writes" when comparing against sim StepCounts, where a CAS
+// counts as one write). Attach after construction, before concurrent use.
 #pragma once
 
 #include <coroutine>
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -57,9 +61,9 @@ struct ReadyVoidAwaiter {
 
 struct RtBackend {
   template <class T>
-  using Reg = rt::SWMRRegister<T>;
+  using Reg = rt::Register<T>;
   template <class T>
-  using CasReg = rt::CASValueRegister<T>;
+  using CasReg = rt::Register<T>;
   template <class T>
   using Coro = EagerCoro<T>;
 
@@ -69,28 +73,26 @@ struct RtBackend {
 
     int pid() const { return pid_; }
 
-    // R is whichever class Reg<T> / CasReg<T> selected (inline or arena);
-    // the value type comes from R, since an alias that picks a class cannot
-    // deduce T.
-    template <class R>
-    auto read(const R& reg) const {
-      return detail::ReadyAwaiter<typename R::value_type>{reg.read()};
+    // T is deduced from the register alone; the values convert to it.
+    template <class T>
+    auto read(const rt::Register<T>& reg) const {
+      return detail::ReadyAwaiter<T>{reg.read()};
     }
 
     // Single-writer discipline is by convention here (the sim backend
     // enforces it and aborts; running the same algorithm there first is the
     // cheap way to check).
-    template <class R>
-    auto write(R& reg, typename R::value_type value) const {
+    template <class T>
+    auto write(rt::Register<T>& reg, std::type_identity_t<T> value) const {
       reg.write(std::move(value));
       return detail::ReadyVoidAwaiter{};
     }
 
     // `expected` by reference: the CAS completes inside this call, so the
     // reference never outlives it (no copy of a large cell per attempt).
-    template <class R>
-    auto cas(R& reg, const typename R::value_type& expected,
-             typename R::value_type desired) const {
+    template <class T>
+    auto cas(rt::Register<T>& reg, const std::type_identity_t<T>& expected,
+             std::type_identity_t<T> desired) const {
       const bool ok =
           reg.compare_exchange(pid_, expected, std::move(desired));
       return detail::ReadyAwaiter<bool>{ok};

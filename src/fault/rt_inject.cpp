@@ -26,21 +26,12 @@ void RtInjector::on_access() {
   const std::uint64_t k =
       me.accesses.fetch_add(1, std::memory_order_relaxed) + 1;
 
-  // Hard stall: park before performing the (after+1)-th access. The CAS on
-  // stall_armed_ admits exactly one parking, even if the victim races
-  // through several accesses past the threshold.
+  // Hard stall: park before performing the (after+1)-th access.
   if (stall_armed_.load(std::memory_order_acquire) &&
       stall_point_.load(std::memory_order_relaxed) == StallPoint::kAccess &&
       stall_pid_.load(std::memory_order_relaxed) == pid &&
       k > stall_after_.load(std::memory_order_relaxed)) {
-    bool expected = true;
-    if (stall_armed_.compare_exchange_strong(expected, false,
-                                             std::memory_order_acq_rel)) {
-      stall_engaged_.store(true, std::memory_order_release);
-      while (!stall_release_.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    }
+    park();
   }
 
   if (opts_.sleep_prob > 0.0 && me.rng.chance(opts_.sleep_prob)) {
@@ -54,7 +45,7 @@ void RtInjector::on_access() {
 }
 
 void RtInjector::on_hold() {
-  // The hold window exists only in the bounded registers' read path; this
+  // The hold window exists only in an arena register's read and CAS; this
   // hook fires with the caller's version acquired and not yet dereferenced.
   // It intentionally skips the access counter and the probabilistic
   // perturbation — on_access at the top of the same operation already did
@@ -71,6 +62,12 @@ void RtInjector::on_hold() {
   const std::uint64_t k = per_thread_[static_cast<std::size_t>(pid)]
                               .accesses.load(std::memory_order_relaxed);
   if (k <= stall_after_.load(std::memory_order_relaxed)) return;
+  park();
+}
+
+void RtInjector::park() {
+  // The CAS on stall_armed_ admits exactly one parking, even if the victim
+  // races through several accesses past the threshold.
   bool expected = true;
   if (stall_armed_.compare_exchange_strong(expected, false,
                                            std::memory_order_acq_rel)) {

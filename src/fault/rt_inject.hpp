@@ -24,7 +24,7 @@
 // The stall can be aimed at either of two points (StallPoint):
 //   * kAccess — the top of the access, before it takes effect (the default,
 //     and the model's canonical adversary move), or
-//   * kHold   — inside a bounded register's read, between the reader's
+//   * kHold   — inside an arena register's read, between the reader's
 //     version acquire and its dereference (registers call on_hold() there).
 //     A victim parked at kHold holds a version reference indefinitely while
 //     every other thread keeps writing: the precise window in which a broken
@@ -57,7 +57,7 @@ struct RtInjectOptions {
 // Where an armed hard stall parks its victim.
 enum class StallPoint : int {
   kAccess = 0,  // top of the access, before it takes effect
-  kHold = 1,    // between a bounded reader's acquire and its dereference
+  kHold = 1,    // between an arena reader's acquire and its dereference
 };
 
 class RtInjector {
@@ -71,7 +71,7 @@ class RtInjector {
   // here until release_stall().
   void on_access();
 
-  // Called by bounded registers between a reader's version acquire and its
+  // Called by arena registers between a reader's version acquire and its
   // dereference. Parks an armed kHold victim (holding its version!) until
   // release_stall(); a no-op for everyone else. Never counts as an access,
   // never perturbs probabilistically.
@@ -103,6 +103,10 @@ class RtInjector {
     Rng rng;
     std::atomic<std::uint64_t> accesses{0};
   };
+
+  // Claims the armed stall for the calling victim and parks it until
+  // release_stall(); returns at once if another access claimed it first.
+  void park();
 
   RtInjectOptions opts_;
   std::unique_ptr<PerThread[]> per_thread_;

@@ -28,13 +28,9 @@ struct StampedWord {
 
 template class reclaim::VersionArena<int>;
 template class reclaim::VersionArena<std::vector<std::uint64_t>>;
-template class BoundedSWMRRegister<int>;
-template class BoundedSWMRRegister<std::vector<std::uint64_t>>;
-template class BoundedCASValueRegister<std::vector<std::uint64_t>>;
-template class InlineRegister<std::int64_t>;
-#if defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
-template class InlineRegister<StampedWord>;
-#endif
+template class Register<std::int64_t>;
+template class Register<StampedWord>;
+template class Register<std::vector<std::uint64_t>>;
 
 namespace {
 
@@ -55,13 +51,13 @@ static_assert(ArenaI::kNilSlot > ArenaI::kSlotMask,
 // Cache-line audit, whole-class view (the per-member asserts live inside
 // VersionArena where the private types are visible): the arena itself is
 // line-aligned because its first hot member (the control word) is, so two
-// arenas in an array never share the control line. Inline registers own
-// their line for the same reason.
+// arenas in an array never share the control line. An inline register
+// owns its line for the same reason.
 static_assert(alignof(ArenaI) >= 64);
 static_assert(alignof(reclaim::VersionArena<std::vector<std::uint64_t>>) >=
               64);
-static_assert(alignof(InlineRegister<std::int64_t>) == 64 &&
-              sizeof(InlineRegister<std::int64_t>) == 64);
+static_assert(alignof(Register<std::int64_t>) == 64 &&
+              sizeof(Register<std::int64_t>) == 64);
 
 // The one-instruction reader protocol needs a genuinely atomic 64-bit RMW.
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,

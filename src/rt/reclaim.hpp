@@ -1,11 +1,12 @@
 // apram::rt::reclaim — bounded-memory version management for rt registers.
 //
-// The paper assumes unbounded atomic registers, and the original rt
-// implementation mirrored that faithfully: every write appended an immutable
-// node to a grow-only store, so a long-running service leaked one node per
-// write. This header replaces the grow-only store with an ATOMSNAP-style
-// versioned arena (see SNIPPETS.md) that keeps memory proportional to the
-// number of *concurrently held* versions, not the number of writes:
+// The paper assumes atomic registers of any size. An rt register whose value
+// is too large for one hardware atomic publishes immutable versions instead,
+// and a version cannot be freed while a reader may still dereference it.
+// This header is the ATOMSNAP-style versioned arena (see SNIPPETS.md) that
+// recycles each version once its last reader leaves, so memory is
+// proportional to the number of *concurrently held* versions, not the
+// number of writes:
 //
 //   * Control word. One 64-bit atomic packs {acquire count : 40 bits,
 //     arena slot handle : 24 bits}. Reading the current version handle and
@@ -28,8 +29,7 @@
 //
 //   * Failed-CAS cleanup. A CAS publisher that loses the race returns its
 //     freshly allocated slot to the free list immediately (dealloc), so
-//     losers do not leak — the unbounded-register implementation kept every
-//     losing node forever.
+//     losers do not leak.
 //
 //   * Recycling. Slots live in lazily allocated fixed-size chunks behind an
 //     atomic chunk directory; retired slots destroy their payload eagerly
@@ -222,6 +222,8 @@ class VersionArena {
   }
 
   // ---- diagnostics -------------------------------------------------------
+
+  int num_writers() const { return num_writers_; }
 
   // Sums the per-writer counters (see ReclaimStats for exactness).
   ReclaimStats stats() const {

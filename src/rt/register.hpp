@@ -2,12 +2,13 @@
 //
 // The paper's model is atomic registers of any size ("numerous techniques
 // exist for constructing large atomic registers from smaller ones"). The rt
-// runtime realizes a register in one of two ways, chosen by value type:
+// runtime has one register class, Register<T>, like the simulator's
+// sim::Register<T>. Its storage cell is picked from T alone:
 //
-//   * Inline (InlineRegister): T lives in place in one hardware atomic — a
-//     std::atomic<T> when T fits a lock-free word, or a 16-byte-aligned
-//     double word read with __atomic_load_n and swapped with lock
-//     cmpxchg16b. These are the FArray leaves (int64), the FArray nodes
+//   * Inline, when kInlineRegister<T>: T lives in place in one hardware
+//     atomic — a std::atomic<T> when T fits a lock-free word, or a
+//     16-byte-aligned double word read with __atomic_load_n and swapped with
+//     lock cmpxchg16b. These are the FArray leaves (int64), the FArray nodes
 //     (Stamped<int64>) and the union-find parents (int32). Every inline
 //     access is memory_order_seq_cst: algorithms argue over one total order
 //     of register accesses, and the FArray double-refresh lemma needs a
@@ -15,38 +16,39 @@
 //     a load of another location, which release/acquire lets the store
 //     buffer reorder.
 //
-//   * Arena (BoundedSWMRRegister / BoundedCASValueRegister): any other T is
-//     published as immutable versions in an rt::reclaim::VersionArena — a
-//     64-bit control word packing {acquire count, arena slot}, wait-free
-//     reader acquire/release, publication with count transfer, failed-CAS
-//     cleanup, and per-writer free-list recycling. Memory is proportional to
-//     concurrent holders, never to write count. See rt/reclaim.hpp for the
-//     protocol and safety argument.
+//   * Arena, for any other T: immutable versions in an
+//     rt::reclaim::VersionArena — a 64-bit control word packing {acquire
+//     count, arena slot}, wait-free reader acquire/release, publication with
+//     count transfer, failed-CAS cleanup, and per-writer free-list
+//     recycling. Memory is proportional to concurrent holders, never to
+//     write count. See rt/reclaim.hpp for the protocol and safety argument.
 //
-// SWMRRegister<T> and CASValueRegister<T> (bottom of this file) select the
-// inline register whenever kInlineRegister<T> holds; there is no option.
-// Reads return BY VALUE in both flavours and every read path is wait-free:
-// inline is one load, arena is one fetch_add + one fetch_sub.
+// write() is the single-writer store and compare_exchange() the multi-writer
+// CAS; SWMRRegister<T> and CASValueRegister<T> (bottom of this file) are
+// two names for Register<T>. There is no option. Reads return BY VALUE and
+// every read path is wait-free: inline is one load, arena is one fetch_add
+// + one fetch_sub.
 //
 // Every register carries an optional apram::obs probe (attach_probe):
 // unattached, an access pays one relaxed pointer load and a predictable
 // branch; attached, each access is counted (relaxed fetch_add) and — when
 // the calling thread has a model pid — traced with an rt timestamp.
 //
-// They also carry an optional apram::fault::RtInjector (attach_injector)
+// It also carries an optional apram::fault::RtInjector (attach_injector)
 // that fires BEFORE the access takes effect — the injection point is the
-// access boundary, the only place the model lets an adversary act. The
-// arena registers add a second injection point, on_hold(), between a
-// reader's acquire and its dereference: stalling there keeps a version
-// pinned while writers churn, which is exactly the window a reclamation bug
-// would need to free a held version (tests/rt_reclaim_test.cpp proves it
-// cannot). Inline registers have no such window, so a kHold stall never
-// engages on them. The unattached cost is the same one relaxed load + branch.
+// access boundary, the only place the model lets an adversary act. An
+// arena cell adds a second injection point, on_hold(), between a reader's
+// acquire and its dereference: stalling there keeps a version pinned while
+// writers churn, which is exactly the window a reclamation bug would need
+// to free a held version (tests/rt_reclaim_test.cpp proves it cannot). An
+// inline cell has no such window, so a kHold stall never engages on it.
+// The unattached cost is the same one relaxed load + branch.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 
@@ -56,175 +58,13 @@
 #include "util/assert.hpp"
 
 // Whether a 16-byte value is inline depends on cmpxchg16b; a TU compiled
-// without it would name a different register type than the rest of the
-// program. apram_rt puts -mcx16 on its public interface.
+// without it would pick a different cell than the rest of the program.
+// apram_rt puts -mcx16 on its public interface.
 #if defined(__x86_64__) && !defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
 #error "rt/register.hpp needs -mcx16 on x86-64 (link apram_rt, which adds it)"
 #endif
 
 namespace apram::rt {
-
-// ---------------------------------------------------------------------------
-// Arena registers: VersionArena underneath, for values too large to inline.
-// ---------------------------------------------------------------------------
-
-template <class T>
-class BoundedSWMRRegister {
- public:
-  using value_type = T;
-
-  explicit BoundedSWMRRegister(T initial) : arena_(1, std::move(initial)) {}
-
-  BoundedSWMRRegister(const BoundedSWMRRegister&) = delete;
-  BoundedSWMRRegister& operator=(const BoundedSWMRRegister&) = delete;
-
-  // Any thread. Wait-free: one fetch_add (acquire), copy, one fetch_sub
-  // (release). The returned value is the caller's own copy.
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
-    T v = arena_.get(ref);
-    arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // Owner thread only (single writer). Wait-free: allocate (own free list),
-  // one exchange to install, one fetch_add to transfer the old version's
-  // acquire count.
-  void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    arena_.publish(arena_.alloc(0, std::move(v)));
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_write();
-    }
-  }
-
-  // Space diagnostics: number of values ever written (incl. the initial).
-  // Monotone even though slots recycle.
-  std::size_t versions() const {
-    return static_cast<std::size_t>(arena_.stats().allocated);
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const { return arena_.stats(); }
-
-  // The probe must outlive the register (or a detaching attach_probe(nullptr)
-  // call). Attach before concurrent use begins; the pointer itself is atomic,
-  // but the probe's metric handles are read without further synchronization.
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  // The injector must outlive the register (or a detaching
-  // attach_injector(nullptr) call). Attach before concurrent use.
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  mutable reclaim::VersionArena<T> arena_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// Multi-writer register with value-compared compare-and-swap over
-// arbitrarily large values. compare_exchange compares the CURRENT VALUE
-// with T's operator== — which must identify distinct writes (distinct
-// published values never compare equal; Stamped<T> in farray/farray.hpp is
-// the standard recipe) — and succeeds via a CAS on the arena control word.
-// The caller's own acquire pins the expected version, so the control-word
-// compare cannot ABA (a held slot cannot be retired, hence cannot be
-// reallocated and re-published). A loser returns its prepared slot to the
-// free list immediately (failed-CAS cleanup).
-template <class T>
-class BoundedCASValueRegister {
- public:
-  using value_type = T;
-
-  BoundedCASValueRegister(int num_writers, T initial)
-      : arena_(num_writers, std::move(initial)) {
-    APRAM_CHECK(num_writers >= 1);
-  }
-
-  BoundedCASValueRegister(const BoundedCASValueRegister&) = delete;
-  BoundedCASValueRegister& operator=(const BoundedCASValueRegister&) = delete;
-
-  // Any thread. Wait-free: acquire, copy, release.
-  T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
-    T v = arena_.get(ref);
-    arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_read();
-    }
-    return v;
-  }
-
-  // One atomic step by thread `pid`: if the current value equals `expected`
-  // (T's operator==), install `desired` and return true. The reader-side
-  // hold is released AFTER the install attempt (the ATOMSNAP CAS-ordering
-  // rule): the hold is what makes the install ABA-free.
-  bool compare_exchange(int pid, const T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const auto ref = arena_.acquire();
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_hold();
-    }
-    bool ok = arena_.get(ref) == expected;
-    if (ok) {
-      const std::uint32_t d = arena_.alloc(pid, std::move(desired));
-      ok = arena_.try_publish(ref, d);
-      if (!ok) arena_.dealloc(d);  // loser returns its slot immediately
-    }
-    arena_.release(ref);
-    if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
-      p->on_cas(ok);
-    }
-    return ok;
-  }
-
-  // Space diagnostics: values ever prepared (incl. the initial; counts slots
-  // from failed swaps too). Monotone even though slots recycle.
-  std::size_t versions() const {
-    return static_cast<std::size_t>(arena_.stats().allocated);
-  }
-
-  reclaim::ReclaimStats reclaim_stats() const { return arena_.stats(); }
-
-  void attach_probe(const obs::RtProbe* probe) {
-    probe_.store(probe, std::memory_order_release);
-  }
-
-  void attach_injector(fault::RtInjector* injector) {
-    injector_.store(injector, std::memory_order_release);
-  }
-
- private:
-  mutable reclaim::VersionArena<T> arena_;
-  std::atomic<const obs::RtProbe*> probe_{nullptr};
-  std::atomic<fault::RtInjector*> injector_{nullptr};
-};
-
-// ---------------------------------------------------------------------------
-// Inline registers: T held in place by one hardware atomic, no arena.
-// ---------------------------------------------------------------------------
 
 namespace detail {
 
@@ -255,21 +95,35 @@ inline constexpr bool kDwordInline =
     kHaveCas16 && sizeof(T) == 16 && std::is_trivially_copyable_v<T> &&
     std::has_unique_object_representations_v<T>;
 
-// A word-sized cell: std::atomic<T>. Bits == T.
+// The storage cells. Register<T> performs every access through the same
+// five calls, so each cell holds only what differs:
+//   acquire()              take the current value: a load, or a version pin
+//   value(seen)            the value taken
+//   release(seen)          drop the pin (inline: nothing to drop)
+//   store(v)               the single-writer write
+//   install(pid, seen, d)  swap in d iff the cell still holds `seen`
+// kPins says whether a value stays pinned between acquire and release,
+// which is the window the injector's on_hold() parks a reader in.
+
+// A word-sized cell: std::atomic<T>. Seen == T.
 template <class T>
 class WordCell {
  public:
-  using Bits = T;
+  using Seen = T;
+  static constexpr bool kPins = false;
 
-  explicit WordCell(T v) : a_(v) {}
+  WordCell(int /*num_writers*/, T v) : a_(v) {}
 
-  Bits load() const { return a_.load(std::memory_order_seq_cst); }
-  static T value(Bits b) { return b; }
+  Seen acquire() const { return a_.load(std::memory_order_seq_cst); }
+  static T value(Seen s) { return s; }
+  static void release(Seen) {}
   void store(T v) { a_.store(v, std::memory_order_seq_cst); }
-  bool cas(Bits seen, T desired) {
+  bool install(int /*pid*/, Seen seen, T desired) {
     return a_.compare_exchange_strong(seen, desired,
                                       std::memory_order_seq_cst);
   }
+  // Nothing is versioned, so there is nothing to reclaim.
+  static reclaim::ReclaimStats stats() { return {}; }
 
  private:
   std::atomic<T> a_;
@@ -284,124 +138,183 @@ class DwordCell;
 template <class T>
 class DwordCell {
  public:
-  using Bits = unsigned __int128;
+  using Seen = unsigned __int128;
+  static constexpr bool kPins = false;
 
-  explicit DwordCell(T v) : bits_(std::bit_cast<Bits>(v)) {}
+  DwordCell(int /*num_writers*/, T v) : bits_(std::bit_cast<Seen>(v)) {}
 
-  Bits load() const { return __atomic_load_n(&bits_, __ATOMIC_SEQ_CST); }
-  static T value(Bits b) { return std::bit_cast<T>(b); }
+  Seen acquire() const { return __atomic_load_n(&bits_, __ATOMIC_SEQ_CST); }
+  static T value(Seen s) { return std::bit_cast<T>(s); }
+  static void release(Seen) {}
   void store(T v) {
-    __atomic_store_n(&bits_, std::bit_cast<Bits>(v), __ATOMIC_SEQ_CST);
+    __atomic_store_n(&bits_, std::bit_cast<Seen>(v), __ATOMIC_SEQ_CST);
   }
-  bool cas(Bits seen, T desired) {
+  bool install(int /*pid*/, Seen seen, T desired) {
     return __sync_bool_compare_and_swap(&bits_, seen,
-                                        std::bit_cast<Bits>(desired));
+                                        std::bit_cast<Seen>(desired));
   }
+  static reclaim::ReclaimStats stats() { return {}; }
 
  private:
-  alignas(16) Bits bits_;
+  alignas(16) Seen bits_;
 };
 #endif
 
+// Any other T: versions in a VersionArena with one free list per writer.
+// acquire() pins the current version until release(); value() is a
+// reference into it, so a compare copies nothing.
+template <class T>
+class ArenaCell {
+ public:
+  using Seen = typename reclaim::VersionArena<T>::Ref;
+  static constexpr bool kPins = true;
+
+  ArenaCell(int num_writers, T v) : arena_(num_writers, std::move(v)) {}
+
+  Seen acquire() const { return arena_.acquire(); }
+  const T& value(Seen s) const { return arena_.get(s); }
+  void release(Seen s) const { arena_.release(s); }
+
+  // Allocates from writer 0's free list, whose pop is single-consumer, then
+  // publishes by exchange: wait-free, and safe only with one writer.
+  void store(T v) {
+    APRAM_CHECK_MSG(arena_.num_writers() == 1,
+                    "write() on a register built for several writers; its "
+                    "arena's free lists have one consumer each — use "
+                    "compare_exchange");
+    arena_.publish(arena_.alloc(0, std::move(v)));
+  }
+
+  // The caller's pin on `seen` makes the control-word compare ABA-free (a
+  // held slot cannot be retired, hence cannot be re-published), so the pin
+  // is released only after this returns. A loser returns its prepared slot
+  // to the free list at once (failed-CAS cleanup).
+  bool install(int pid, Seen seen, T desired) {
+    const std::uint32_t d = arena_.alloc(pid, std::move(desired));
+    const bool ok = arena_.try_publish(seen, d);
+    if (!ok) arena_.dealloc(d);
+    return ok;
+  }
+
+  reclaim::ReclaimStats stats() const { return arena_.stats(); }
+
+ private:
+  reclaim::VersionArena<T> arena_;
+};
+
 }  // namespace detail
 
-// True when SWMRRegister<T> / CASValueRegister<T> hold T inline.
+// True when Register<T> holds T inline.
 template <class T>
 inline constexpr bool kInlineRegister =
     detail::kWordInline<T> || detail::kDwordInline<T>;
 
-// One class serves both roles: write() is the single-writer store,
-// compare_exchange() the multi-writer CAS. Every access is seq_cst and is
-// one load, one store, or one load plus one CAS — never a loop — so every
-// access is wait-free. The register owns its cache line (the hot cell plus
-// the probe and injector pointers every access reads).
+// An atomic register over T. write() is the single-writer store (an arena
+// register must be built for one writer to have it);
+// compare_exchange(pid, ...) is the CAS, where pid < num_writers. Every
+// access is wait-free: inline accesses are one load, one store, or one load
+// plus one CAS — never a loop. The register owns its cache line (an inline
+// cell plus the probe and injector pointers every access reads).
 template <class T>
-class alignas(64) InlineRegister {
-  static_assert(kInlineRegister<T>,
-                "InlineRegister needs a word or double-word value type");
-  using Cell = std::conditional_t<detail::kWordInline<T>, detail::WordCell<T>,
-                                  detail::DwordCell<T>>;
+class alignas(64) Register {
+  using Cell = std::conditional_t<
+      detail::kWordInline<T>, detail::WordCell<T>,
+      std::conditional_t<detail::kDwordInline<T>, detail::DwordCell<T>,
+                         detail::ArenaCell<T>>>;
 
  public:
-  using value_type = T;
-
-  explicit InlineRegister(T initial) : cell_(initial) {}
-  // CASValueRegister's constructor shape; no per-writer state is needed.
-  InlineRegister(int num_writers, T initial) : cell_(initial) {
+  explicit Register(T initial) : Register(1, std::move(initial)) {}
+  Register(int num_writers, T initial)
+      : cell_(num_writers, std::move(initial)) {
     APRAM_CHECK(num_writers >= 1);
   }
 
-  InlineRegister(const InlineRegister&) = delete;
-  InlineRegister& operator=(const InlineRegister&) = delete;
+  Register(const Register&) = delete;
+  Register& operator=(const Register&) = delete;
 
+  // Any thread. The returned value is the caller's own copy.
   T read() const {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const T v = Cell::value(cell_.load());
+    on_access();
+    const auto seen = cell_.acquire();
+    if constexpr (Cell::kPins) on_hold();
+    T v = cell_.value(seen);
+    cell_.release(seen);
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_read();
     }
     return v;
   }
 
-  // Owner thread only when used as an SWMRRegister.
+  // Owner thread only (single writer).
   void write(T v) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    cell_.store(v);
+    on_access();
+    cell_.store(std::move(v));
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_write();
     }
   }
 
-  // One atomic step: load, compare with T's operator==, then CAS from the
-  // LOADED bits (never from expected's). A stamped value whose operator==
-  // looks only at the stamp therefore swaps whatever payload `expected`
-  // carries. A lost CAS means a distinct write landed after the load; under
-  // the operator==-identifies-writes contract it is != expected, so the
-  // failure linearizes at the CAS.
-  bool compare_exchange(int /*pid*/, const T& expected, T desired) {
-    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
-      inj->on_access();
-    }
-    const typename Cell::Bits seen = cell_.load();
-    const bool ok = Cell::value(seen) == expected && cell_.cas(seen, desired);
+  // One atomic step by thread `pid`: if the current value equals `expected`
+  // (T's operator==, which must identify distinct writes — distinct
+  // published values never compare equal; Stamped<T> in farray/farray.hpp
+  // is the standard recipe), install `desired` and return true. The install
+  // swaps from what acquire() took, never from `expected`, so a stamped
+  // value whose operator== looks only at the stamp swaps whatever payload
+  // `expected` carries. A lost install means a distinct write landed after
+  // the acquire; under the contract it is != expected, so the failure
+  // linearizes at the install.
+  bool compare_exchange(int pid, const T& expected, T desired) {
+    on_access();
+    const auto seen = cell_.acquire();
+    if constexpr (Cell::kPins) on_hold();
+    const bool ok = cell_.value(seen) == expected &&
+                    cell_.install(pid, seen, std::move(desired));
+    cell_.release(seen);
     if (const obs::RtProbe* p = probe_.load(std::memory_order_relaxed)) {
       p->on_cas(ok);
     }
     return ok;
   }
 
-  // Nothing is versioned, so there is nothing to reclaim.
-  reclaim::ReclaimStats reclaim_stats() const { return {}; }
+  // Arena accounting: `allocated` counts values ever prepared (the initial,
+  // every write, and the slots of lost CASes). An inline register reports
+  // zeros.
+  reclaim::ReclaimStats reclaim_stats() const { return cell_.stats(); }
 
+  // The probe must outlive the register (or a detaching attach_probe(nullptr)
+  // call). Attach before concurrent use begins; the pointer itself is atomic,
+  // but the probe's metric handles are read without further synchronization.
   void attach_probe(const obs::RtProbe* probe) {
     probe_.store(probe, std::memory_order_release);
   }
 
+  // The injector must outlive the register (or a detaching
+  // attach_injector(nullptr) call). Attach before concurrent use.
   void attach_injector(fault::RtInjector* injector) {
     injector_.store(injector, std::memory_order_release);
   }
 
  private:
+  void on_access() const {
+    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
+      inj->on_access();
+    }
+  }
+  void on_hold() const {
+    if (fault::RtInjector* inj = injector_.load(std::memory_order_relaxed)) {
+      inj->on_hold();
+    }
+  }
+
   Cell cell_;
   std::atomic<const obs::RtProbe*> probe_{nullptr};
   std::atomic<fault::RtInjector*> injector_{nullptr};
 };
 
-// ---------------------------------------------------------------------------
-// The names algorithms use: inline when kInlineRegister<T>, the arena
-// otherwise. Every rt algorithm and api::RtBackend go through these.
-// ---------------------------------------------------------------------------
-
+// The names algorithms use for the single-writer and the CAS role.
 template <class T>
-using SWMRRegister = std::conditional_t<kInlineRegister<T>, InlineRegister<T>,
-                                        BoundedSWMRRegister<T>>;
+using SWMRRegister = Register<T>;
 template <class T>
-using CASValueRegister =
-    std::conditional_t<kInlineRegister<T>, InlineRegister<T>,
-                       BoundedCASValueRegister<T>>;
+using CASValueRegister = Register<T>;
 
 }  // namespace apram::rt

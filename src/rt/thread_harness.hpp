@@ -60,11 +60,10 @@ class ThroughputRun {
              const std::function<void(int)>& body);
 
   // Count-based variant: every thread performs exactly `ops_per_thread`
-  // operations. Use this for structures whose memory grows per operation
-  // (the unbounded-register rt implementations) — a time window at an
-  // unknown op rate gives unbounded allocation, a count gives a bound known
-  // up front. Returns total ops/sec over the wall time of the slowest
-  // thread.
+  // operations, so every run does the same work whatever the op rate, and
+  // a structure whose memory grows per operation (the polylog queue's
+  // blocks, Figure 4's entries) allocates a bound known up front. Returns
+  // total ops/sec over the wall time of the slowest thread.
   double run_ops(std::uint64_t ops_per_thread,
                  const std::function<void(int)>& body);
 

@@ -21,11 +21,9 @@
 #pragma once
 
 #include <coroutine>
-#include <exception>
-#include <optional>
 #include <utility>
 
-#include "util/assert.hpp"
+#include "util/coro_result.hpp"
 
 namespace apram::sim {
 
@@ -35,17 +33,13 @@ namespace apram::sim {
 
 class [[nodiscard]] ProcessTask {
  public:
-  struct promise_type {
+  struct promise_type : CoroResult<void> {
     ProcessTask get_return_object() {
       return ProcessTask{
           std::coroutine_handle<promise_type>::from_promise(*this)};
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { exception = std::current_exception(); }
-
-    std::exception_ptr exception;
   };
 
   ProcessTask() = default;
@@ -69,9 +63,7 @@ class [[nodiscard]] ProcessTask {
 
   // Rethrows any exception that escaped the process body.
   void check() const {
-    if (handle_ && handle_.promise().exception) {
-      std::rethrow_exception(handle_.promise().exception);
-    }
+    if (handle_) handle_.promise().take();
   }
 
  private:
@@ -91,8 +83,8 @@ class [[nodiscard]] ProcessTask {
 
 namespace detail {
 
-// Final awaiter shared by SimCoro promises: symmetric-transfers back to the
-// awaiting (parent) coroutine, or to noop if awaited nowhere (not expected).
+// SimCoro's final awaiter: symmetric-transfers back to the awaiting
+// (parent) coroutine, or to noop if awaited nowhere (not expected).
 template <class Promise>
 struct FinalTransferAwaiter {
   bool await_ready() noexcept { return false; }
@@ -109,7 +101,7 @@ struct FinalTransferAwaiter {
 template <class T>
 class [[nodiscard]] SimCoro {
  public:
-  struct promise_type {
+  struct promise_type : CoroResult<T> {
     SimCoro get_return_object() {
       return SimCoro{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
@@ -117,12 +109,8 @@ class [[nodiscard]] SimCoro {
     detail::FinalTransferAwaiter<promise_type> final_suspend() noexcept {
       return {};
     }
-    void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { exception = std::current_exception(); }
 
     std::coroutine_handle<> continuation;
-    std::optional<T> value;
-    std::exception_ptr exception;
   };
 
   explicit SimCoro(std::coroutine_handle<promise_type> h) : handle_(h) {}
@@ -141,54 +129,7 @@ class [[nodiscard]] SimCoro {
     handle_.promise().continuation = parent;
     return handle_;
   }
-  T await_resume() {
-    auto& p = handle_.promise();
-    if (p.exception) std::rethrow_exception(p.exception);
-    APRAM_CHECK_MSG(p.value.has_value(), "SimCoro finished without a value");
-    return std::move(*p.value);
-  }
-
- private:
-  std::coroutine_handle<promise_type> handle_;
-};
-
-template <>
-class [[nodiscard]] SimCoro<void> {
- public:
-  struct promise_type {
-    SimCoro get_return_object() {
-      return SimCoro{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    detail::FinalTransferAwaiter<promise_type> final_suspend() noexcept {
-      return {};
-    }
-    void return_void() {}
-    void unhandled_exception() { exception = std::current_exception(); }
-
-    std::coroutine_handle<> continuation;
-    std::exception_ptr exception;
-  };
-
-  explicit SimCoro(std::coroutine_handle<promise_type> h) : handle_(h) {}
-  SimCoro(SimCoro&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)) {}
-  SimCoro(const SimCoro&) = delete;
-  SimCoro& operator=(const SimCoro&) = delete;
-  SimCoro& operator=(SimCoro&&) = delete;
-  ~SimCoro() {
-    if (handle_) handle_.destroy();
-  }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) {
-    handle_.promise().continuation = parent;
-    return handle_;
-  }
-  void await_resume() {
-    auto& p = handle_.promise();
-    if (p.exception) std::rethrow_exception(p.exception);
-  }
+  T await_resume() { return handle_.promise().take(); }
 
  private:
   std::coroutine_handle<promise_type> handle_;

@@ -239,7 +239,7 @@ class World {
   obs::Tracer* tracer() const { return tracer_; }
 
   // Attached per-pid counters, for obs::CounterDelta-style region
-  // measurement. Aborts unless attach_metrics was called with
+  // measurement. Aborts unless Options::metrics was set with
   // per_pid_metrics (the default).
   const obs::Counter& metrics_reads(int pid) const {
     APRAM_CHECK_MSG(!obs_reads_.empty(), "attach_metrics not called");

@@ -1,7 +1,7 @@
 // Closed-form operation accounting for the §6.2 complexity claims.
 //
-// Measurement itself lives in apram::obs: attach a metrics registry to the
-// World (World::attach_metrics) and measure regions with obs::CounterDelta.
+// Measurement itself lives in apram::obs: give the World a metrics registry
+// (World::Options::metrics) and measure regions with obs::CounterDelta.
 // This header keeps only the paper's closed forms to compare against.
 #pragma once
 

@@ -4,10 +4,12 @@
 // so the comparison is rt reads == sim reads and rt writes + cas == sim
 // writes (a CAS is one sim write). TreeScan, FArray and the universal2
 // counter carry the same check in their own suites; the queue and
-// union-find, FArray's other two clients, are checked here.
+// union-find, FArray's other two clients, and the universal2 sorted set are
+// checked here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "agreement/approx_agreement.hpp"
 #include "api/rt_backend.hpp"
@@ -22,6 +24,7 @@
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/baselines/double_collect.hpp"
+#include "universal2/linked_list.hpp"
 
 namespace apram {
 namespace {
@@ -99,12 +102,13 @@ TEST(SimRtParity, DoubleCollectSnapshot) {
 }
 
 TEST(SimRtParity, AtomicSnapshot) {
-  expect_same_accesses<Snapshot>(
-      [](auto& snap, auto ctx) -> VoidCoro<decltype(ctx)> {
-        co_await snap.update(ctx, 7);
-        (void)co_await snap.scan(ctx);
-        (void)co_await snap.update_and_scan(ctx, 9);
-      });
+  const auto ops = [](auto& snap, auto ctx) -> VoidCoro<decltype(ctx)> {
+    co_await snap.update(ctx, 7);
+    (void)co_await snap.scan(ctx);
+    (void)co_await snap.update_and_scan(ctx, 9);
+  };
+  expect_same_accesses<Snapshot>(ops);
+  expect_same_accesses<Snapshot>(ops, ScanMode::kPlain);
 }
 
 TEST(SimRtParity, FastCounter) {
@@ -141,6 +145,19 @@ TEST(SimRtParity, UnionFind) {
         (void)co_await uf.num_sets(ctx);
       },
       /*universe=*/8);
+}
+
+// SortedSet's Link CAS registers are arena-backed on rt.
+TEST(SimRtParity, SortedSet) {
+  expect_same_accesses<universal2::SortedSet>(
+      [](auto& set, auto ctx) -> VoidCoro<decltype(ctx)> {
+        (void)co_await set.insert(ctx, 5);
+        (void)co_await set.insert(ctx, 3);
+        (void)co_await set.contains(ctx, 5);
+        (void)co_await set.remove(ctx, 5);
+        (void)co_await set.contains(ctx, 5);
+      },
+      /*capacity_per_proc=*/8, std::string("set"));
 }
 
 TEST(SimRtParity, UniversalConstruction) {

@@ -54,7 +54,7 @@ TEST(SWMRRegister, InitialValueReadable) {
   EXPECT_EQ(reg.read(), 42);
   SWMRRegister<std::string> big("x");
   EXPECT_EQ(big.read(), "x");
-  EXPECT_EQ(big.versions(), 1u);
+  EXPECT_EQ(big.reclaim_stats().allocated, 1u);
 }
 
 TEST(SWMRRegister, WriteThenRead) {
@@ -62,7 +62,7 @@ TEST(SWMRRegister, WriteThenRead) {
   reg.write("b");
   reg.write("c");
   EXPECT_EQ(reg.read(), "c");
-  EXPECT_EQ(reg.versions(), 3u);
+  EXPECT_EQ(reg.reclaim_stats().allocated, 3u);
 }
 
 TEST(SWMRRegister, ConcurrentReadersSeeSomeWrittenValue) {
@@ -123,7 +123,7 @@ TEST(SWMRRegister, MemoryStaysBoundedAcrossManyWrites) {
   SWMRRegister<std::vector<int>> reg(std::vector<int>(8, 0));
   for (int i = 1; i <= 1000; ++i) reg.write(std::vector<int>(8, i));
   EXPECT_EQ(reg.read()[0], 1000);
-  EXPECT_EQ(reg.versions(), 1001u);
+  EXPECT_EQ(reg.reclaim_stats().allocated, 1001u);
   const auto s = reg.reclaim_stats();
   EXPECT_LE(s.live_versions(), 2u);  // memory ∝ holders, not writes
   EXPECT_GE(s.recycled, 990u);
@@ -149,20 +149,34 @@ TEST(CASValueRegister, SuccessfulSwapsRecycleSupersededVersions) {
   EXPECT_LE(reg.reclaim_stats().live_versions(), 2u);
 }
 
-// ------------------------------------------------------ inline registers ----
+// ------------------------------------------------------ register cells ----
 
 using Node = farray::Stamped<std::int64_t>;
 using api::RtBackend;
+
+// Node and int64 with a pad byte: their bits are not their value, so
+// Register keeps them in the arena. operator== is the original's, so the
+// same script runs against an inline cell and an arena cell.
+struct ArenaNode {
+  std::uint64_t seq;
+  std::int64_t v;
+  bool pad = false;
+  friend bool operator==(const ArenaNode& a, const ArenaNode& b) {
+    return a.seq == b.seq;
+  }
+};
+struct ArenaWord {
+  std::int64_t v;
+  bool pad = false;
+};
 
 // Which values are inline: words and the stamped double word; anything with
 // a heap payload or padding stays in the arena.
 static_assert(kInlineRegister<std::int32_t>);
 static_assert(kInlineRegister<std::int64_t>);
 static_assert(kInlineRegister<Node> == detail::kHaveCas16);
-static_assert(std::is_same_v<SWMRRegister<std::int64_t>,
-                             InlineRegister<std::int64_t>>);
-static_assert(std::is_same_v<CASValueRegister<std::int32_t>,
-                             InlineRegister<std::int32_t>>);
+static_assert(!kInlineRegister<ArenaNode>);
+static_assert(!kInlineRegister<ArenaWord>);
 static_assert(!kInlineRegister<std::vector<std::uint64_t>>);
 static_assert(!kInlineRegister<std::string>);
 static_assert(kInlineRegister<QueueChain>);
@@ -172,10 +186,16 @@ using CounterRep = universal2::CounterRep<RtBackend>;
 using CounterSim = universal2::WaitFreeSim<RtBackend, CounterRep>;
 static_assert(!kInlineRegister<CounterRep::Cell>);
 static_assert(!kInlineRegister<CounterSim::Rec>);
-static_assert(std::is_same_v<CASValueRegister<std::string>,
-                             BoundedCASValueRegister<std::string>>);
-static_assert(std::is_same_v<SWMRRegister<std::string>,
-                             BoundedSWMRRegister<std::string>>);
+// One class per value type, whatever the role or the cell: both rt names
+// and both backend names are Register<T>.
+template <class T>
+constexpr bool kOneRegisterClass =
+    std::is_same_v<SWMRRegister<T>, Register<T>> &&
+    std::is_same_v<CASValueRegister<T>, Register<T>> &&
+    std::is_same_v<RtBackend::Reg<T>, Register<T>> &&
+    std::is_same_v<RtBackend::CasReg<T>, Register<T>>;
+static_assert(kOneRegisterClass<std::int64_t>);  // inline
+static_assert(kOneRegisterClass<std::string>);   // arena
 // A 16-byte value that is not its bits (a double has two zeros) stays in
 // the arena: the CAS compares loaded bits.
 struct DoubleAndWord {
@@ -186,28 +206,36 @@ static_assert(!kInlineRegister<DoubleAndWord>);
 
 // The value-compare contract the FArray relies on: Stamped's operator==
 // looks at seq alone, and the swap installs `desired` whatever payload
-// `expected` carried. Both register kinds must agree.
-template <class Reg>
-void expect_stamp_compare(Reg& reg) {
+// `expected` carried. Both cells must agree.
+template <class V>
+void expect_stamp_compare(Register<V>& reg) {
   // Current {5, 41}; expected matches on seq, not on v: wins.
-  EXPECT_TRUE(reg.compare_exchange(0, Node{5, 0}, Node{6, 7}));
+  EXPECT_TRUE(reg.compare_exchange(0, V{5, 0}, V{6, 7}));
   EXPECT_EQ(reg.read().seq, 6u);
   EXPECT_EQ(reg.read().v, 7);
   // Stale seq (payload matches the current one): loses, nothing changes.
-  EXPECT_FALSE(reg.compare_exchange(1, Node{5, 7}, Node{7, 9}));
+  EXPECT_FALSE(reg.compare_exchange(1, V{5, 7}, V{7, 9}));
   EXPECT_EQ(reg.read().seq, 6u);
   EXPECT_EQ(reg.read().v, 7);
 }
 
-TEST(InlineRegister, CasWinsOnMatchingStampWhateverThePayload) {
+TEST(Register, CasWinsOnMatchingStampWhateverThePayload) {
   CASValueRegister<Node> inline_reg(2, Node{5, 41});
   expect_stamp_compare(inline_reg);
-  BoundedCASValueRegister<Node> arena_reg(2, Node{5, 41});
+  CASValueRegister<ArenaNode> arena_reg(2, ArenaNode{5, 41});
   expect_stamp_compare(arena_reg);
 }
 
-// Probe and injector see the same accesses on an inline register as on the
-// arena register it replaces, so sim-vs-rt access parity is untouched.
+// The arena's single-writer write() allocates from writer 0's free list,
+// whose pop has one consumer, so a register built for several writers
+// refuses it.
+TEST(RegisterDeathTest, ArenaWriteNeedsASingleWriter) {
+  EXPECT_DEATH(CASValueRegister<std::string>(2, "a").write("b"),
+               "several writers");
+}
+
+// Probe and injector see the same accesses on an inline cell as on an arena
+// cell, so sim-vs-rt access parity does not depend on the cell.
 struct AccessTally {
   std::uint64_t reads, writes, cas, cas_fail, injected;
   bool operator==(const AccessTally&) const = default;
@@ -234,28 +262,28 @@ AccessTally tally(Reg& reg, Script script) {
           inj.accesses(0)};
 }
 
-TEST(InlineRegister, ProbeAndInjectorCountsMatchTheArena) {
-  const auto swmr_script = [](auto& reg, int) {
+TEST(Register, ProbeAndInjectorCountsMatchTheArena) {
+  const auto swmr_script = []<class V>(Register<V>& reg, int) {
     for (std::int64_t i = 1; i <= 5; ++i) {
       (void)reg.read();
-      reg.write(i);
+      reg.write(V{i});
     }
   };
-  InlineRegister<std::int64_t> inline_swmr(0);
-  BoundedSWMRRegister<std::int64_t> arena_swmr(0);
+  SWMRRegister<std::int64_t> inline_swmr(0);
+  SWMRRegister<ArenaWord> arena_swmr(ArenaWord{0});
   const AccessTally swmr = tally(inline_swmr, swmr_script);
   EXPECT_EQ(swmr, tally(arena_swmr, swmr_script));
   EXPECT_EQ(swmr, (AccessTally{5, 5, 0, 0, 10}));
 
-  const auto cas_script = [](auto& reg, int pid) {
+  const auto cas_script = []<class V>(Register<V>& reg, int pid) {
     for (std::uint64_t i = 0; i < 5; ++i) {
       (void)reg.read();
-      (void)reg.compare_exchange(pid, Node{i, 0}, Node{i + 1, 0});  // wins
-      (void)reg.compare_exchange(pid, Node{i, 0}, Node{0, -1});  // stale
+      (void)reg.compare_exchange(pid, V{i, 0}, V{i + 1, 0});  // wins
+      (void)reg.compare_exchange(pid, V{i, 0}, V{0, -1});     // stale
     }
   };
   CASValueRegister<Node> inline_cas(1, Node{0, 0});
-  BoundedCASValueRegister<Node> arena_cas(1, Node{0, 0});
+  CASValueRegister<ArenaNode> arena_cas(1, ArenaNode{0, 0});
   const AccessTally cas = tally(inline_cas, cas_script);
   EXPECT_EQ(cas, tally(arena_cas, cas_script));
   EXPECT_EQ(cas, (AccessTally{5, 0, 10, 5, 15}));
@@ -263,7 +291,7 @@ TEST(InlineRegister, ProbeAndInjectorCountsMatchTheArena) {
 
 // Concurrent stamped CASes on the double word: exactly one winner per seq,
 // and no reader ever sees a torn value (every install keeps v == -seq).
-TEST(InlineRegister, StampedCasConservesAndNeverTears) {
+TEST(Register, StampedCasConservesAndNeverTears) {
   constexpr int kThreads = 4;
   constexpr int kAttempts = 5000;
   CASValueRegister<Node> reg(kThreads, Node{0, 0});
