@@ -45,7 +45,7 @@ BENCHMARK(BM_RegisterWrite);
 
 // The same word-sized accesses through the version arena: one fetch_add +
 // one fetch_sub per read, alloc/publish/transfer per write. That is the toll
-// values too large to inline (tagged vectors, universal2 cells) pay; the
+// values too large to inline (tagged vectors, universal2 records) pay; the
 // delta against the inline rows above is what inlining saves per access.
 // A word with a pad byte is not its bits, so Register keeps it in the arena.
 struct ArenaWord {

@@ -1,35 +1,73 @@
 // apram::universal2 — normalized counter representation.
 //
-// The flagship CounterSpec (§5.1) as a normalized rep: the whole state
-// lives in ONE stamped CAS cell that embeds, next to the value, an
-// applied-table — per process, the opseq of its latest applied mutation and
-// that mutation's response. The table is the persistent evidence the
-// wrap-up needs: "did operation (pid, opseq) take effect?" is decidable
-// forever as table[pid].opseq >= opseq (opseqs are per-process increasing,
-// and a process starts opseq k+1 only after k completed, so the table entry
-// for an in-flight op is never overwritten).
+// The flagship CounterSpec (§5.1) as a normalized rep. The value lives in
+// ONE 16-byte CAS cell {tag, value}. `tag` names the mutation that installed
+// the cell: tag = opseq·n + pid + 1, and 0 for the initial cell. Each
+// operation installs at most once, so tags never repeat, and operator==
+// compares the tag alone: a decision CAS whose expected tag has been
+// overwritten fails forever, although tags do not increase. Sixteen bytes is
+// a cmpxchg16b double word, so rt::Register holds the cell inline.
 //
-// Costs: fast-path mutation = 1 read + 1 CAS; read = 1 read (prepare
-// resolves it — reads linearize at the single cell read). Contrast with
-// the paper construction's n²−1 reads + n+1 writes per op (§6.2) — the gap
+// Evidence. The wrap-up must decide "did operation (q, s) take effect?" even
+// after its install was overwritten. Next to the cell sit n CAS registers
+// applied[q]. Each only ever rises, and holds the opseq of a mutation of q
+// that was installed (or 0). One rule keeps them current:
+//
+//   Before an attempt for op (q, s) CASes over the install of (r, t), it
+//   raises applied[r] to at least t. It skips the raise only when r == q and
+//   t < s.
+//
+// The skip keeps the solo fast path at 1 read + 1 CAS: a process working
+// alone overwrites its own previous install. It is safe because q began op s
+// only after op t had finished, so no resolver of (q, t) still needs an
+// answer: a stale helper's answer lands in a state-record CAS that fails,
+// since the record has moved on. The rule names the op's owner q, never the
+// process executing the attempt. A process that drives another pid's op
+// over an install of its own still-pending op must raise, or its own op
+// later reads as not applied and is installed twice.
+//
+// So q's latest applied mutation is max(applied[q], opseq(tag) if
+// pid(tag) == q), exactly; applied_opseq() computes it for the tests.
+//
+// The raise is wait-free. It reads applied[r], CASes from the value it read,
+// and loops only while that value is below t. A lost CAS means another
+// raiser wrote a larger value. If that value is at least t, the next read
+// ends the loop. A value below t comes from an attempt whose prep read the
+// cell while an older install of r was current, that is, before (r, t) was
+// installed and so before this raise began. Such a prep, when the raise
+// began, was either held by one process (its own fast-path prep, a prepare
+// result not yet in a record, or a candidate read from a record) or was a
+// state record's candidate. That is at most one per process and one per
+// record, and each such prep wins at most one CAS, because values only
+// grow. So fewer than 2n of the raiser's CASes lose.
+//
+// Resolution, after a lost decision CAS for (q, s): reread the cell, where
+// tag == tag_of(q, s) means applied; otherwise read applied[q], where at
+// least s means applied (whoever overwrote the install raised it);
+// otherwise the op definitively did not take effect. The lost CAS proves
+// the cell left `expected`, and that tag never returns: the leave-invariant
+// of wait_free_sim.hpp, with "seq advanced" read as "tag left". Mutations
+// respond 0 (CounterSpec), so the evidence needs no response column.
+//
+// Costs: a mutation over its own process's last install, or over the
+// initial cell, is 1 read + 1 CAS; a read is 1 read (prepare resolves it;
+// reads linearize at the single cell read). Over another pid's install, the
+// raise adds 1 read, plus a CAS while applied[r] is below t and one more read
+// per lost raise CAS; a lost decision CAS costs 2 reads. Contrast with the
+// paper construction's n²−1 reads + n+1 writes per op (§6.2), the gap
 // bench_e6 measures.
-//
-// Storage: the table is one contiguous block of {opseq, resp} entries from
-// the BlockPool (util/block_pool.hpp), so a cell copy costs one pooled
-// block. A Prep's `expected` carries only the seq — operator== compares
-// nothing else — so it needs no copy of the table.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/backend.hpp"
 #include "objects/specs.hpp"
 #include "universal2/normalized.hpp"
 #include "util/assert.hpp"
-#include "util/block_pool.hpp"
 
 namespace apram::universal2 {
 
@@ -42,27 +80,19 @@ class CounterRep {
   using Invocation = CounterSpec::Invocation;
   using Response = CounterSpec::Response;
 
-  // A pid's latest applied mutation: its opseq and its response.
-  struct Applied {
-    std::uint64_t opseq = 0;
-    std::int64_t resp = 0;
-  };
-
   struct Cell {
-    std::uint64_t seq = 0;  // == compares this alone (ABA-free value CAS)
+    std::uint64_t tag = 0;  // install id; == compares this alone
     std::int64_t value = 0;
-    // [n], one entry per pid; empty in a Prep's `expected`.
-    std::vector<Applied, BlockAllocator<Applied>> table;
 
     friend bool operator==(const Cell& a, const Cell& b) {
-      return a.seq == b.seq;
+      return a.tag == b.tag;
     }
   };
 
   struct Prep {
     bool done = false;
     Response resp = 0;
-    Cell expected{};  // the decision CAS, seq only (unused when done)
+    Cell expected{};  // the decision CAS (unused when done)
     Cell desired{};
   };
 
@@ -76,21 +106,31 @@ class CounterRep {
   CounterRep(typename B::Mem& mem, int num_procs, const std::string& name)
       : n_(num_procs) {
     APRAM_CHECK(num_procs >= 1);
-    Cell init;
-    init.table.resize(static_cast<std::size_t>(n_));
-    cell_ = &mem.template make_cas<Cell>(name + ".cell", std::move(init));
+    const auto n = static_cast<std::uint64_t>(n_);
+    max_opseq_ = (std::numeric_limits<std::uint64_t>::max() - n) / n;
+    cell_ = &mem.template make_cas<Cell>(name + ".cell", Cell{});
+    applied_.reserve(static_cast<std::size_t>(n_));
+    for (int p = 0; p < n_; ++p) {
+      applied_.push_back(&mem.template make_cas<std::uint64_t>(
+          name + ".applied[" + std::to_string(p) + "]", 0));
+    }
   }
 
   int num_procs() const { return n_; }
 
+  // The tag op `id` installs.
+  std::uint64_t tag_of(OpId id) const {
+    APRAM_CHECK_MSG(id.opseq <= max_opseq_,
+                    "counter tag opseq*n + pid + 1 overflows 64 bits");
+    return id.opseq * static_cast<std::uint64_t>(n_) +
+           static_cast<std::uint64_t>(id.pid) + 1;
+  }
+
   Coro<Prep> prepare(Ctx ctx, OpId id, const Invocation& inv) {
-    (void)ctx;
-    Cell cur = co_await ctx.read(*cell_);
-    const auto pid = static_cast<std::size_t>(id.pid);
+    const Cell cur = co_await ctx.read(*cell_);
     Prep p;
-    if (cur.table[pid].opseq >= id.opseq) {  // already applied by a helper
+    if (cur.tag == tag_of(id)) {  // already applied by a helper
       p.done = true;
-      p.resp = cur.table[pid].resp;
       co_return p;
     }
     if (inv.kind == CounterSpec::Kind::kRead) {
@@ -98,40 +138,74 @@ class CounterRep {
       p.resp = cur.value;  // linearizes at the cell read
       co_return p;
     }
-    auto [next_value, resp] = CounterSpec::apply(cur.value, inv);
-    p.expected.seq = cur.seq;
-    p.desired = std::move(cur);
-    p.desired.seq = p.expected.seq + 1;
-    p.desired.value = next_value;
-    p.desired.table[pid] = Applied{id.opseq, resp};
+    p.expected = cur;
+    p.desired = Cell{tag_of(id), CounterSpec::apply(cur.value, inv).first};
     co_return p;
   }
 
   Coro<Outcome<Response>> attempt(Ctx ctx, OpId id, const Invocation& inv,
                                   const Prep& prep) {
     (void)inv;
-    const auto pid = static_cast<std::size_t>(id.pid);
-    bool won = co_await ctx.cas(*cell_, prep.expected, prep.desired);
-    if (won) {
-      co_return Outcome<Response>{true, prep.desired.table[pid].resp};
+    const std::uint64_t over = prep.expected.tag;
+    if (over != 0) {
+      const int r = owner_of(over);
+      const std::uint64_t t = opseq_of(over);
+      if (r != id.pid || t >= id.opseq) {
+        co_await raise(ctx, r, t);
+      }
     }
-    // The CAS lost — but a rival helper may have installed this very prep
-    // (slow path) or the op may have applied via an earlier candidate; the
-    // applied-table answers definitively.
-    Cell cur = co_await ctx.read(*cell_);
-    if (cur.table[pid].opseq >= id.opseq) {
-      co_return Outcome<Response>{true, cur.table[pid].resp};
-    }
-    co_return Outcome<Response>{false, 0};
+    const bool won = co_await ctx.cas(*cell_, prep.expected, prep.desired);
+    if (won) co_return Outcome<Response>{true, 0};
+    // The CAS lost, but a rival helper may have installed this very op
+    // (slow path); the cell, then applied[q], answer definitively.
+    const Cell cur = co_await ctx.read(*cell_);
+    if (cur.tag == tag_of(id)) co_return Outcome<Response>{true, 0};
+    const std::uint64_t applied = co_await ctx.read(applied_at(id.pid));
+    co_return Outcome<Response>{applied >= id.opseq, 0};
   }
 
+  // Test-only windows. applied_opseq(q) peeks, so it needs a backend whose
+  // registers have peek() (the simulator) and a quiescent object.
   const typename B::template CasReg<Cell>& cell_register() const {
     return *cell_;
   }
+  std::uint64_t applied_opseq(int q) const {
+    const Cell cur = cell_->peek();
+    std::uint64_t latest = applied_at(q).peek();
+    if (cur.tag != 0 && owner_of(cur.tag) == q) {
+      latest = std::max(latest, opseq_of(cur.tag));
+    }
+    return latest;
+  }
 
  private:
+  int owner_of(std::uint64_t tag) const {
+    return static_cast<int>((tag - 1) % static_cast<std::uint64_t>(n_));
+  }
+  std::uint64_t opseq_of(std::uint64_t tag) const {
+    return (tag - 1) / static_cast<std::uint64_t>(n_);
+  }
+
+  // Raises applied[r] to at least t (wait-free; see the header).
+  Coro<void> raise(Ctx ctx, int r, std::uint64_t t) {
+    auto& reg = applied_at(r);
+    for (;;) {
+      const std::uint64_t seen = co_await ctx.read(reg);
+      if (seen >= t) co_return;
+      const bool won = co_await ctx.cas(reg, seen, t);
+      if (won) co_return;
+    }
+  }
+
+  typename B::template CasReg<std::uint64_t>& applied_at(int q) const {
+    APRAM_CHECK(q >= 0 && q < n_);
+    return *applied_[static_cast<std::size_t>(q)];
+  }
+
   int n_;
+  std::uint64_t max_opseq_ = 0;  // the largest opseq whose tag fits
   typename B::template CasReg<Cell>* cell_ = nullptr;
+  std::vector<typename B::template CasReg<std::uint64_t>*> applied_;
 };
 
 }  // namespace apram::universal2

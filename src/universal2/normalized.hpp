@@ -50,11 +50,12 @@
 //                    (no decision CAS, no helping needed); such invocations
 //                    never leave the fast path.
 //
-// ABA discipline: every CAS-register value embeds a strictly increasing
-// `seq` and compares equal on `seq` alone (the Stamped idiom of
-// farray/farray.hpp), so a decision CAS whose expected value was ever
-// overwritten fails forever — the property the wrap-up's "definitively did
-// not take effect" answers rely on.
+// ABA discipline: every CAS-register value embeds a never-repeating stamp
+// and compares equal on the stamp alone (the Stamped idiom of
+// farray/farray.hpp: an increasing `seq`, or the counter's install tag), so
+// a decision CAS whose expected value was ever overwritten fails forever —
+// the property the wrap-up's "definitively did not take effect" answers
+// rely on.
 #pragma once
 
 #include <concepts>
@@ -67,7 +68,7 @@
 namespace apram::universal2 {
 
 // Identity of one operation: (pid, opseq) with opseq per-process increasing.
-// Reps use it to tag persistent evidence (applied-tables, node ownership).
+// Reps use it to tag persistent evidence (install tags, node ownership).
 struct OpId {
   int pid = -1;
   std::uint64_t opseq = 0;

@@ -38,12 +38,12 @@
 //                kPending for a fresh prepare.
 //
 // The LEAVE-INVARIANT makes stale helpers harmless: a record leaves
-// kCandidate only after the candidate's target cell seq has advanced past
-// the candidate's expected seq (a successful decision CAS advances it; a
-// failed one proves it advanced). Cell seqs only grow, so a stale helper
-// later executing an abandoned candidate's CAS necessarily fails — an
-// operation can never take effect twice. Helpers that lose a state-record
-// CAS simply re-read and continue; every transition bumps the record seq.
+// kCandidate only after the candidate's target cell has left the
+// candidate's expected stamp (a successful decision CAS moves it; a failed
+// one proves it moved). Cell stamps never repeat, so a stale helper later
+// executing an abandoned candidate's CAS necessarily fails — an operation
+// can never take effect twice. Helpers that lose a state-record CAS simply
+// re-read and continue; every transition bumps the record seq.
 //
 // Help bound: ctx.op_help(q) is emitted at most once per distinct helped
 // process per own operation, so a complete operation span carries ≤ n−1

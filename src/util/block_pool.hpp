@@ -2,11 +2,10 @@
 // hot paths.
 //
 // An rt operation allocates and frees the same few small blocks over and
-// over: every api::EagerCoro call allocates a coroutine frame, and every copy
-// of a universal2 counter cell allocates its table. BlockPool serves them
-// from per-thread free lists, one per size class, so the steady state makes
-// no call into the heap allocator and touches no cache line another thread
-// writes.
+// over: every api::EagerCoro call allocates a coroutine frame. BlockPool
+// serves them from per-thread free lists, one per size class, so the steady
+// state makes no call into the heap allocator and touches no cache line
+// another thread writes.
 //
 //   * Size classes are the multiples of kGranule (64 B) up to kMaxBlock
 //     (1 KiB). A larger request goes straight to the heap.
@@ -140,29 +139,6 @@ class BlockPool {
   // Constant-initialized and trivially destructible, so every access is a
   // plain thread-pointer-relative load with no initialization guard.
   static inline constinit thread_local Cache tl_cache_{};
-};
-
-// std::allocator adaptor over BlockPool, for containers of the rt hot path.
-template <class T>
-struct BlockAllocator {
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                "BlockPool blocks carry operator new's default alignment");
-  using value_type = T;
-
-  BlockAllocator() = default;
-  template <class U>
-  BlockAllocator(const BlockAllocator<U>&) noexcept {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(BlockPool::allocate(n * sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    BlockPool::deallocate(p, n * sizeof(T));
-  }
-
-  friend bool operator==(const BlockAllocator&, const BlockAllocator&) {
-    return true;
-  }
 };
 
 }  // namespace apram

@@ -1,16 +1,20 @@
 // Tests for the linearizability checker itself (known-good and known-bad
-// histories), then end-to-end: recorded histories of the universal counter
-// and of the FastCounter under random schedules must check linearizable.
+// histories), then end-to-end: recorded histories of the universal counter,
+// the FastCounter and universal2's Counter2 under random schedules must
+// check linearizable.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "api/sim_backend.hpp"
 #include "lincheck/checker.hpp"
 #include "lincheck/history.hpp"
 #include "objects/counter.hpp"
 #include "objects/fast_counter.hpp"
 #include "objects/specs.hpp"
 #include "sim/scheduler.hpp"
+#include "universal2/counter_rep.hpp"
+#include "util/rng.hpp"
 
 namespace apram {
 namespace {
@@ -222,6 +226,78 @@ TEST(EndToEnd, FastCounterHistoriesAreLinearizable) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     auto h = record_counter_run<FastCounterSim>(seed, 3, 3, false);
     EXPECT_TRUE(is_linearizable<C>(std::move(h))) << "seed=" << seed;
+  }
+}
+
+// universal2's Counter2 under an inc/dec/reset/read mix, three ops per
+// process. Every third seed crashes one process partway; its pending op may
+// or may not take effect.
+using U2Counter = universal2::Counter2<api::SimBackend>;
+
+C::Invocation u2_mix_op(Rng& rng) {
+  switch (rng.below(6)) {
+    case 0:
+    case 1:
+      return C::inc(rng.range(1, 3));
+    case 2:
+      return C::dec(rng.range(1, 2));
+    case 3:
+      return C::reset(rng.range(0, 5));
+    default:
+      return C::read();
+  }
+}
+
+std::vector<RecordedOp<C>> record_u2_counter_run(std::uint64_t seed, int n,
+                                                 U2Counter::Config cfg) {
+  World w(n);
+  api::SimBackend::Mem mem(w, "u2");
+  U2Counter c(mem, n, "c", cfg);
+  HistoryRecorder<C> rec;
+  for (int pid = 0; pid < n; ++pid) {
+    w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
+      Rng rng(seed * 131 + static_cast<std::uint64_t>(pid));
+      for (int i = 0; i < 3; ++i) {
+        const C::Invocation inv = u2_mix_op(rng);
+        const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+        const std::int64_t r = co_await c.sim().execute(ctx, inv);
+        rec.end(tok, r, ctx.world().global_step());
+      }
+    });
+  }
+  if (seed % 3 == 0) {
+    w.schedule_crash(static_cast<int>(seed / 3 % static_cast<std::uint64_t>(n)),
+                     4 + seed % 29);
+  }
+  sim::RandomScheduler rnd(seed, seed % 2 == 0 ? 0.0 : 0.6);
+  EXPECT_TRUE(w.run(rnd).all_done) << "seed=" << seed;
+  // A closing read, after every process finished or crashed, sees every
+  // effect: a lost or doubled mutation cannot hide behind a missing read.
+  const int reader = w.crashed(0) ? 1 : 0;
+  w.spawn(reader, [&](Context ctx) -> ProcessTask {
+    const auto tok = rec.begin(reader, C::read(), ctx.world().global_step());
+    const std::int64_t r = co_await c.read(ctx);
+    rec.end(tok, r, ctx.world().global_step());
+  });
+  w.run_solo(reader);
+  return rec.ops();
+}
+
+TEST(EndToEnd, U2CounterHistoriesAreLinearizable) {
+  U2Counter::Config slow;  // every mutation announces; every op helps first
+  slow.max_fast_attempts = 0;
+  slow.help_period = 1;
+  U2Counter::Config no_help;  // only slow-path waiters help
+  no_help.help_period = 0;
+  for (const U2Counter::Config& cfg : {U2Counter::Config{}, slow, no_help}) {
+    for (int n : {2, 3, 4}) {
+      for (std::uint64_t seed = 0; seed < 180; ++seed) {
+        auto h = record_u2_counter_run(seed, n, cfg);
+        EXPECT_TRUE(is_linearizable<C>(std::move(h)))
+            << "n=" << n << " max_fast_attempts=" << cfg.max_fast_attempts
+            << " help_period=" << cfg.help_period << " seed=" << seed;
+      }
+    }
   }
 }
 

@@ -22,6 +22,8 @@
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/lattice_scan.hpp"
 #include "snapshot/tree_snapshot.hpp"
+#include "universal2/rt.hpp"
+#include "util/rng.hpp"
 
 namespace apram::rt {
 namespace {
@@ -63,6 +65,47 @@ TEST(RtStress, FastCounterConservationUnderLoad) {
   std::uint64_t total = 0;
   for (auto c : tr.ops_per_thread()) total += c;
   EXPECT_EQ(ctr.read(0), static_cast<std::int64_t>(total));
+}
+
+// universal2's Counter2 under an inc/dec/reset/read mix, on the fast path
+// and with every mutation forced through announce, help and retire.
+TEST(RtStress, Counter2HistoriesAreLinearizable) {
+  using universal2::Counter2RT;
+  Counter2RT::Config slow;
+  slow.max_fast_attempts = 0;
+  slow.help_period = 1;
+  for (const Counter2RT::Config& cfg : {Counter2RT::Config{}, slow}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const int n = 3;
+      Counter2RT ctr(n, cfg);
+      RtRecorder<C> rec;
+      parallel_run(n, [&](int pid) {
+        Rng rng(static_cast<std::uint64_t>(trial) * 131 +
+                static_cast<std::uint64_t>(pid));
+        for (int i = 0; i < 4; ++i) {
+          const std::uint64_t pick = rng.below(6);
+          if (pick <= 1) {
+            const std::int64_t by = rng.range(1, 3);
+            const auto tok = rec.begin(pid, C::inc(by));
+            rec.end(tok, ctr.inc(pid, by));
+          } else if (pick == 2) {
+            const std::int64_t by = rng.range(1, 2);
+            const auto tok = rec.begin(pid, C::dec(by));
+            rec.end(tok, ctr.dec(pid, by));
+          } else if (pick == 3) {
+            const std::int64_t to = rng.range(0, 5);
+            const auto tok = rec.begin(pid, C::reset(to));
+            rec.end(tok, ctr.reset(pid, to));
+          } else {
+            const auto tok = rec.begin(pid, C::read());
+            rec.end(tok, ctr.read(pid));
+          }
+        }
+      });
+      EXPECT_TRUE(is_linearizable<C>(rec.take()))
+          << "attempts=" << cfg.max_fast_attempts << " trial=" << trial;
+    }
+  }
 }
 
 TEST(RtStress, PolylogQueueHistoriesAreLinearizable) {

@@ -184,7 +184,7 @@ static_assert(kInlineRegister<farray::Stamped<QueueChain>> ==
               detail::kHaveCas16);
 using CounterRep = universal2::CounterRep<RtBackend>;
 using CounterSim = universal2::WaitFreeSim<RtBackend, CounterRep>;
-static_assert(!kInlineRegister<CounterRep::Cell>);
+static_assert(kInlineRegister<CounterRep::Cell> == detail::kHaveCas16);
 static_assert(!kInlineRegister<CounterSim::Rec>);
 // One class per value type, whatever the role or the cell: both rt names
 // and both backend names are Register<T>.

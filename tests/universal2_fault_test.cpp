@@ -60,7 +60,8 @@ std::string artifact_dir(const std::string& subdir) {
 // ---------------------------------------------------------------------------
 // Counter campaign. Three mutators (pid p: two incs of p+1) and a measured
 // reader (pid 3, never crashed). The judge re-derives consistency from the
-// cell's applied-table: the value must equal exactly the sum of the applied
+// applied evidence (CounterRep::applied_opseq: the applied[p] registers and
+// the cell's tag): the value must equal exactly the sum of the applied
 // evidence — an operation that took effect without being recorded, was
 // recorded without taking effect, or took effect twice all break the
 // equation — and the reader's two reads plus the final value must be
@@ -94,8 +95,7 @@ fault::Judge counter_judge() {
     const auto cell = x.c.rep().cell_register().peek();
     std::int64_t expected = 0;
     for (int p = 0; p < 3; ++p) {
-      const std::uint64_t applied =
-          cell.table[static_cast<std::size_t>(p)].opseq;
+      const std::uint64_t applied = x.c.rep().applied_opseq(p);
       if (applied > 2) return "pid " + std::to_string(p) + " over-applied";
       expected += static_cast<std::int64_t>(applied) * (p + 1);
     }

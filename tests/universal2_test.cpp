@@ -13,6 +13,8 @@
 //   * exhaustive schedule enumeration for inc-vs-read and enqueue-vs-enqueue
 //   * crash injection: an enqueuer dying mid-publish either left no trace
 //     or is completed by a helper — never a half-applied operation
+//   * the counter's owner rule, on one deterministic crash schedule: a
+//     helper overwriting an install of its own pending op keeps it applied
 //   * sim-vs-rt parity: the same template over both backends performs the
 //     same register accesses; rt storms agree with the sequential spec
 #include <gtest/gtest.h>
@@ -363,8 +365,8 @@ TEST(U2CounterExplore, IncVsReadIsLinearizableOnEverySchedule) {
         auto& x = static_cast<CounterIncReadExec&>(e);
         ASSERT_TRUE(x.seen == 0 || x.seen == 1);
         const auto cell = x.c->rep().cell_register().peek();
-        ASSERT_EQ(cell.value, 1);            // applied exactly once
-        ASSERT_EQ(cell.table[0].opseq, 1u);  // and recorded in the table
+        ASSERT_EQ(cell.value, 1);                    // applied exactly once
+        ASSERT_EQ(x.c->rep().applied_opseq(0), 1u);  // and in the evidence
       });
   EXPECT_GT(stats.executions, 1u);
 }
@@ -400,8 +402,72 @@ TEST(U2Counter, CrashedAnnouncerIsCompletedByAHelperExactlyOnce) {
     // pid 1's inc is all-or-nothing: value is 2 (+100 iff its op was
     // announced in time), never a partial or doubled effect.
     EXPECT_TRUE(cell.value == 2 || cell.value == 102) << "at=" << at;
-    EXPECT_EQ(cell.value == 102, cell.table[1].opseq == 1u) << "at=" << at;
+    EXPECT_EQ(cell.value == 102, c.rep().applied_opseq(1) == 1u)
+        << "at=" << at;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The owner rule: an attempt skips raising applied[r] only when its OWN op
+// belongs to r. Here pid 1, in its own slow path, drives pid 0's op over an
+// install of pid 1's still-pending op that a helper made. The raise is the
+// only evidence pid 1's own wrap-up can find; skipping it because the
+// executor owns the install would re-prepare pid 1's op and count it twice.
+// ---------------------------------------------------------------------------
+
+TEST(U2Counter, HelperOverwritingItsOwnPendingInstallKeepsItApplied) {
+  const int n = 3;
+  World w(n);
+  api::SimBackend::Mem mem(w, "u2");
+  SimCounter::Config cfg;
+  cfg.max_fast_attempts = 0;  // every inc announces itself
+  cfg.help_period = 0;        // only slow-path waiters help
+  SimCounter c(mem, n, "c", cfg);
+  const CounterRep<api::SimBackend>& rep = c.rep();
+  const auto& queue = c.sim().queue();
+  for (int p = 0; p < n; ++p) {
+    w.spawn(p, [&c](Context ctx) -> ProcessTask { co_await c.inc(ctx, 1); });
+  }
+  const auto un = static_cast<std::uint64_t>(n);
+  const std::uint64_t record = 2;        // read + CAS of the own record
+  const std::uint64_t enqueue = un + 2;  // bakery scan, own cell read, CAS
+
+  // pid 0 publishes its record and scans an empty queue (stamp 1), then
+  // pauses before its announce.
+  for (std::uint64_t k = 0; k < record + un; ++k) ASSERT_TRUE(w.step(0));
+  // pid 1 announces, also with stamp 1; it is the head for now.
+  for (std::uint64_t k = 0; k < record + enqueue; ++k) ASSERT_TRUE(w.step(1));
+  ASSERT_FALSE(queue.cell_at(0).peek().active);
+  ASSERT_EQ(queue.cell_at(1).peek().stamp, 1u);
+
+  // pid 2 announces, waits (1 record read), peeks (n reads) and helps pid 1:
+  // record read, prepare, candidate install, record read, decision CAS. It
+  // crashes before it can mark pid 1's record done.
+  w.schedule_crash(2, record + enqueue + 1 + un + 5);
+  w.run_solo(2);
+  ASSERT_TRUE(w.crashed(2));
+  ASSERT_EQ(rep.cell_register().peek().tag, rep.tag_of({1, 1}));
+  ASSERT_EQ(c.sim().state_at(1).peek().stage,
+            SimCounter::Sim::Stage::kCandidate);
+
+  // pid 0 completes its announce with stamp 1, which makes it the head (ties
+  // break toward the lower pid), and crashes.
+  w.schedule_crash(0, record + enqueue);
+  w.run_solo(0);
+  ASSERT_TRUE(w.crashed(0));
+  ASSERT_TRUE(queue.cell_at(0).peek().active);
+  ASSERT_EQ(queue.cell_at(0).peek().stamp, 1u);
+
+  // pid 1 helps the head: pid 0's candidate expects pid 1's own install, and
+  // pid 1's decision CAS overwrites it. Its self-help must then resolve its
+  // own op as applied, and the value must count it once.
+  w.run_solo(1);
+  ASSERT_TRUE(w.done(1));
+  const auto cell = rep.cell_register().peek();
+  EXPECT_EQ(cell.tag, rep.tag_of({0, 1}));  // pid 0's op was installed last
+  EXPECT_EQ(cell.value, 2);
+  EXPECT_EQ(rep.applied_opseq(0), 1u);
+  EXPECT_EQ(rep.applied_opseq(1), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -560,8 +626,8 @@ TEST(U2Counter, SimAndRtBackendsPerformTheSameAccesses) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter cell: a decision CAS compares the seq alone, so a Prep's
-// `expected` carries no table. Same checks on both backends.
+// Counter cell: a decision CAS compares the tag alone (the install id of the
+// mutation that wrote the cell). Same checks on both backends.
 // ---------------------------------------------------------------------------
 
 // Runs one coroutine for one pid to completion: sim solo, rt inline.
@@ -586,7 +652,7 @@ struct RtRunner {
 };
 
 template <class Runner>
-void check_seq_only_expected() {
+void check_tag_only_expected() {
   using B = typename Runner::B;
   using Rep = CounterRep<B>;
   using Ctx = typename B::Ctx;
@@ -596,6 +662,8 @@ void check_seq_only_expected() {
   Rep rep(r.mem, n, "c");
   const OpId a{0, 1};
   const OpId b{1, 1};
+  EXPECT_EQ(rep.tag_of(a), 4u);  // opseq*n + pid + 1
+  EXPECT_EQ(rep.tag_of(b), 5u);
   typename Rep::Prep pa;
   typename Rep::Prep pb;
   r.run(0, [&](Ctx ctx) -> Step {
@@ -606,32 +674,31 @@ void check_seq_only_expected() {
   });
   for (const auto* p : {&pa, &pb}) {
     ASSERT_FALSE(p->done);
-    EXPECT_EQ(p->expected.seq, 0u);
-    EXPECT_TRUE(p->expected.table.empty());
-    EXPECT_EQ(p->desired.seq, 1u);
-    EXPECT_EQ(p->desired.table.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(p->expected.tag, 0u);  // the initial cell
   }
+  EXPECT_EQ(pa.desired.tag, rep.tag_of(a));
+  EXPECT_EQ(pa.desired.value, 5);
+  EXPECT_EQ(pb.desired.tag, rep.tag_of(b));
 
-  // pa expects the current seq with an empty table: it wins.
+  // pa expects the current tag and carries a fresh one: it wins.
   Outcome<std::int64_t> oa;
   r.run(0, [&](Ctx ctx) -> Step {
     oa = co_await rep.attempt(ctx, a, CounterSpec::inc(5), pa);
   });
   EXPECT_TRUE(oa.decided);
 
-  // pb's seq is now stale: its CAS loses and b is not applied.
+  // pb's expected tag is now stale: its CAS loses and b is not applied.
   Outcome<std::int64_t> ob;
   r.run(1, [&](Ctx ctx) -> Step {
     ob = co_await rep.attempt(ctx, b, CounterSpec::inc(7), pb);
   });
   EXPECT_FALSE(ob.decided);
 
-  // A hand-built candidate at the current seq, again with no table, wins.
+  // A hand-built candidate at the current tag wins, whatever value its
+  // `expected` carries: == looks at the tag alone.
   typename Rep::Prep pc = pb;
-  pc.expected.seq = 1;
-  pc.desired.seq = 2;
-  pc.desired.value = 12;
-  pc.desired.table[0] = {1, 0};
+  pc.expected = {rep.tag_of(a), -1};
+  pc.desired = {rep.tag_of(b), 12};
   Outcome<std::int64_t> oc;
   r.run(1, [&](Ctx ctx) -> Step {
     oc = co_await rep.attempt(ctx, b, CounterSpec::inc(7), pc);
@@ -646,9 +713,9 @@ void check_seq_only_expected() {
   EXPECT_EQ(read.resp, 12);
 }
 
-TEST(U2Counter, DecisionCasExpectsTheSeqAloneOnBothBackends) {
-  check_seq_only_expected<SimRunner>();
-  check_seq_only_expected<RtRunner>();
+TEST(U2Counter, DecisionCasExpectsTheTagAloneOnBothBackends) {
+  check_tag_only_expected<SimRunner>();
+  check_tag_only_expected<RtRunner>();
 }
 
 // ---------------------------------------------------------------------------
