@@ -4,18 +4,17 @@
 // and n²−1 reads and n+1 writes after the stated optimizations (drop the
 // final write; serve self-reads from the single-writer cache).
 //
-// Reproduction: every access is recorded through the apram::obs metrics
-// registry attached to the World (no bespoke counters); the per-process
-// read/write counters for one Scan must equal the closed forms *exactly* at
-// each n — any mismatch aborts. A second table shows the cost is
-// schedule-independent (wait-freedom in the strongest sense). The registry
-// is dumped as a JSON artifact so CI can re-assert the counts offline.
+// Reproduction: the World counts every access per process
+// (sim::World::counts); the read/write counts of one Scan must equal the
+// closed forms *exactly* at each n — any mismatch aborts. A second table
+// shows the cost is schedule-independent (wait-freedom in the strongest
+// sense).
 //
 // --trace_out=<path> additionally runs a traced contended world at
 // --trace_n (default 4) processes, writes a Perfetto-openable Chrome trace
 // to <path>, and embeds the raw span/access events in the metrics artifact
 // so `apram-trace check --bound scan` can re-derive the n²−1 / n+1 bound
-// from the trace alone — independently of the registry counters above.
+// from the trace alone — independently of the World's counts above.
 #include <memory>
 
 #include "bench_common.hpp"
@@ -28,24 +27,14 @@ namespace {
 
 using MaxL = MaxLattice<std::int64_t>;
 
-struct Measured {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-};
-
-Measured measure_solo_scan(obs::Registry& registry, int n, ScanMode mode) {
-  const std::string prefix =
-      "e4.n" + std::to_string(n) +
-      (mode == ScanMode::kPlain ? ".plain" : ".optimized");
-  sim::World w(n, {.metrics = &registry, .metrics_prefix = prefix});
+sim::StepCounts measure_solo_scan(int n, ScanMode mode) {
+  sim::World w(n);
   LatticeScanSim<MaxL> ls(w, n, "ls", mode);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     co_await ls.scan(ctx, 1);
   });
-  obs::CounterDelta reads(w.metrics_reads(0));
-  obs::CounterDelta writes(w.metrics_writes(0));
   w.run_solo(0);
-  return {reads.delta(), writes.delta()};
+  return w.counts(0);
 }
 
 int run(int argc, char** argv) {
@@ -60,7 +49,7 @@ int run(int argc, char** argv) {
                "writes_expected"});
   for (int n : {1, 2, 3, 4, 6, 8, 12, 16, 24, 32}) {
     for (ScanMode mode : {ScanMode::kPlain, ScanMode::kOptimized}) {
-      const auto m = measure_solo_scan(bobs.registry(), n, mode);
+      const auto m = measure_solo_scan(n, mode);
       const auto er = expected_scan_reads(n, mode);
       const auto ew = expected_scan_writes(n, mode);
       APRAM_CHECK_MSG(m.reads == er && m.writes == ew,
@@ -77,15 +66,13 @@ int run(int argc, char** argv) {
   table.print(std::cout);
 
   // Schedule independence: under heavy contention the per-scan cost is
-  // byte-identical (straight-line algorithm, no retries). Counts come from
-  // the same registry, via the per-pid counters of each contended world.
+  // byte-identical (straight-line algorithm, no retries).
   Table contention(
       "E4b: per-scan cost under contention (n=6, every process scanning)",
       {"schedule", "pid", "reads", "writes"});
   for (std::uint64_t seed : {0ULL, 7ULL, 99ULL}) {
     const int n = 6;
-    sim::World w(n, {.metrics = &bobs.registry(),
-                     .metrics_prefix = "e4b.seed" + std::to_string(seed)});
+    sim::World w(n);
     LatticeScanSim<MaxL> ls(w, n, "ls");
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
@@ -95,15 +82,15 @@ int run(int argc, char** argv) {
     sim::RandomScheduler rs(seed);
     APRAM_CHECK(w.run(rs).all_done);
     for (int pid = 0; pid < n; ++pid) {
-      APRAM_CHECK(w.metrics_reads(pid).value() ==
+      APRAM_CHECK(w.counts(pid).reads ==
                   expected_scan_reads(n, ScanMode::kOptimized));
-      APRAM_CHECK(w.metrics_writes(pid).value() ==
+      APRAM_CHECK(w.counts(pid).writes ==
                   expected_scan_writes(n, ScanMode::kOptimized));
       if (pid == 0) {
         contention.add("rnd seed " + std::to_string(seed))
             .add(pid)
-            .add(w.metrics_reads(pid).value())
-            .add(w.metrics_writes(pid).value())
+            .add(w.counts(pid).reads)
+            .add(w.counts(pid).writes)
             .end_row();
       }
     }
@@ -116,9 +103,7 @@ int run(int argc, char** argv) {
   if (!trace_out.empty()) {
     const int n = trace_n;
     tracer = std::make_unique<obs::Tracer>(n, /*capacity_per_ring=*/1 << 12);
-    sim::World w(n, {.metrics = &bobs.registry(),
-                     .metrics_prefix = "e4.traced",
-                     .tracer = tracer.get()});
+    sim::World w(n, {.tracer = tracer.get()});
     LatticeScanSim<MaxL> ls(w, n, "ls");
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
@@ -135,7 +120,7 @@ int run(int argc, char** argv) {
                  "metrics artifact for apram-trace.\n";
   }
   bobs.emit(tracer.get());
-  std::cout << "\nE4 PASS: registry-recorded counts equal the closed forms "
+  std::cout << "\nE4 PASS: World-recorded counts equal the closed forms "
                "at every n, in both modes, under every schedule.\n";
   return 0;
 }

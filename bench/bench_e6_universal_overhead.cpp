@@ -53,10 +53,7 @@ int run(int argc, char** argv) {
   for (int n : {1, 2, 4, 8, 16, 24}) {
     const char* names[] = {"inc", "dec", "reset", "read"};
     for (int which = 0; which < 4; ++which) {
-      sim::World w(n,
-                   {.metrics = &bobs.registry(),
-                    .metrics_prefix =
-                        "e6.n" + std::to_string(n) + "." + names[which]});
+      sim::World w(n);
       CounterSim c(w, n);
       w.spawn(0, [&, which](sim::Context ctx) -> sim::ProcessTask {
         switch (which) {
@@ -66,11 +63,9 @@ int run(int argc, char** argv) {
           default: (void)co_await c.read(ctx); break;
         }
       });
-      obs::CounterDelta dreads(w.metrics_reads(0));
-      obs::CounterDelta dwrites(w.metrics_writes(0));
       w.run_solo(0);
-      const std::uint64_t reads = dreads.delta();
-      const std::uint64_t writes = dwrites.delta();
+      const std::uint64_t reads = w.counts(0).reads;
+      const std::uint64_t writes = w.counts(0).writes;
       const auto expected_reads = expected_scan_reads(n, ScanMode::kOptimized);
       const auto expected_writes =
           expected_scan_writes(n, ScanMode::kOptimized) + 1;

@@ -30,47 +30,38 @@ int run(int argc, char** argv) {
            "read_writes"});
   for (int n : {2, 4, 8, 16}) {
     {
-      sim::World w(n, {.metrics = &bobs.registry(),
-                       .metrics_prefix = "e8a.n" + std::to_string(n) + ".uni"});
+      sim::World w(n);
       CounterSim c(w, n);
       w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
         co_await c.inc(ctx, 1);
       });
-      obs::CounterDelta ir(w.metrics_reads(0));
-      obs::CounterDelta iw(w.metrics_writes(0));
       w.run_solo(0);
-      const std::uint64_t inc_reads = ir.delta(), inc_writes = iw.delta();
+      const sim::StepCounts inc = w.counts(0);
       w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
         (void)co_await c.read(ctx);
       });
-      obs::CounterDelta rr(w.metrics_reads(0));
-      obs::CounterDelta rw(w.metrics_writes(0));
       w.run_solo(0);
-      a.add(n).add("universal").add(inc_reads).add(inc_writes).add(rr.delta())
-          .add(rw.delta()).end_row();
+      const sim::StepCounts read = w.counts(0) - inc;
+      a.add(n).add("universal").add(inc.reads).add(inc.writes).add(read.reads)
+          .add(read.writes).end_row();
     }
     {
-      sim::World w(n,
-                   {.metrics = &bobs.registry(),
-                    .metrics_prefix = "e8a.n" + std::to_string(n) + ".fast"});
+      sim::World w(n);
       FastCounterSim c(w, n);
       w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
         co_await c.inc(ctx, 1);
       });
-      obs::CounterDelta ir(w.metrics_reads(0));
-      obs::CounterDelta iw(w.metrics_writes(0));
       w.run_solo(0);
-      const std::uint64_t inc_reads = ir.delta(), inc_writes = iw.delta();
+      const sim::StepCounts inc = w.counts(0);
       w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
         (void)co_await c.read(ctx);
       });
-      obs::CounterDelta rr(w.metrics_reads(0));
-      obs::CounterDelta rw(w.metrics_writes(0));
       w.run_solo(0);
-      APRAM_CHECK_MSG(inc_reads == 0 && inc_writes == 1,
+      const sim::StepCounts read = w.counts(0) - inc;
+      APRAM_CHECK_MSG(inc.reads == 0 && inc.writes == 1,
                       "fast counter update must be one write");
-      a.add(n).add("fast").add(inc_reads).add(inc_writes).add(rr.delta())
-          .add(rw.delta()).end_row();
+      a.add(n).add("fast").add(inc.reads).add(inc.writes).add(read.reads)
+          .add(read.writes).end_row();
     }
   }
   a.print(std::cout);
@@ -99,18 +90,15 @@ int run(int argc, char** argv) {
     std::vector<double> attempts;
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
       const int n = 4;
-      sim::World w(
-          n, {.metrics = &bobs.registry(),
-              .metrics_prefix = "e8c.s" +
-                                std::to_string(static_cast<int>(sticky * 10)) +
-                                ".seed" + std::to_string(seed)});
+      sim::World w(n);
       DoubleCollectSnapshotSim<int> snap(w, n);
       w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
         for (int k = 0; k < 20; ++k) {
-          obs::CounterDelta reads(ctx.world().metrics_reads(0));
+          const std::uint64_t before = w.counts(0).reads;
           const auto view = co_await snap.scan(ctx, /*max_attempts=*/10'000);
           APRAM_CHECK(view.has_value());
-          attempts.push_back(static_cast<double>(reads.delta()) / (2.0 * n));
+          attempts.push_back(static_cast<double>(w.counts(0).reads - before) /
+                             (2.0 * n));
         }
       });
       for (int pid = 1; pid < n; ++pid) {

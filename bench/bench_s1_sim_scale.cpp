@@ -56,7 +56,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 std::unique_ptr<sim::World> pending_world(int n) {
   sim::World::Options opts;
   opts.lazy_spawn = true;
-  opts.per_pid_metrics = false;
   auto w = std::make_unique<sim::World>(n, opts);
   for (int pid = 0; pid < n; ++pid) {
     w->spawn(pid, [](sim::Context) -> sim::ProcessTask { co_return; });

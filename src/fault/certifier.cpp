@@ -49,10 +49,9 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   const double stickiness =
       opts.max_stickiness > 0.0 ? rng.uniform(0.0, opts.max_stickiness) : 0.0;
 
-  // The registry must outlive the World it is attached to. When artifacts
-  // are requested, a tracer rides along so a violation ships with its full
-  // event trace (spans included) in both metrics-JSON and Perfetto form.
-  obs::Registry registry(/*num_shards=*/1);
+  // When artifacts are requested, a tracer rides along so a violation ships
+  // with its full event trace (spans included) in both metrics-JSON and
+  // Perfetto form.
   std::unique_ptr<sim::Execution> exec = factory();
   sim::World& w = exec->world();
   const FaultPlan plan = random_plan(rng, w.num_procs(), opts.plan);
@@ -62,8 +61,6 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
                                            /*capacity_per_ring=*/1 << 12);
   }
   sim::World::Options wopts;
-  wopts.metrics = &registry;
-  wopts.metrics_prefix = "cert";
   wopts.tracer = tracer.get();
   wopts.crashes = plan.crashes;  // fired by the World, not the Nemesis
   w.apply_options(wopts);
@@ -71,6 +68,10 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   // Flight recorder: the violation branch dumps through it, and installing
   // it as the process panic recorder means a lincheck failure (or any
   // panic_dump caller) inside the judge freezes THIS run's trace + metrics.
+  // Each dump carries the World's per-pid counts as of that dump, as gauges
+  // `cert.{reads,writes}.p<pid>` (a run can dump twice: panic, then
+  // violation).
+  obs::Registry registry;
   std::unique_ptr<obs::FlightRecorder> recorder;
   if (!opts.artifact_dir.empty()) {
     std::filesystem::create_directories(opts.artifact_dir);
@@ -78,6 +79,15 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
         &registry, tracer.get(),
         "violation-seed" + std::to_string(seed) + ".flight");
     recorder->set_dir(opts.artifact_dir);
+    recorder->set_snapshot_hook([&registry, &w] {
+      for (int pid = 0; pid < w.num_procs(); ++pid) {
+        const std::string p = ".p" + std::to_string(pid);
+        registry.gauge("cert.reads" + p)
+            .set(static_cast<std::int64_t>(w.counts(pid).reads));
+        registry.gauge("cert.writes" + p)
+            .set(static_cast<std::int64_t>(w.counts(pid).writes));
+      }
+    });
     obs::set_panic_recorder(recorder.get());
   }
 

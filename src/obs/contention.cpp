@@ -42,31 +42,9 @@ void NodeContention::export_gauges(Registry& registry,
   export_totals(registry, prefix, totals());
 }
 
-void HelpTally::export_gauges(Registry& registry,
-                              const std::string& prefix) const {
-  if (n_ == 0) return;
-  std::uint64_t total_given = 0;
-  std::uint64_t total_received = 0;
-  for (int p = 0; p < n_; ++p) {
-    const std::uint64_t g = given(p);
-    const std::uint64_t r = received(p);
-    total_given += g;
-    total_received += r;
-    registry.gauge(prefix + ".help_given.p" + std::to_string(p))
-        .set(static_cast<std::int64_t>(g));
-    registry.gauge(prefix + ".help_received.p" + std::to_string(p))
-        .set(static_cast<std::int64_t>(r));
-  }
-  registry.gauge(prefix + ".help_given")
-      .set(static_cast<std::int64_t>(total_given));
-  registry.gauge(prefix + ".help_received")
-      .set(static_cast<std::int64_t>(total_received));
-}
-
 #else  // APRAM_OBS_CONTENTION_OFF
 
 void NodeContention::export_gauges(Registry&, const std::string&) const {}
-void HelpTally::export_gauges(Registry&, const std::string&) const {}
 
 #endif
 

@@ -3,10 +3,10 @@
 // The paper's cost story is a helping story: a solo farray write costs
 // 1 + 4h accesses, a contended one ≤ 1 + 8h, and the difference is exactly
 // how often an internal-node CAS loses and forces the second refresh. This
-// header records that difference where it happens — one cell per tree node
-// (or help-queue announce cell), counting CAS attempts/failures and
-// first-refresh / second-refresh / helped outcomes — cheap enough to stay
-// on at 64 threads:
+// header records that difference where it happens — one cell per FArray
+// tree node, counting CAS attempts/failures and first-refresh /
+// second-refresh / helped outcomes — cheap enough to stay on at 64
+// threads:
 //
 //   * One NodeContention per structure, cells sharded by pid so concurrent
 //     recorders never contend on a cache line they both write. A shard's
@@ -34,11 +34,6 @@
 // the identical API — the instrumented hot paths are bit-identical in
 // register accesses either way (contention ticks are process-local memory,
 // never model registers), which tests/obs_test.cpp pins down.
-//
-// HelpTally is the companion for universal2's helping discipline: per-pid
-// helps-given / helps-received counters (helper writes the helped pid's
-// received slot — cross-thread, but help is the slow path by definition),
-// exported as `<prefix>.help_given` / `.help_received`.
 #pragma once
 
 #include <algorithm>
@@ -241,69 +236,6 @@ class NodeContention {
   int shards_ = 0;
   std::unique_ptr<Cell[]> cells_;
   std::vector<int> levels_;  // [nodes_] node → level
-};
-
-// Per-pid helps-given / helps-received tally (universal2's helping
-// discipline). One cache line per pid; `given` is written only by the
-// owner, `received` by whichever helper completed the op.
-class HelpTally {
- public:
-  HelpTally() = default;
-
-  explicit HelpTally(int num_procs) {
-#if !defined(APRAM_OBS_CONTENTION_OFF)
-    APRAM_CHECK(num_procs >= 1);
-    n_ = num_procs;
-    cells_ = std::make_unique<Cell[]>(static_cast<std::size_t>(n_));
-#else
-    (void)num_procs;
-#endif
-  }
-
-  bool enabled() const { return kContentionEnabled && n_ > 0; }
-
-  void on_help(int helper, int helped) {
-#if !defined(APRAM_OBS_CONTENTION_OFF)
-    if (n_ == 0) return;
-    APRAM_CHECK(helper >= 0 && helper < n_ && helped >= 0 && helped < n_);
-    cells_[static_cast<std::size_t>(helper)].given.fetch_add(
-        1, std::memory_order_relaxed);
-    cells_[static_cast<std::size_t>(helped)].received.fetch_add(
-        1, std::memory_order_relaxed);
-#else
-    (void)helper;
-    (void)helped;
-#endif
-  }
-
-  std::uint64_t given(int pid) const {
-    if (n_ == 0) return 0;
-    return cells_[static_cast<std::size_t>(pid)].given.load(
-        std::memory_order_relaxed);
-  }
-  std::uint64_t received(int pid) const {
-    if (n_ == 0) return 0;
-    return cells_[static_cast<std::size_t>(pid)].received.load(
-        std::memory_order_relaxed);
-  }
-  std::uint64_t total_given() const {
-    std::uint64_t t = 0;
-    for (int p = 0; p < n_; ++p) t += given(p);
-    return t;
-  }
-
-  // Exports `<prefix>.help_given` / `.help_received` totals plus per-pid
-  // `<prefix>.help_given.p<pid>` gauges. No-op when compiled out.
-  void export_gauges(Registry& registry, const std::string& prefix) const;
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> given{0};
-    std::atomic<std::uint64_t> received{0};
-  };
-
-  int n_ = 0;
-  std::unique_ptr<Cell[]> cells_;
 };
 
 }  // namespace apram::obs

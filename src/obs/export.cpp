@@ -68,12 +68,7 @@ void export_json(std::ostream& os, const Registry& reg, const Tracer* tracer,
     os << ": " << g->value();
     first = false;
   }
-  // Synthesized health gauge: always present so analyzers can assert on it.
-  // Zero means every per-shard attribution in this artifact is exact; see
-  // obs::pinning_degraded().
-  os << (first ? "\n" : ",\n") << "    \"obs.pinning_degraded\": "
-     << pinning_degraded();
-  os << "\n  },\n";
+  os << (first ? "" : "\n  ") << "},\n";
 
   os << "  \"histograms\": {";
   first = true;

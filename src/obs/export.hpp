@@ -5,7 +5,7 @@
 //
 //   {
 //     "name": "bench_e4_scan_ops",
-//     "counters":   { "sim.reads.p0": 35, ... },
+//     "counters":   { "rt.tree.reads": 35, ... },
 //     "gauges":     { "e4.n": 6, ... },
 //     "histograms": { "rt.scan.ns": { "count": 10, "sum": 123,
 //                                     "mean": 12.3, "p50": 10, "p90": 14,

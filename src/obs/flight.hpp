@@ -7,9 +7,10 @@
 // needs to replay the failure:
 //
 //   <dir>/<stem>.metrics.json  — the standard metrics artifact (export.hpp
-//                                schema): every counter/gauge (including a
-//                                contention snapshot, if the owner installed
-//                                a snapshot hook), flight.* gauges counting
+//                                schema): every counter/gauge (including
+//                                what the owner's snapshot hook refreshed —
+//                                the fault certifier writes per-pid access
+//                                counts), flight.* gauges counting
 //                                open spans / truncated ops / drop+sample
 //                                accounting, and the surviving events —
 //                                loadable by apram-trace and
@@ -55,8 +56,9 @@ class FlightRecorder {
   void set_dir(std::string dir) { dir_ = std::move(dir); }
 
   // Runs immediately before each dump's JSON export — the owner's chance to
-  // refresh registry state that is normally exported at teardown (contention
-  // gauges, reclaim gauges, ...) so the dump carries a current snapshot.
+  // refresh registry state that is normally exported at teardown (the fault
+  // certifier writes per-pid access counts) so the dump carries a current
+  // snapshot.
   void set_snapshot_hook(std::function<void()> hook) {
     snapshot_hook_ = std::move(hook);
   }

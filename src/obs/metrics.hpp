@@ -1,8 +1,9 @@
 // apram::obs — lock-free, per-thread-sharded metrics registry.
 //
-// The paper's claims are quantitative (exact read/write counts per operation,
-// step bounds per theorem), so the measurement substrate must be exact and
-// must not perturb the hot paths it measures. The design:
+// The registry holds totals for the rt layer and the benches: probe
+// counters, latency histograms and gauges. The simulator's per-process
+// read/write counts are not mirrored here; sim::World::counts keeps them.
+// The design:
 //
 //   * Recording one event is ONE relaxed fetch_add on a cache-line-private
 //     shard slot (histograms add a branch-free bucket computation). No locks,
@@ -15,15 +16,10 @@
 //     code caches `Counter&` references.
 //
 // Shard selection: each thread lazily claims a shard index via this_shard();
-// the rt thread harness pins shard == pid so per-shard numbers line up with
-// the model's process ids. Two threads landing on the same shard is safe
-// (slots are atomics) — only attribution, never totals, can blur. The blur
-// is structural beyond kMaxShards (64): pin_this_shard clamps shard ids
-// modulo kMaxShards, so in a >64-thread harness threads 0 and 64 share a
-// shard — totals stay exact, per-shard attribution does not. The clamp is
-// never silent: the first occurrence per process warns on stderr, every
-// occurrence bumps pinning_degraded() (exported as the `obs.pinning_degraded`
-// gauge). Keep per-pid readings inside 64 threads, or raise kMaxShards.
+// the rt thread harness pins shard == pid so that harness threads land on
+// distinct slots. A metric has kShards slots and shard s records into slot
+// s % kShards. Two threads sharing a slot is safe (slots are atomics) and
+// only costs cache-line traffic; totals stay exact either way.
 #pragma once
 
 #include <atomic>
@@ -39,23 +35,18 @@
 
 namespace apram::obs {
 
-// Upper bound on distinct shard slots; threads beyond this share slots.
+// Upper bound on distinct shard indices; pin_this_shard clamps beyond it.
 inline constexpr int kMaxShards = 64;
+
+// Slots per counter and per histogram.
+inline constexpr int kShards = 16;
 
 // Stable shard index of the calling thread, lazily assigned round-robin.
 int this_shard();
 
-// Pins the calling thread's shard (the rt harness pins shard == pid so that
-// per-shard readings match process ids). Ids ≥ kMaxShards are clamped
-// modulo kMaxShards — the pin succeeds with the attribution blur documented
-// in the header comment, a one-time warning goes to stderr, and every
-// clamped pin increments pinning_degraded().
+// Pins the calling thread's shard (the rt harness pins shard == pid). Ids
+// ≥ kMaxShards are clamped modulo kMaxShards.
 void pin_this_shard(int shard);
-
-// Number of pin_this_shard calls that had to clamp (shard ≥ kMaxShards)
-// since process start. Zero means every per-shard reading is exact. The
-// JSON exporter surfaces this as the `obs.pinning_degraded` gauge.
-std::uint64_t pinning_degraded();
 
 namespace detail {
 struct alignas(64) Slot {
@@ -66,35 +57,26 @@ struct alignas(64) Slot {
 // Monotone event counter. add() is one relaxed fetch_add.
 class Counter {
  public:
-  Counter(std::string name, int num_shards)
-      : name_(std::move(name)),
-        num_shards_(num_shards),
-        slots_(new detail::Slot[static_cast<std::size_t>(num_shards)]) {}
+  explicit Counter(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  void add(std::uint64_t delta = 1) { add_shard(this_shard(), delta); }
-
-  // For callers that know their shard (the single-threaded simulator always
-  // records into shard 0 via this path — no TLS lookup).
-  void add_shard(int shard, std::uint64_t delta) {
-    slots_[static_cast<std::size_t>(shard % num_shards_)].v.fetch_add(
-        delta, std::memory_order_relaxed);
+  void add(std::uint64_t delta = 1) {
+    slots_[this_shard() % kShards].v.fetch_add(delta,
+                                               std::memory_order_relaxed);
   }
 
   std::uint64_t value() const {
     std::uint64_t sum = 0;
-    for (int s = 0; s < num_shards_; ++s) {
-      sum += slots_[static_cast<std::size_t>(s)].v.load(
-          std::memory_order_relaxed);
+    for (const detail::Slot& s : slots_) {
+      sum += s.v.load(std::memory_order_relaxed);
     }
     return sum;
   }
 
  private:
   std::string name_;
-  int num_shards_;
-  std::unique_ptr<detail::Slot[]> slots_;
+  detail::Slot slots_[kShards];
 };
 
 // Point-in-time value (set/add, last-writer-wins). Not sharded: a gauge is a
@@ -121,13 +103,7 @@ class Histogram {
  public:
   static constexpr int kBuckets = 65;  // bit_width of uint64_t is 0..64
 
-  Histogram(std::string name, int num_shards)
-      : name_(std::move(name)), num_shards_(num_shards) {
-    shards_.reserve(static_cast<std::size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-  }
+  explicit Histogram(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
@@ -146,7 +122,7 @@ class Histogram {
   }
 
   void record(std::uint64_t v) {
-    Shard& sh = *shards_[static_cast<std::size_t>(this_shard() % num_shards_)];
+    Shard& sh = shards_[this_shard() % kShards];
     sh.buckets[static_cast<std::size_t>(bucket_of(v))].v.fetch_add(
         1, std::memory_order_relaxed);
     sh.sum.fetch_add(v, std::memory_order_relaxed);
@@ -201,13 +177,13 @@ class Histogram {
   Snapshot snapshot() const {
     Snapshot out;
     out.buckets.assign(kBuckets, 0);
-    for (const auto& sh : shards_) {
+    for (const Shard& sh : shards_) {
       for (int b = 0; b < kBuckets; ++b) {
         out.buckets[static_cast<std::size_t>(b)] +=
-            sh->buckets[static_cast<std::size_t>(b)].v.load(
+            sh.buckets[static_cast<std::size_t>(b)].v.load(
                 std::memory_order_relaxed);
       }
-      out.sum += sh->sum.load(std::memory_order_relaxed);
+      out.sum += sh.sum.load(std::memory_order_relaxed);
     }
     for (auto c : out.buckets) out.count += c;
     return out;
@@ -220,8 +196,7 @@ class Histogram {
   };
 
   std::string name_;
-  int num_shards_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  Shard shards_[kShards];
 };
 
 // Histogram front-end for wall-clock operation latencies. Caches the
@@ -264,10 +239,6 @@ class LatencyRecorder {
 // metric kinds — asking for "x" as a counter after creating gauge "x" aborts.
 class Registry {
  public:
-  explicit Registry(int num_shards = 16);
-
-  int num_shards() const { return num_shards_; }
-
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
@@ -281,26 +252,11 @@ class Registry {
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
 
-  int num_shards_;
   mutable std::mutex mu_;
   std::map<std::string, Kind> kinds_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-// Measures the growth of a counter across a region of code — the registry
-// replacement for the old bespoke `StepDelta`.
-class CounterDelta {
- public:
-  explicit CounterDelta(const Counter& c) : c_(&c), before_(c.value()) {}
-
-  std::uint64_t delta() const { return c_->value() - before_; }
-  void reset() { before_ = c_->value(); }
-
- private:
-  const Counter* c_;
-  std::uint64_t before_;
 };
 
 // The canonical reads/writes/total triple. Every layer that accounts for
@@ -314,6 +270,11 @@ struct AccessCounts {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   std::uint64_t total() const { return reads + writes; }
+
+  // The accesses made between two readings: `after - before`.
+  friend AccessCounts operator-(const AccessCounts& a, const AccessCounts& b) {
+    return {a.reads - b.reads, a.writes - b.writes};
+  }
 };
 
 }  // namespace apram::obs

@@ -35,10 +35,7 @@ std::vector<std::thread> launch_workers(
   for (int pid = 0; pid < num_threads; ++pid) {
     threads.emplace_back([barrier, &body, tracer, on_done, pid] {
       obs::set_thread_pid(pid);
-      // Pass the raw pid: pin_this_shard owns the >= kMaxShards fallback
-      // (modulo sharing plus a warning and the pinning_degraded counter).
-      // Pre-clamping here would hide the degradation from obs.
-      obs::pin_this_shard(pid);
+      obs::pin_this_shard(pid);  // spreads harness threads over metric slots
       obs::set_thread_span_tracer(tracer);
       barrier->ready.fetch_add(1, std::memory_order_relaxed);
       while (!barrier->go.load(std::memory_order_acquire)) {

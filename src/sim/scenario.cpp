@@ -67,7 +67,6 @@ std::uint64_t body_seed(std::uint64_t scenario_seed, std::uint64_t nonce) {
 World::Options scenario_world_options(const ScenarioOptions& opts) {
   World::Options w;
   w.lazy_spawn = true;
-  w.per_pid_metrics = false;
   w.max_steps = std::max<std::uint64_t>(World::kDefaultMaxSteps,
                                         opts.total_steps + 1);
   return w;

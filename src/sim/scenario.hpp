@@ -90,8 +90,9 @@ struct ScenarioResult {
 };
 
 // World::Options tuned for scenario scale: lazy frames (a burst of 10⁵
-// arrivals costs closures, not coroutine frames) and no per-pid metric
-// counters. Pass to the World constructor alongside any tracer/metrics.
+// arrivals costs closures, not coroutine frames) and a step budget that
+// covers opts.total_steps. Pass to the World constructor alongside any
+// tracer.
 World::Options scenario_world_options(const ScenarioOptions& opts);
 
 // Drives `opts` on a caller-built World (num_procs must match) under

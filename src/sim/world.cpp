@@ -20,10 +20,6 @@ World::World(int num_procs, const Options& options)
 
 void World::apply_options(const Options& options) {
   if (options.lazy_spawn) lazy_spawn_ = true;
-  if (options.metrics != nullptr) {
-    attach_metrics_impl(*options.metrics, options.metrics_prefix,
-                        options.per_pid_metrics);
-  }
   if (options.tracer != nullptr) set_tracer_impl(options.tracer);
   default_max_steps_ = options.max_steps;
   for (const CrashPoint& c : options.crashes) {
@@ -128,24 +124,6 @@ void World::maybe_fire_scheduled_crash(int pid) {
   }
 }
 
-void World::attach_metrics_impl(obs::Registry& registry,
-                                const std::string& prefix, bool per_pid) {
-  obs_reads_total_ = &registry.counter(prefix + ".reads");
-  obs_writes_total_ = &registry.counter(prefix + ".writes");
-  obs_reads_.clear();
-  obs_writes_.clear();
-  if (!per_pid) return;
-  obs_reads_.assign(state_.size(), nullptr);
-  obs_writes_.assign(state_.size(), nullptr);
-  for (int pid = 0; pid < num_procs(); ++pid) {
-    const std::string suffix = ".p" + std::to_string(pid);
-    obs_reads_[static_cast<std::size_t>(pid)] =
-        &registry.counter(prefix + ".reads" + suffix);
-    obs_writes_[static_cast<std::size_t>(pid)] =
-        &registry.counter(prefix + ".writes" + suffix);
-  }
-}
-
 void World::set_tracer_impl(obs::Tracer* tracer) {
   APRAM_CHECK_MSG(tracer == nullptr || tracer->num_rings() >= num_procs(),
                   "tracer needs one ring per process");
@@ -201,23 +179,7 @@ void World::op_help(int pid, int object) {
 
 void World::count_access(int pid, int register_id, bool is_write) {
   StepCounts& c = counts_[static_cast<std::size_t>(pid)];
-  if (is_write) {
-    ++c.writes;
-    if (obs_writes_total_ != nullptr) {
-      obs_writes_total_->add_shard(0, 1);
-      if (!obs_writes_.empty()) {
-        obs_writes_[static_cast<std::size_t>(pid)]->add_shard(0, 1);
-      }
-    }
-  } else {
-    ++c.reads;
-    if (obs_reads_total_ != nullptr) {
-      obs_reads_total_->add_shard(0, 1);
-      if (!obs_reads_.empty()) {
-        obs_reads_[static_cast<std::size_t>(pid)]->add_shard(0, 1);
-      }
-    }
-  }
+  ++(is_write ? c.writes : c.reads);
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{
         global_step_, pid,
@@ -229,12 +191,6 @@ void World::count_access(int pid, int register_id, bool is_write) {
 
 void World::count_cas(int pid, int register_id, bool success) {
   ++counts_[static_cast<std::size_t>(pid)].writes;
-  if (obs_writes_total_ != nullptr) {
-    obs_writes_total_->add_shard(0, 1);
-    if (!obs_writes_.empty()) {
-      obs_writes_[static_cast<std::size_t>(pid)]->add_shard(0, 1);
-    }
-  }
   if (tracer_ != nullptr) {
     tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kCas,
                                   register_id, success ? 1u : 0u,

@@ -64,16 +64,14 @@ class World {
 
   // Construction-time configuration. One struct instead of a pile of
   // setters: everything here is fixed before the first step, which is also
-  // what determinism wants (a trace/metrics sink attached mid-run splits an
-  // execution into differently-instrumented halves).
+  // what determinism wants (a tracer attached mid-run splits an execution
+  // into differently-instrumented halves).
   struct CrashPoint {
     int pid = 0;
     std::uint64_t at_access = 0;  // see schedule_crash
   };
   struct Options {
-    obs::Registry* metrics = nullptr; // mirror accesses into this registry
-    std::string metrics_prefix = "sim";
-    obs::Tracer* tracer = nullptr;    // per-step obs events (ring per pid)
+    obs::Tracer* tracer = nullptr;  // per-step obs events (ring per pid)
     // Default grant budget for run()/run_solo() calls that do not pass an
     // explicit budget. Wait-free code exceeding it is a genuine bug.
     std::uint64_t max_steps = kDefaultMaxSteps;
@@ -84,10 +82,6 @@ class World {
     // this on so 10⁶ spawned-but-not-yet-scheduled processes cost only
     // their closures.
     bool lazy_spawn = false;
-    // Mirror accesses into per-pid counters `<prefix>.reads.p<pid>` /
-    // `.writes.p<pid>` in addition to the totals. Off for huge Worlds:
-    // 10⁶ processes would mean 2·10⁶ string-keyed counters.
-    bool per_pid_metrics = true;
   };
 
   explicit World(int num_procs);
@@ -211,6 +205,8 @@ class World {
 
   // --- Accounting ----------------------------------------------------------
 
+  // The only record of simulated accesses. A window's cost is the
+  // difference of two readings: `counts(pid) - before`.
   const StepCounts& counts(int pid) const {
     APRAM_CHECK(pid >= 0 && pid < num_procs());
     return counts_[static_cast<std::size_t>(pid)];
@@ -224,33 +220,15 @@ class World {
   // receives a World it did not construct (the fault certifier, replay
   // drivers); everything else should pass Options to the constructor.
   // Only non-default fields take effect: `lazy_spawn` enables (never
-  // disables) lazy frames, `metrics`/`tracer` attach when non-null, and
-  // every entry of `crashes` is scheduled. `max_steps` replaces the run
-  // budget.
+  // disables) lazy frames, `tracer` attaches when non-null, and every entry
+  // of `crashes` is scheduled. `max_steps` replaces the run budget.
   //
-  // Metrics attachment mirrors every subsequent access into per-pid counters
-  // `<prefix>.reads.p<pid>` / `<prefix>.writes.p<pid>` plus the totals
-  // `<prefix>.reads` and `<prefix>.writes`; the registry must outlive the
-  // World. A tracer gets one obs event per atomic step (kRead/kWrite/kCas,
+  // A tracer gets one obs event per atomic step (kRead/kWrite/kCas,
   // object = register id, when = the current global step) plus
   // kSpawn/kDone/kCrash lifecycle events, and needs a ring per process.
   void apply_options(const Options& options);
 
   obs::Tracer* tracer() const { return tracer_; }
-
-  // Attached per-pid counters, for obs::CounterDelta-style region
-  // measurement. Aborts unless Options::metrics was set with
-  // per_pid_metrics (the default).
-  const obs::Counter& metrics_reads(int pid) const {
-    APRAM_CHECK_MSG(!obs_reads_.empty(), "attach_metrics not called");
-    APRAM_CHECK(pid >= 0 && pid < num_procs());
-    return *obs_reads_[static_cast<std::size_t>(pid)];
-  }
-  const obs::Counter& metrics_writes(int pid) const {
-    APRAM_CHECK_MSG(!obs_writes_.empty(), "attach_metrics not called");
-    APRAM_CHECK(pid >= 0 && pid < num_procs());
-    return *obs_writes_[static_cast<std::size_t>(pid)];
-  }
 
  private:
   friend class Context;
@@ -279,8 +257,6 @@ class World {
     ProcessTask task;
   };
 
-  void attach_metrics_impl(obs::Registry& registry, const std::string& prefix,
-                           bool per_pid);
   void set_tracer_impl(obs::Tracer* tracer);
 
   static constexpr std::uint64_t kNoScheduledCrash =
@@ -342,13 +318,7 @@ class World {
   std::uint64_t default_max_steps_ = kDefaultMaxSteps;
   bool lazy_spawn_ = false;
 
-  // obs hooks; null/empty when not attached. The simulator is single-
-  // threaded, so counter updates go to shard 0 directly.
-  obs::Tracer* tracer_ = nullptr;
-  obs::Counter* obs_reads_total_ = nullptr;
-  obs::Counter* obs_writes_total_ = nullptr;
-  std::vector<obs::Counter*> obs_reads_;
-  std::vector<obs::Counter*> obs_writes_;
+  obs::Tracer* tracer_ = nullptr;  // null when not attached
 };
 
 // ---------------------------------------------------------------------------

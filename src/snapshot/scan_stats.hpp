@@ -1,8 +1,8 @@
 // Closed-form operation accounting for the §6.2 complexity claims.
 //
-// Measurement itself lives in apram::obs: give the World a metrics registry
-// (World::Options::metrics) and measure regions with obs::CounterDelta.
-// This header keeps only the paper's closed forms to compare against.
+// Measurement lives in sim::World::counts: a region's cost is the
+// difference of two readings (obs::AccessCounts has operator-). This
+// header keeps only the paper's closed forms to compare against.
 #pragma once
 
 #include <cstdint>

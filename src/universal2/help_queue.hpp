@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "api/backend.hpp"
-#include "obs/contention.hpp"
 #include "util/assert.hpp"
 
 namespace apram::universal2 {
@@ -72,7 +71,7 @@ class HelpQueue {
   };
 
   HelpQueue(typename B::Mem& mem, int num_procs, const std::string& name)
-      : n_(num_procs), contention_(std::max(1, num_procs), num_procs) {
+      : n_(num_procs) {
     APRAM_CHECK(num_procs >= 1);
     cells_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
@@ -102,9 +101,6 @@ class HelpQueue {
     next.op = std::move(op);
     bool ok = co_await ctx.cas(cell(p), cur, next);
     APRAM_CHECK_MSG(ok, "help queue: owner-only install lost a CAS");
-    // Owner CAS: always first-try (a lost one is a broken invariant, so a
-    // nonzero exported cas_fail_rate here can never legitimately appear).
-    contention_.on_level_walk(p, p, obs::WalkOutcome::kFirstRefresh);
   }
 
   // Retract the caller's announce (call after its operation is complete).
@@ -117,7 +113,6 @@ class HelpQueue {
     next.active = false;
     bool ok = co_await ctx.cas(cell(p), cur, next);
     APRAM_CHECK_MSG(ok, "help queue: owner-only retract lost a CAS");
-    contention_.on_level_walk(p, p, obs::WalkOutcome::kFirstRefresh);
   }
 
   // The FIFO head: the active announce with minimum (stamp, pid), or
@@ -143,15 +138,6 @@ class HelpQueue {
     return cell(p);
   }
 
-  // Per-cell announce/retract telemetry (cell p = process p's announce
-  // cell; owner-only CAS never loses, so cas_fail_rate here is pinned at 0
-  // — a nonzero value is a broken invariant, which obs_test asserts).
-  const obs::NodeContention& contention() const { return contention_; }
-  void export_contention_gauges(obs::Registry& registry,
-                                const std::string& prefix) const {
-    contention_.export_gauges(registry, prefix);
-  }
-
  private:
   typename B::template CasReg<Cell>& cell(int q) const {
     APRAM_CHECK(q >= 0 && q < n_);
@@ -160,7 +146,6 @@ class HelpQueue {
 
   int n_;
   std::vector<typename B::template CasReg<Cell>*> cells_;
-  mutable obs::NodeContention contention_;  // cell p = announce cell p
 };
 
 }  // namespace apram::universal2

@@ -107,8 +107,7 @@ class WaitFreeSim {
       : n_(num_procs),
         cfg_(cfg),
         rep_(&rep),
-        queue_(mem, num_procs, name),
-        helps_(num_procs) {
+        queue_(mem, num_procs, name) {
     APRAM_CHECK(num_procs >= 1);
     APRAM_CHECK(cfg.max_fast_attempts >= 0);
     states_.reserve(static_cast<std::size_t>(n_));
@@ -217,16 +216,6 @@ class WaitFreeSim {
     return state(p);
   }
 
-  // Helps given/received per pid (same dedup as the kHelp trace events: at
-  // most one per (own op, helped pid)). Exports `<prefix>.help_given` /
-  // `.help_received` totals + per-pid gauges; no-op when compiled out.
-  const obs::HelpTally& help_tally() const { return helps_; }
-  void export_contention_gauges(obs::Registry& registry,
-                                const std::string& prefix) const {
-    helps_.export_gauges(registry, prefix);
-    queue_.export_contention_gauges(registry, prefix + ".queue");
-  }
-
  private:
   struct alignas(64) Local {
     std::uint64_t next_opseq = 0;
@@ -246,7 +235,6 @@ class WaitFreeSim {
                           lo.op_epoch) {
       lo.help_epoch[static_cast<std::size_t>(h.pid)] = lo.op_epoch;
       ctx.op_help(h.pid);
-      helps_.on_help(p, h.pid);  // local telemetry; zero model accesses
     }
     const OpId id{h.pid, h.opseq};
     for (;;) {
@@ -299,7 +287,6 @@ class WaitFreeSim {
   Queue queue_;
   std::vector<typename B::template CasReg<Rec>*> states_;
   std::vector<std::unique_ptr<Local>> locals_;
-  mutable obs::HelpTally helps_;
 };
 
 }  // namespace apram::universal2

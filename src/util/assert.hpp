@@ -29,14 +29,3 @@ namespace apram {
   do {                                                            \
     if (!(expr)) ::apram::assert_fail(#expr, __FILE__, __LINE__, msg); \
   } while (0)
-
-// Debug-only variant (compiled out under NDEBUG) for checks on hot paths or
-// in conditions that are survivable-but-suspicious in release builds — e.g.
-// pin_this_shard clamping a shard index beyond kMaxShards.
-#ifdef NDEBUG
-#define APRAM_DCHECK_MSG(expr, msg) \
-  do {                              \
-  } while (0)
-#else
-#define APRAM_DCHECK_MSG(expr, msg) APRAM_CHECK_MSG(expr, msg)
-#endif

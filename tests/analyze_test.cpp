@@ -77,7 +77,7 @@ TEST(Analyze, RecoversExactScanCountsFromTheTraceAlone) {
   ASSERT_EQ(scans.size(), static_cast<std::size_t>(n));
   for (const OpStats* op : scans) {
     // §6.2 optimized closed forms, re-derived from span-tagged events with
-    // no help from the registry counters: n²−1 reads, n+1 writes.
+    // no help from World::counts: n²−1 reads, n+1 writes.
     EXPECT_EQ(op->reads, static_cast<std::uint64_t>(n * n - 1));
     EXPECT_EQ(op->writes, static_cast<std::uint64_t>(n + 1));
     EXPECT_EQ(op->cas_ops, 0u);
@@ -247,7 +247,7 @@ TEST(Analyze, LoadEventsJsonRoundTripsThroughTheMetricsArtifact) {
   Registry reg;
   Tracer tracer(n, 1 << 12);
   {
-    sim::World w(n, {.metrics = &reg, .tracer = &tracer});
+    sim::World w(n, {.tracer = &tracer});
     LatticeScanSim<MaxL> ls(w, n, "ls");
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {

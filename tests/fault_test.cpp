@@ -16,6 +16,7 @@
 
 #include "fault/certifier.hpp"
 #include "fault/nemesis.hpp"
+#include "obs/analyze.hpp"
 #include "sim/explore.hpp"
 #include "sim/replay.hpp"
 #include "sim/scheduler.hpp"
@@ -421,6 +422,17 @@ TEST(Certifier, ViolationArtifactReplaysStepIdentically) {
     EXPECT_EQ(w.counts(pid).total(), grants[static_cast<std::size_t>(pid)]);
   }
   EXPECT_EQ(w.global_step(), v.schedule.size());
+
+  // The flight dump carries each pid's counts as of the violation, and they
+  // are the replayed World's counts.
+  const obs::MetricsDoc flight = obs::load_metrics_json(v.flight_path);
+  for (int pid = 0; pid < 3; ++pid) {
+    const std::string p = ".p" + std::to_string(pid);
+    EXPECT_EQ(flight.gauges.at("cert.reads" + p),
+              static_cast<std::int64_t>(w.counts(pid).reads));
+    EXPECT_EQ(flight.gauges.at("cert.writes" + p),
+              static_cast<std::int64_t>(w.counts(pid).writes));
+  }
 
   // And it is deterministic: replaying the artifact twice gives identical
   // scanner views.

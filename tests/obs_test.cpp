@@ -92,18 +92,6 @@ TEST(Metrics, HistogramBucketsAndMean) {
   EXPECT_DOUBLE_EQ(snap.mean(), 2.0);
 }
 
-TEST(Metrics, CounterDeltaMeasuresWindow) {
-  Registry reg;
-  Counter& c = reg.counter("ops");
-  c.add(5);
-  CounterDelta d(c);
-  c.add(7);
-  EXPECT_EQ(d.delta(), 7u);
-  d.reset();
-  c.add(2);
-  EXPECT_EQ(d.delta(), 2u);
-}
-
 TEST(Metrics, KindCollisionAborts) {
   Registry reg;
   reg.counter("name");
@@ -126,43 +114,6 @@ TEST(Metrics, ClampedPinKeepsTotalsExact) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(c.value(), 3u * kPerThread);
-}
-
-TEST(Metrics, ClampedPinCountsEveryOccurrenceAndWarnsOnce) {
-  const std::uint64_t before = pinning_degraded();
-  // The stderr warning is emitted only by the process-wide FIRST clamp, so
-  // only the run that gets there first can assert on it.
-  const bool first_in_process = before == 0;
-  std::thread([first_in_process] {
-    if (first_in_process) testing::internal::CaptureStderr();
-    pin_this_shard(kMaxShards);  // clamps to shard 0
-    if (first_in_process) {
-      const std::string err = testing::internal::GetCapturedStderr();
-      EXPECT_NE(err.find("pinning"), std::string::npos) << err;
-    }
-  }).join();
-  EXPECT_EQ(pinning_degraded(), before + 1);
-
-  // Later clamps count but stay quiet.
-  std::thread([] {
-    testing::internal::CaptureStderr();
-    pin_this_shard(kMaxShards + 5);
-    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-  }).join();
-  EXPECT_EQ(pinning_degraded(), before + 2);
-
-  // In-range pins never count as degraded.
-  std::thread([] { pin_this_shard(kMaxShards - 1); }).join();
-  EXPECT_EQ(pinning_degraded(), before + 2);
-}
-
-TEST(Export, JsonCarriesThePinningDegradedGauge) {
-  // Synthesized on every export so analyzers can assert attribution health
-  // even for registries with no explicit gauges.
-  Registry reg;
-  reg.counter("x").add(1);
-  const std::string json = to_json(reg, nullptr, "unit");
-  EXPECT_NE(json.find("\"obs.pinning_degraded\": "), std::string::npos);
 }
 
 // ------------------------------------------------------------------ trace --
@@ -208,20 +159,6 @@ TEST(Trace, DrainResetsRingsButKeepsTotals) {
 }
 
 // -------------------------------------------------------------- sim hooks --
-
-TEST(SimObs, AttachMetricsCountsReadsAndWrites) {
-  Registry reg;
-  sim::World w(2, {.metrics = &reg});
-  AtomicSnapshotSim<int> snap(w, 2);
-  w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
-    co_await snap.update(ctx, 5);
-  });
-  w.run_solo(0);
-  // Registry-recorded counts agree with the world's bespoke counters.
-  EXPECT_EQ(w.metrics_reads(0).value(), w.counts(0).reads);
-  EXPECT_EQ(w.metrics_writes(0).value(), w.counts(0).writes);
-  EXPECT_EQ(reg.counter("sim.reads").value(), w.counts(0).reads);
-}
 
 // The tentpole loop: trace a 3-process run, project the trace to a schedule,
 // and replay it via sim/replay — the replayed run is step-identical.

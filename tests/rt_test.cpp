@@ -424,14 +424,6 @@ TEST(BlockPool, CachedBlocksArePoisonedUnderAsan) {
 }
 #endif
 
-TEST(ThreadHarness, PinningBeyondShardCapIsCountedNotSilent) {
-  const std::uint64_t before = obs::pinning_degraded();
-  // kMaxShards+2 workers: the two clamped pins must be visible in the
-  // counter (and warn once on stderr), not just a debug-build assert.
-  parallel_run(obs::kMaxShards + 2, [](int) {});
-  EXPECT_GE(obs::pinning_degraded() - before, 2u);
-}
-
 TEST(ThreadHarness, ParallelRunRunsEveryPid) {
   std::vector<std::atomic<int>> hits(5);
   parallel_run(5, [&](int pid) { hits[static_cast<std::size_t>(pid)] = pid + 1; });

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "lattice/lattice.hpp"
-#include "obs/metrics.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"
@@ -114,17 +113,14 @@ class ScanOpCounts : public ::testing::TestWithParam<std::tuple<int, ScanMode>> 
 
 TEST_P(ScanOpCounts, MatchesClosedForm) {
   const auto [n, mode] = GetParam();
-  obs::Registry registry;
-  World w(n, {.metrics = &registry});
+  World w(n);
   LatticeScanSim<MaxL> ls(w, n, "ls", mode);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await ls.scan(ctx, 5);
   });
-  obs::CounterDelta reads(w.metrics_reads(0));
-  obs::CounterDelta writes(w.metrics_writes(0));
   w.run_solo(0);
-  EXPECT_EQ(reads.delta(), expected_scan_reads(n, mode)) << "n=" << n;
-  EXPECT_EQ(writes.delta(), expected_scan_writes(n, mode)) << "n=" << n;
+  EXPECT_EQ(w.counts(0).reads, expected_scan_reads(n, mode)) << "n=" << n;
+  EXPECT_EQ(w.counts(0).writes, expected_scan_writes(n, mode)) << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(

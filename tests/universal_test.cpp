@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/universal.hpp"
-#include "obs/metrics.hpp"
 #include "objects/counter.hpp"
 #include "objects/fast_counter.hpp"
 #include "objects/grow_set.hpp"
@@ -226,17 +225,14 @@ TEST(UniversalCounter, SurvivorCompletesDespiteCrashes) {
 
 TEST(UniversalCounter, PerOperationSharedAccessCostIsScanPlusOneWrite) {
   for (int n : {1, 2, 4, 8}) {
-    obs::Registry registry;
-    World w(n, {.metrics = &registry});
+    World w(n);
     CounterSim c(w, n);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await c.inc(ctx, 1);
     });
-    obs::CounterDelta reads(w.metrics_reads(0));
-    obs::CounterDelta writes(w.metrics_writes(0));
     w.run_solo(0);
-    EXPECT_EQ(reads.delta(), expected_scan_reads(n, ScanMode::kOptimized));
-    EXPECT_EQ(writes.delta(),
+    EXPECT_EQ(w.counts(0).reads, expected_scan_reads(n, ScanMode::kOptimized));
+    EXPECT_EQ(w.counts(0).writes,
               expected_scan_writes(n, ScanMode::kOptimized) + 1);
   }
 }
@@ -352,15 +348,12 @@ TEST(FastCounter, ConcurrentIncrementsAllCounted) {
 }
 
 TEST(FastCounter, UpdateCostIsOneWrite) {
-  obs::Registry registry;
-  World w(6, {.metrics = &registry});
+  World w(6);
   FastCounterSim c(w, 6);
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await c.inc(ctx, 1); });
-  obs::CounterDelta reads(w.metrics_reads(0));
-  obs::CounterDelta writes(w.metrics_writes(0));
   w.run_solo(0);
-  EXPECT_EQ(reads.delta(), 0u);
-  EXPECT_EQ(writes.delta(), 1u);
+  EXPECT_EQ(w.counts(0).reads, 0u);
+  EXPECT_EQ(w.counts(0).writes, 1u);
 }
 
 }  // namespace
