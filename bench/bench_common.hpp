@@ -6,8 +6,10 @@
 // for the experiment index and EXPERIMENTS.md for recorded results).
 #pragma once
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <vector>
 
@@ -52,6 +54,18 @@ class BenchObs {
   std::string path_;
   obs::Registry registry_;
 };
+
+using Clock = std::chrono::steady_clock;
+
+// Wall-clock ns per op of `body`, a loop of `ops` operations.
+inline double ns_per_op(const std::function<void()>& body,
+                        std::uint64_t ops) {
+  const auto t0 = Clock::now();
+  body();
+  const auto t1 = Clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(ops);
+}
 
 // One approximate-agreement execution in the concurrent-participation
 // regime (inputs installed first; see DESIGN.md §6), with the output phase

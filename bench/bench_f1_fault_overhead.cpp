@@ -11,7 +11,6 @@
 //       i.e. what a campaign schedule costs over a plain run. The plan's
 //       crashes are armed on the World, as the certifier arms them.
 #include <chrono>
-#include <functional>
 
 #include "bench_common.hpp"
 #include "fault/nemesis.hpp"
@@ -22,16 +21,6 @@
 
 namespace apram::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double ns_per_op(const std::function<void()>& body, std::uint64_t ops) {
-  const auto t0 = Clock::now();
-  body();
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(ops);
-}
 
 int run(int argc, char** argv) {
   Flags flags(argc, argv);

@@ -1,53 +1,31 @@
-// Micro-benchmarks (google-benchmark) for the real-thread runtime: register
-// read/write latency, snapshot scan/update latency vs n, counter ops.
-// Single-threaded latency numbers — the multi-thread throughput shapes live
-// in bench_e5_snapshot_compare.
-#include <benchmark/benchmark.h>
-
+// Micro-benchmarks for the real-thread runtime, single-threaded latency:
+//   M1 — one register access: word and arena read/write/CAS, and a word
+//        read/write with an obs::RtProbe attached;
+//   M2 — one solo object operation: AtomicSnapshotRT update and scan versus
+//        n, FastCounterRT inc and read.
+// The multi-thread throughput shapes live in bench_e5_snapshot_compare.
+// Each row times one loop — --ops accesses for M1, --ops/100 operations
+// for M2 — after an untimed warm-up pass. A read row sums its results in a
+// loop-local and checks the sum, so no read can be optimized away and the
+// timed loop stores nothing per read.
+#include <cstdint>
+#include <functional>
 #include <iostream>
-#include <string>
 
+#include "bench_common.hpp"
 #include "objects/fast_counter.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/rt_probe.hpp"
 #include "rt/register.hpp"
 #include "snapshot/atomic_snapshot.hpp"
-#include "snapshot/lattice_scan.hpp"
 
-namespace apram::rt {
+namespace apram::bench {
 namespace {
 
-// Shared registry so the probed benchmarks below feed the metrics artifact
-// written by main(). Event counts depend on benchmark iteration counts and
-// are interesting only as magnitudes, not exact values.
-obs::Registry& bench_registry() {
-  static obs::Registry reg;
-  return reg;
-}
-
-void BM_RegisterRead(benchmark::State& state) {
-  SWMRRegister<std::int64_t> reg(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.read());
-  }
-}
-BENCHMARK(BM_RegisterRead);
-
-void BM_RegisterWrite(benchmark::State& state) {
-  SWMRRegister<std::int64_t> reg(0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    reg.write(++i);
-  }
-}
-BENCHMARK(BM_RegisterWrite);
-
-// The same word-sized accesses through the version arena: one fetch_add +
-// one fetch_sub per read, alloc/publish/transfer per write. That is the toll
-// values too large to inline (tagged vectors, universal2 records) pay; the
-// delta against the inline rows above is what inlining saves per access.
-// A word with a pad byte is not its bits, so Register keeps it in the arena.
+// A word with a pad byte is not its bits, so rt::Register keeps it in the
+// version arena: one fetch_add + one fetch_sub per read, alloc/publish/
+// transfer per write. That is the toll values too large to inline (tagged
+// vectors, universal2 records) pay; the delta against the word rows is
+// what inlining saves per access.
 struct ArenaWord {
   std::int64_t v;
   bool pad = false;
@@ -55,131 +33,132 @@ struct ArenaWord {
     return a.v == b.v;
   }
 };
-static_assert(!kInlineRegister<ArenaWord>);
+static_assert(!rt::kInlineRegister<ArenaWord>);
 
-void BM_RegisterReadArena(benchmark::State& state) {
-  SWMRRegister<ArenaWord> reg(ArenaWord{42});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.read());
-  }
+std::int64_t value_of(std::int64_t v) { return v; }
+std::int64_t value_of(const ArenaWord& w) { return w.v; }
+
+// Times loop(ops) after an untimed loop(ops / 10 + 1), which brings the
+// core up to speed and fills the thread's coroutine-frame pool before the
+// first timed operation.
+double warm_ns_per_op(const std::function<void(std::uint64_t)>& loop,
+                      std::uint64_t ops) {
+  loop(ops / 10 + 1);
+  return ns_per_op([&] { loop(ops); }, ops);
 }
-BENCHMARK(BM_RegisterReadArena);
 
-void BM_RegisterWriteArena(benchmark::State& state) {
-  SWMRRegister<ArenaWord> reg(ArenaWord{0});
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    reg.write(ArenaWord{++i});
-  }
+// ns per call of op(i), for i = 1, 2, ...
+template <class Op>
+double op_ns(Op op, std::uint64_t ops) {
+  return warm_ns_per_op(
+      [&](std::uint64_t k) {
+        for (std::uint64_t i = 1; i <= k; ++i) {
+          op(static_cast<std::int64_t>(i));
+        }
+      },
+      ops);
 }
-BENCHMARK(BM_RegisterWriteArena);
 
-void BM_CasRegisterSwap(benchmark::State& state) {
-  CASValueRegister<std::int64_t> reg(1, 0);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reg.compare_exchange(0, i, i + 1));
-    ++i;
-  }
+// ns per call of read(), which must return the same value every time.
+template <class Read>
+double read_ns(Read read, std::uint64_t ops) {
+  const std::int64_t expect = read();
+  return warm_ns_per_op(
+      [&](std::uint64_t k) {
+        std::int64_t acc = 0;
+        for (std::uint64_t i = 0; i < k; ++i) acc += read();
+        APRAM_CHECK(acc == expect * static_cast<std::int64_t>(k));
+      },
+      ops);
 }
-BENCHMARK(BM_CasRegisterSwap);
 
-void BM_CasRegisterSwapArena(benchmark::State& state) {
-  CASValueRegister<ArenaWord> reg(1, ArenaWord{0});
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        reg.compare_exchange(0, ArenaWord{i}, ArenaWord{i + 1}));
-    ++i;
-  }
+// ns per CAS; solo, so every CAS installs.
+template <class T>
+double cas_ns(rt::Register<T>& reg, std::uint64_t ops) {
+  return warm_ns_per_op(
+      [&](std::uint64_t k) {
+        std::int64_t v = value_of(reg.read());
+        std::uint64_t installed = 0;
+        for (std::uint64_t i = 0; i < k; ++i, ++v) {
+          installed += reg.compare_exchange(0, T{v}, T{v + 1}) ? 1 : 0;
+        }
+        APRAM_CHECK(installed == k);
+      },
+      ops);
 }
-BENCHMARK(BM_CasRegisterSwapArena);
 
-// Same register paths with an obs::RtProbe attached: the delta against
-// BM_RegisterRead/Write is the cost of the one-relaxed-fetch_add hot path
-// (the budget documented in DESIGN.md).
-void BM_RegisterReadProbed(benchmark::State& state) {
-  auto& reg = bench_registry();
-  obs::RtProbe probe{.reads = &reg.counter("micro.probed.reads"),
-                     .writes = &reg.counter("micro.probed.writes"),
-                     .cas_ops = &reg.counter("micro.probed.cas"),
-                     .object = 0};
-  SWMRRegister<std::int64_t> r(42);
-  r.attach_probe(&probe);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(r.read());
+int run(int argc, char** argv) {
+  Flags flags(argc, argv);
+  BenchObs bobs("bench_micro_rt", flags);
+  const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 2'000'000));
+  flags.check_unused();
+  APRAM_CHECK(ops >= 100);
+  const std::uint64_t object_ops = ops / 100;
+
+  Table m1("M1: rt register access cost (one thread)",
+           {"register", "access", "ns/op"});
+  const auto m1_row = [&](const char* reg, const char* access, double ns) {
+    m1.add(reg).add(access).add(ns, 2).end_row();
+  };
+  {
+    rt::Register<std::int64_t> reg(42);
+    m1_row("word", "read", read_ns([&] { return reg.read(); }, ops));
+    m1_row("word", "write", op_ns([&](std::int64_t i) { reg.write(i); }, ops));
+    m1_row("word", "cas", cas_ns(reg, ops));
   }
-}
-BENCHMARK(BM_RegisterReadProbed);
-
-void BM_RegisterWriteProbed(benchmark::State& state) {
-  auto& reg = bench_registry();
-  obs::RtProbe probe{.reads = &reg.counter("micro.probed.reads"),
-                     .writes = &reg.counter("micro.probed.writes"),
-                     .cas_ops = &reg.counter("micro.probed.cas"),
-                     .object = 0};
-  SWMRRegister<std::int64_t> r(0);
-  r.attach_probe(&probe);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    r.write(++i);
+  {
+    rt::Register<ArenaWord> reg(ArenaWord{42});
+    m1_row("arena", "read", read_ns([&] { return reg.read().v; }, ops));
+    m1_row("arena", "write",
+           op_ns([&](std::int64_t i) { reg.write(ArenaWord{i}); }, ops));
+    m1_row("arena", "cas", cas_ns(reg, ops));
   }
-}
-BENCHMARK(BM_RegisterWriteProbed);
-
-void BM_SnapshotUpdate(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  AtomicSnapshotRT<std::int64_t> snap(n);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    snap.update(0, ++i);
+  {
+    // The delta against the plain word rows is the probe's hot path.
+    obs::Registry& registry = bobs.registry();
+    const obs::RtProbe probe{
+        .reads = &registry.counter("micro.probed.reads"),
+        .writes = &registry.counter("micro.probed.writes"),
+        .cas_ops = &registry.counter("micro.probed.cas"),
+        .object = 0};
+    rt::Register<std::int64_t> reg(42);
+    reg.attach_probe(&probe);
+    m1_row("word+probe", "read", read_ns([&] { return reg.read(); }, ops));
+    m1_row("word+probe", "write",
+           op_ns([&](std::int64_t i) { reg.write(i); }, ops));
   }
-  state.SetLabel("n=" + std::to_string(n));
-}
-BENCHMARK(BM_SnapshotUpdate)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
+  m1.print(std::cout);
 
-void BM_SnapshotScan(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  AtomicSnapshotRT<std::int64_t> snap(n);
-  for (int p = 0; p < n; ++p) snap.update(p, p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(snap.scan(0));
+  // Every slot holds a value before a scan or read is timed.
+  Table m2("M2: rt solo object operation cost (pid 0)",
+           {"object", "op", "n", "ns/op"});
+  const auto m2_row = [&](const char* object, const char* op, int n,
+                          double ns) {
+    m2.add(object).add(op).add(n).add(ns, 1).end_row();
+  };
+  for (const int n : {2, 4, 8, 16}) {
+    rt::AtomicSnapshotRT<std::int64_t> snap(n);
+    for (int p = 0; p < n; ++p) snap.update(p, p);
+    m2_row("AtomicSnapshotRT", "update", n,
+           op_ns([&](std::int64_t i) { snap.update(0, i); }, object_ops));
+    m2_row("AtomicSnapshotRT", "scan (~n^2 reads)", n,
+           read_ns([&] { return *snap.scan(0).back(); }, object_ops));
   }
-  state.SetLabel("n=" + std::to_string(n) + " (expect ~n^2 growth)");
-}
-BENCHMARK(BM_SnapshotScan)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_FastCounterInc(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  FastCounterRT ctr(n);
-  for (auto _ : state) {
-    ctr.inc(0, 1);
+  for (const int n : {4, 16}) {
+    rt::FastCounterRT ctr(n);
+    for (int p = 0; p < n; ++p) ctr.inc(p, 1);
+    m2_row("FastCounterRT", "inc", n,
+           op_ns([&](std::int64_t) { ctr.inc(0, 1); }, object_ops));
+    m2_row("FastCounterRT", "read", n,
+           read_ns([&] { return ctr.read(0); }, object_ops));
   }
-}
-BENCHMARK(BM_FastCounterInc)->Arg(4)->Arg(16);
+  m2.print(std::cout);
 
-void BM_FastCounterRead(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  FastCounterRT ctr(n);
-  for (int p = 0; p < n; ++p) ctr.inc(p, 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ctr.read(0));
-  }
-}
-BENCHMARK(BM_FastCounterRead)->Arg(4)->Arg(16);
-
-}  // namespace
-}  // namespace apram::rt
-
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  const std::string path =
-      apram::obs::artifact_path("bench_micro_rt.metrics.json");
-  apram::obs::write_metrics_json(path, apram::rt::bench_registry(), nullptr,
-                                 "bench_micro_rt");
-  std::cout << "metrics artifact: " << path << "\n";
+  bobs.emit();
   return 0;
 }
+
+}  // namespace
+}  // namespace apram::bench
+
+int main(int argc, char** argv) { return apram::bench::run(argc, argv); }

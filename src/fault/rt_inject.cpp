@@ -8,20 +8,15 @@
 
 namespace apram::fault {
 
-RtInjector::RtInjector(const RtInjectOptions& opts)
-    : opts_(opts),
-      per_thread_(new PerThread[static_cast<std::size_t>(opts.num_pids)]) {
-  APRAM_CHECK(opts_.num_pids >= 1);
+RtInjector::RtInjector(const RtInjectOptions& opts) : opts_(opts) {
   APRAM_CHECK(opts_.sleep_max_us >= 1);
   std::uint64_t sm = opts_.seed;
-  for (int pid = 0; pid < opts_.num_pids; ++pid) {
-    per_thread_[static_cast<std::size_t>(pid)].rng.reseed(splitmix64(sm));
-  }
+  for (PerThread& t : per_thread_) t.rng.reseed(splitmix64(sm));
 }
 
 void RtInjector::on_access() {
   const int pid = obs::thread_pid();
-  if (pid < 0 || pid >= opts_.num_pids) return;
+  if (pid < 0 || pid >= kNumPids) return;
   PerThread& me = per_thread_[static_cast<std::size_t>(pid)];
   const std::uint64_t k =
       me.accesses.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -55,7 +50,7 @@ void RtInjector::on_hold() {
     return;
   }
   const int pid = obs::thread_pid();
-  if (pid < 0 || pid >= opts_.num_pids ||
+  if (pid < 0 || pid >= kNumPids ||
       stall_pid_.load(std::memory_order_relaxed) != pid) {
     return;
   }
@@ -79,7 +74,7 @@ void RtInjector::park() {
 }
 
 void RtInjector::arm_stall(int pid, std::uint64_t after, StallPoint point) {
-  APRAM_CHECK(pid >= 0 && pid < opts_.num_pids);
+  APRAM_CHECK(pid >= 0 && pid < kNumPids);
   APRAM_CHECK_MSG(!stall_armed_.load(std::memory_order_acquire) &&
                       !stall_engaged_.load(std::memory_order_acquire),
                   "a stall is already armed or engaged");
@@ -100,7 +95,7 @@ void RtInjector::release_stall() {
 }
 
 std::uint64_t RtInjector::accesses(int pid) const {
-  APRAM_CHECK(pid >= 0 && pid < opts_.num_pids);
+  APRAM_CHECK(pid >= 0 && pid < kNumPids);
   return per_thread_[static_cast<std::size_t>(pid)].accesses.load(
       std::memory_order_relaxed);
 }

@@ -35,12 +35,13 @@
 //     call it: aim kHold tests at arena-backed payloads.
 //
 // Threads without a model pid (obs::thread_pid() < 0, e.g. the main thread
-// probing a register mid-stall) pass through uninjected.
+// probing a register mid-stall) and threads with pid >= kNumPids pass
+// through uninjected.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "util/rng.hpp"
 
@@ -51,7 +52,6 @@ struct RtInjectOptions {
   double sleep_prob = 0.0;
   int sleep_max_us = 50;  // sleep duration drawn from [1, sleep_max_us]
   std::uint64_t seed = 1;
-  int num_pids = 64;  // threads with pid >= num_pids pass through
 };
 
 // Where an armed hard stall parks its victim.
@@ -62,6 +62,8 @@ enum class StallPoint : int {
 
 class RtInjector {
  public:
+  static constexpr int kNumPids = 64;
+
   explicit RtInjector(const RtInjectOptions& opts);
   RtInjector(const RtInjector&) = delete;
   RtInjector& operator=(const RtInjector&) = delete;
@@ -109,7 +111,7 @@ class RtInjector {
   void park();
 
   RtInjectOptions opts_;
-  std::unique_ptr<PerThread[]> per_thread_;
+  std::array<PerThread, kNumPids> per_thread_;
 
   // Stall plumbing. armed_ hands exactly one thread (the victim, via CAS)
   // into the parked state; stall_engaged_ tells the orchestrating thread the

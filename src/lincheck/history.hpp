@@ -59,7 +59,6 @@ class HistoryRecorder {
   }
 
   const std::vector<RecordedOp<S>>& ops() const { return ops_; }
-  std::vector<RecordedOp<S>>& mutable_ops() { return ops_; }
 
  private:
   std::vector<RecordedOp<S>> ops_;

@@ -59,9 +59,9 @@
 
 // Whether a 16-byte value is inline depends on cmpxchg16b; a TU compiled
 // without it would pick a different cell than the rest of the program.
-// apram_rt puts -mcx16 on its public interface.
+// The apram target puts -mcx16 on its public interface.
 #if defined(__x86_64__) && !defined(__GCC_HAVE_SYNC_COMPARE_AND_SWAP_16)
-#error "rt/register.hpp needs -mcx16 on x86-64 (link apram_rt, which adds it)"
+#error "rt/register.hpp needs -mcx16 on x86-64 (link apram, which adds it)"
 #endif
 
 namespace apram::rt {

@@ -123,7 +123,6 @@ class WaitFreeSim {
   }
 
   int num_procs() const { return n_; }
-  const Config& config() const { return cfg_; }
   R& rep() { return *rep_; }
   Queue& queue() { return queue_; }
 

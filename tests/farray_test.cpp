@@ -8,7 +8,6 @@
 //   * the contention bound 1 + 8·⌈log2 n⌉ under randomized adversaries
 //   * exhaustive schedule enumeration at n = 2 (own-write visibility — the
 //     helping lemma without any lattice order to lean on)
-//   * sim-vs-rt access parity through the shared api backends
 //
 // snapshot::TreeScan (tree_scan_test.cpp) covers the lattice instantiation
 // of the same machinery; this file is the non-lattice half of the contract.
@@ -22,7 +21,6 @@
 #include "api/rt_backend.hpp"
 #include "api/sim_backend.hpp"
 #include "farray/farray.hpp"
-#include "obs/metrics.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
@@ -284,38 +282,6 @@ TEST(FArrayExplore, OwnWriteIsInTheRootOnEverySchedule) {
         ASSERT_TRUE(x.roots[1] == 5 || x.roots[1] == 8) << x.roots[1];
       });
   EXPECT_GT(stats.executions, 400u);  // C(12,6) = 924: a real search
-}
-
-// ---------------------------------------------------------------------------
-// Sim-vs-rt parity: the same template over both backends performs the same
-// register accesses (rt CAS splits out of writes, so rt.writes + rt.cas is
-// compared against sim writes).
-// ---------------------------------------------------------------------------
-
-TEST(FArray, SimAndRtBackendsPerformTheSameAccesses) {
-  for (int n : {2, 4, 8}) {
-    World w(n);
-    api::SimBackend::Mem mem(w, "fa");
-    SimSum fa(mem, n);
-    w.spawn(0, [&](Context ctx) -> ProcessTask {
-      co_await fa.write(ctx, 5);
-      (void)co_await fa.read_f(ctx);
-    });
-    w.run_solo(0);
-    const auto sim_counts = w.counts(0);
-
-    obs::Registry reg;
-    api::RtBackend::Mem rt_mem(n);
-    FArray<api::RtBackend, std::int64_t, Sum> rt_fa(rt_mem, n);
-    rt_mem.attach_obs(reg, "fa");
-    rt_fa.write(api::RtBackend::Ctx{0}, 5).get();
-    (void)rt_fa.read_f(api::RtBackend::Ctx{0}).get();
-    const std::uint64_t rt_reads = reg.counter("rt.fa.reads").value();
-    const std::uint64_t rt_writes = reg.counter("rt.fa.writes").value();
-    const std::uint64_t rt_cas = reg.counter("rt.fa.cas").value();
-    EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
-    EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
-  }
 }
 
 TEST(FArray, RtSumMatchesSequentialSemantics) {

@@ -2,10 +2,7 @@
 // concept: the same template, run solo as pid 0 over both backends, performs
 // the same register accesses. RtProbe counts a CAS apart from the writes,
 // so the comparison is rt reads == sim reads and rt writes + cas == sim
-// writes (a CAS is one sim write). TreeScan, FArray and the universal2
-// counter carry the same check in their own suites; the queue and
-// union-find, FArray's other two clients, and the universal2 sorted set are
-// checked here.
+// writes (a CAS is one sim write).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +12,7 @@
 #include "api/rt_backend.hpp"
 #include "api/sim_backend.hpp"
 #include "core/universal.hpp"
+#include "farray/farray.hpp"
 #include "objects/fast_counter.hpp"
 #include "objects/polylog_queue.hpp"
 #include "objects/specs.hpp"
@@ -24,6 +22,8 @@
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/baselines/double_collect.hpp"
+#include "snapshot/tree_snapshot.hpp"
+#include "universal2/counter_rep.hpp"
 #include "universal2/linked_list.hpp"
 
 namespace apram {
@@ -84,6 +84,10 @@ template <class B>
 using Snapshot = snapshot::AtomicSnapshot<B, std::int64_t>;
 template <class B>
 using Universal = PaperUniversal<B, CounterSpec>;
+template <class B>
+using TreeScan = snapshot::TreeScan<B, MaxLattice<std::int64_t>>;
+template <class B>
+using SumFArray = farray::FArray<B, std::int64_t, SumCombiner<std::int64_t>>;
 
 TEST(SimRtParity, AfekSnapshot) {
   expect_same_accesses<Afek>(
@@ -109,6 +113,22 @@ TEST(SimRtParity, AtomicSnapshot) {
   };
   expect_same_accesses<Snapshot>(ops);
   expect_same_accesses<Snapshot>(ops, ScanMode::kPlain);
+}
+
+TEST(SimRtParity, TreeScan) {
+  expect_same_accesses<TreeScan>(
+      [](auto& tree, auto ctx) -> VoidCoro<decltype(ctx)> {
+        co_await tree.update(ctx, 5);
+        (void)co_await tree.scan(ctx);
+      });
+}
+
+TEST(SimRtParity, FArray) {
+  expect_same_accesses<SumFArray>(
+      [](auto& fa, auto ctx) -> VoidCoro<decltype(ctx)> {
+        co_await fa.write(ctx, 5);
+        (void)co_await fa.read_f(ctx);
+      });
 }
 
 TEST(SimRtParity, FastCounter) {
@@ -158,6 +178,16 @@ TEST(SimRtParity, SortedSet) {
         (void)co_await set.contains(ctx, 5);
       },
       /*capacity_per_proc=*/8, std::string("set"));
+}
+
+TEST(SimRtParity, Counter2) {
+  expect_same_accesses<universal2::Counter2>(
+      [](auto& c, auto ctx) -> VoidCoro<decltype(ctx)> {
+        co_await c.inc(ctx, 5);
+        co_await c.dec(ctx, 2);
+        (void)co_await c.read(ctx);
+      },
+      std::string("u2c"));
 }
 
 TEST(SimRtParity, UniversalConstruction) {

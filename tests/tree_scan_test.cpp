@@ -6,7 +6,6 @@
 //   * exhaustive schedule enumeration at n = 2 and a cheap n = 3 variant
 //   * a seeded fault campaign (certify_wait_freedom) with per-pid bounds
 //   * crash schedules injected at construction via World::Options
-//   * sim-vs-rt access-count parity through the shared api backends
 //
 // The same TreeScan template instantiates against api::SimBackend here and
 // api::RtBackend in the rt tests/benchmarks — one algorithm, two backends.
@@ -23,7 +22,6 @@
 #include "api/sim_backend.hpp"
 #include "fault/certifier.hpp"
 #include "fault_seeds.hpp"
-#include "obs/metrics.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
@@ -371,37 +369,6 @@ TEST(TreeScanFault, SiblingRefreshRecoversACrashedUpdatersLeaf) {
   });
   w.run_solo(3);
   EXPECT_EQ(after, 999);
-}
-
-// ---------------------------------------------------------------------------
-// Sim-vs-rt parity: the same template over the two backends performs the
-// same register accesses (rt CAS is split out of writes by RtProbe, so the
-// comparison is rt.writes + rt.cas == sim writes).
-// ---------------------------------------------------------------------------
-
-TEST(TreeScan, SimAndRtBackendsPerformTheSameAccesses) {
-  for (int n : {2, 4, 8}) {
-    World w(n);
-    api::SimBackend::Mem mem(w, "t");
-    SimTree tree(mem, n);
-    w.spawn(0, [&](Context ctx) -> ProcessTask {
-      co_await tree.update(ctx, 5);
-      (void)co_await tree.scan(ctx);
-    });
-    w.run_solo(0);
-    const auto sim_counts = w.counts(0);
-
-    obs::Registry reg;
-    TreeScanRT<MaxL> rt_tree(n);
-    rt_tree.attach_obs(reg, "tree");
-    rt_tree.update(0, 5);
-    (void)rt_tree.scan(0);
-    const std::uint64_t rt_reads = reg.counter("rt.tree.reads").value();
-    const std::uint64_t rt_writes = reg.counter("rt.tree.writes").value();
-    const std::uint64_t rt_cas = reg.counter("rt.tree.cas").value();
-    EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
-    EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
-  }
 }
 
 TEST(TreeScan, RtWrappersMatchSequentialSemantics) {
