@@ -1,5 +1,6 @@
 // Micro-benchmarks for the real-thread runtime, single-threaded latency:
-//   M1 — one register access: word and arena read/write/CAS, and a word
+//   M1 — one register access: word and arena read/write/CAS, an n = 16
+//        tagged vector (the snapshot's value) read/write, and a word
 //        read/write with an obs::RtProbe attached;
 //   M2 — one solo object operation: AtomicSnapshotRT update and scan versus
 //        n, FastCounterRT inc and read.
@@ -13,6 +14,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "lattice/lattice.hpp"
 #include "objects/fast_counter.hpp"
 #include "obs/rt_probe.hpp"
 #include "rt/register.hpp"
@@ -112,6 +114,24 @@ int run(int argc, char** argv) {
     m1_row("arena", "write",
            op_ns([&](std::int64_t i) { reg.write(ArenaWord{i}); }, ops));
     m1_row("arena", "cas", cas_ns(reg, ops));
+  }
+  {
+    // The value an AtomicSnapshotRT at n = 16 reads and writes: an arena
+    // register whose read copies the 16-cell vector out of its version (a
+    // heap allocation) and whose write takes a copy of the caller's vector.
+    using Vec = TaggedVectorLattice<std::int64_t>::Value;
+    Vec v(16);
+    for (std::size_t q = 0; q < v.size(); ++q) {
+      v[q] = {q + 1, static_cast<std::int64_t>(q)};
+    }
+    rt::Register<Vec> reg(v);
+    m1_row("tagged vector n=16", "read",
+           read_ns([&] { return reg.read().back().value; }, ops));
+    const auto write = [&](std::int64_t i) {
+      v.front().value = i;
+      reg.write(v);
+    };
+    m1_row("tagged vector n=16", "write", op_ns(write, ops));
   }
   {
     // The delta against the plain word rows is the probe's hot path.

@@ -16,17 +16,21 @@
 //   * insert(k): search; duplicate → done(false). Else allocate a FRESH
 //     node X (fresh per attempt — abandoned candidates must stay forever
 //     unlinkable), privately freeze X.next to the successor, and emit the
-//     decision CAS pred.next: {seen} → {X}. Resolve after a lost CAS:
-//     search finds X unmarked (unique-key invariant) → applied; X.next
-//     advanced past the freeze (only reachable nodes get their link CASed)
-//     → applied (then marked/unlinked); otherwise the lost CAS itself
-//     proves pred.next moved past the candidate's expected stamp, so the
-//     candidate is dead forever (leave-invariant) → definitively failed.
+//     decision CAS pred.next: {seen} → {X}. A lost CAS of an unannounced
+//     op (fast path: the owner is the only executor) → definitively
+//     failed, with no further access. Resolve after a lost CAS of an
+//     announced op: search finds X unmarked (unique-key invariant) →
+//     applied; X.next advanced past the freeze (only reachable nodes get
+//     their link CASed) → applied (then marked/unlinked); otherwise the lost
+//     CAS itself proves pred.next moved past the candidate's expected stamp,
+//     so the candidate is dead forever (leave-invariant) → definitively
+//     failed.
 //   * remove(k): search; absent → done(false). Else decision CAS marks the
 //     victim's link {unmarked} → {marked, owner=(pid,opseq)}. Marks are
 //     permanent and a marked link is frozen (every link CAS expects an
-//     unmarked stamp it read), so the resolve reads the victim's link:
-//     marked with our owner id → applied; anything else → failed forever.
+//     unmarked stamp it read), so the resolve of an announced op reads the
+//     victim's link: marked with our owner id → applied; anything else →
+//     failed forever. An unannounced op's lost CAS fails at once.
 //   * contains(k): one read-only pass that skips marked nodes; resolves in
 //     prepare() (fast-path only, never helped). Next edges always point to
 //     strictly larger keys (insert splices between smaller and larger;
@@ -197,6 +201,11 @@ class SortedListRep {
                                 prep.desired);
     if (won) {
       co_return Outcome<Response>{true, 1};
+    }
+    // Only the owner executes an unannounced candidate (OpId::announced), so
+    // a lost CAS means its node was never linked and its mark never set.
+    if (!id.announced) {
+      co_return Outcome<Response>{false, 0};
     }
     if (inv.op == OpType::kInsert) {
       // Did X get linked anyway (a rival helper executed this candidate

@@ -44,7 +44,9 @@
 //                    {decided=false} iff it definitively did not and a fresh
 //                    prepare is needed. The resolution must stay correct
 //                    when invoked late by a stale helper (see the
-//                    leave-invariant in wait_free_sim.hpp).
+//                    leave-invariant in wait_free_sim.hpp). An unannounced
+//                    id has no helpers (OpId::announced), so its lost CAS
+//                    may answer {decided=false} without reading evidence.
 //   R::op_kind(inv) — the obs span kind for this invocation.
 //   R::read_only(inv) — true when prepare() always resolves the operation
 //                    (no decision CAS, no helping needed); such invocations
@@ -72,6 +74,15 @@ namespace apram::universal2 {
 struct OpId {
   int pid = -1;
   std::uint64_t opseq = 0;
+  // Set only on the ids WaitFreeSim::help_record builds, i.e. once the op
+  // sits in the help queue. Helpers learn of an op only from that queue, so
+  // before the announce the owner is the op's one executor: it runs every
+  // prepare and attempt itself and learns the outcome from its own decision
+  // CAS. A rep may therefore answer a lost decision CAS of an unannounced id
+  // with {decided=false} at once, and need keep no evidence that a later
+  // resolver could ask about an unannounced install. Once announced, every
+  // prepare/attempt of the op carries the bit and the full wrap-up applies.
+  bool announced = false;
 
   friend bool operator==(const OpId&, const OpId&) = default;
 };

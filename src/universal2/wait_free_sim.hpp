@@ -10,7 +10,10 @@
 //      fast path themselves.
 //   1. FAST PATH — up to max_fast_attempts rounds of the rep's normalized
 //      steps (prepare → decision CAS → resolve), entirely private: no
-//      shared announce, no state record. Uncontended cost = the rep's own
+//      shared announce, no state record, and no evidence. The op's id is
+//      unannounced (OpId::announced), so the owner is its only executor and
+//      a lost decision CAS needs no resolve reads; help_record (step 2)
+//      builds every id with the bit set. Uncontended cost = the rep's own
 //      cost (counter: 1 read + 1 CAS) — this is what bench_e6 measures
 //      against the paper construction's O(n²) scan.
 //   2. SLOW PATH — publish a per-process state record (kPending), announce
@@ -235,7 +238,7 @@ class WaitFreeSim {
       lo.help_epoch[static_cast<std::size_t>(h.pid)] = lo.op_epoch;
       ctx.op_help(h.pid);
     }
-    const OpId id{h.pid, h.opseq};
+    const OpId id{h.pid, h.opseq, /*announced=*/true};
     for (;;) {
       Rec st = co_await ctx.read(state(h.pid));
       if (st.opseq != h.opseq) co_return;  // stale announce: other incarnation

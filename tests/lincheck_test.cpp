@@ -289,7 +289,11 @@ TEST(EndToEnd, U2CounterHistoriesAreLinearizable) {
   slow.help_period = 1;
   U2Counter::Config no_help;  // only slow-path waiters help
   no_help.help_period = 0;
-  for (const U2Counter::Config& cfg : {U2Counter::Config{}, slow, no_help}) {
+  U2Counter::Config mixed;  // one lost fast CAS announces; every op helps
+  mixed.max_fast_attempts = 1;
+  mixed.help_period = 1;
+  for (const U2Counter::Config& cfg :
+       {U2Counter::Config{}, slow, no_help, mixed}) {
     for (int n : {2, 3, 4}) {
       for (std::uint64_t seed = 0; seed < 180; ++seed) {
         auto h = record_u2_counter_run(seed, n, cfg);

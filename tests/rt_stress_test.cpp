@@ -67,14 +67,18 @@ TEST(RtStress, FastCounterConservationUnderLoad) {
   EXPECT_EQ(ctr.read(0), static_cast<std::int64_t>(total));
 }
 
-// universal2's Counter2 under an inc/dec/reset/read mix, on the fast path
-// and with every mutation forced through announce, help and retire.
+// universal2's Counter2 under an inc/dec/reset/read mix, on the fast path,
+// with every mutation forced through announce, help and retire, and with
+// fast-path and announced installs mixed (one lost fast CAS announces).
 TEST(RtStress, Counter2HistoriesAreLinearizable) {
   using universal2::Counter2RT;
   Counter2RT::Config slow;
   slow.max_fast_attempts = 0;
   slow.help_period = 1;
-  for (const Counter2RT::Config& cfg : {Counter2RT::Config{}, slow}) {
+  Counter2RT::Config mixed;
+  mixed.max_fast_attempts = 1;
+  mixed.help_period = 1;
+  for (const Counter2RT::Config& cfg : {Counter2RT::Config{}, slow, mixed}) {
     for (int trial = 0; trial < 40; ++trial) {
       const int n = 3;
       Counter2RT ctr(n, cfg);

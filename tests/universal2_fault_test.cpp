@@ -60,8 +60,9 @@ std::string artifact_dir(const std::string& subdir) {
 // ---------------------------------------------------------------------------
 // Counter campaign. Three mutators (pid p: two incs of p+1) and a measured
 // reader (pid 3, never crashed). The judge re-derives consistency from the
-// applied evidence (CounterRep::applied_opseq: the applied[p] registers and
-// the cell's tag): the value must equal exactly the sum of the applied
+// applied evidence (CounterRep::applied_opseq: the applied[p] registers, the
+// cell's tag and each owner's fast-path record): the value must equal
+// exactly the sum of the applied
 // evidence — an operation that took effect without being recorded, was
 // recorded without taking effect, or took effect twice all break the
 // equation — and the reader's two reads plus the final value must be
@@ -150,6 +151,16 @@ TEST(U2FaultCampaign, CounterForcedSlowPathSurvivesCrashesAndStalls) {
   cfg.max_fast_attempts = 0;  // every mutation announces; helpers race
   cfg.help_period = 1;
   run_counter_campaign(cfg, "u2-counter-slow");
+}
+
+// Fast-path installs (no evidence kept) and announced installs (evidence
+// kept) interleave on the one cell: a fast-path op that loses its single
+// CAS announces, and every op helps first.
+TEST(U2FaultCampaign, CounterMixedPathsSurviveCrashesAndStalls) {
+  SimCounter::Config cfg;
+  cfg.max_fast_attempts = 1;
+  cfg.help_period = 1;
+  run_counter_campaign(cfg, "u2-counter-mixed");
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@
 //     or is completed by a helper — never a half-applied operation
 //   * the counter's owner rule, on one deterministic crash schedule: a
 //     helper overwriting an install of its own pending op keeps it applied
+//   * evidence only where a helper can ask: exact contended counter costs
+//     over fast-path and announced installs, and a lost fast-path set CAS
+//     that costs the CAS alone
 //   * rt storms agree with the sequential spec (sim-vs-rt access parity is
 //     in parity_test)
 #include <gtest/gtest.h>
@@ -445,7 +448,7 @@ TEST(U2Counter, HelperOverwritingItsOwnPendingInstallKeepsItApplied) {
   w.schedule_crash(2, record + enqueue + 1 + un + 5);
   w.run_solo(2);
   ASSERT_TRUE(w.crashed(2));
-  ASSERT_EQ(rep.cell_register().peek().tag, rep.tag_of({1, 1}));
+  ASSERT_EQ(rep.cell_register().peek().tag, rep.tag_of({1, 1, true}));
   ASSERT_EQ(c.sim().state_at(1).peek().stage,
             SimCounter::Sim::Stage::kCandidate);
 
@@ -463,10 +466,73 @@ TEST(U2Counter, HelperOverwritingItsOwnPendingInstallKeepsItApplied) {
   w.run_solo(1);
   ASSERT_TRUE(w.done(1));
   const auto cell = rep.cell_register().peek();
-  EXPECT_EQ(cell.tag, rep.tag_of({0, 1}));  // pid 0's op was installed last
+  // pid 0's op was installed last.
+  EXPECT_EQ(cell.tag, rep.tag_of({0, 1, true}));
   EXPECT_EQ(cell.value, 2);
   EXPECT_EQ(rep.applied_opseq(0), 1u);
   EXPECT_EQ(rep.applied_opseq(1), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Evidence only where a helper can ask: an install by a fast-path op (its id
+// is unannounced) is overwritten without raising applied[], and a lost fast
+// CAS returns without resolve reads. An announced install still gets its
+// raise. Exact costs on one deterministic schedule.
+// ---------------------------------------------------------------------------
+
+TEST(U2Counter, ContendedFastPathKeepsEvidenceOnlyForAnnouncedInstalls) {
+  const int n = 3;
+  World w(n);
+  api::SimBackend::Mem mem(w, "u2");
+  SimCounter::Config cfg;
+  cfg.max_fast_attempts = 1;  // one lost fast CAS sends an inc slow
+  cfg.help_period = 0;        // no queue peeks: the rep's costs alone
+  SimCounter c(mem, n, "c", cfg);
+  const CounterRep<api::SimBackend>& rep = c.rep();
+  auto inc = [&c](Context ctx) -> ProcessTask { co_await c.inc(ctx, 1); };
+
+  // pid 0 installs its op on the fast path.
+  w.spawn(0, inc);
+  w.run_solo(0);
+  ASSERT_EQ(rep.cell_register().peek().tag, rep.tag_of({0, 1}));
+
+  // pid 1 reads the cell (pid 0's install) and pauses before its CAS.
+  w.spawn(1, inc);
+  ASSERT_TRUE(w.step(1));
+
+  // pid 2 overwrites pid 0's fast-path install: no raise, 1 read + 1 CAS.
+  const auto p2_before = w.counts(2);
+  w.spawn(2, inc);
+  w.run_solo(2);
+  const auto p2_first = w.counts(2) - p2_before;
+  EXPECT_EQ(p2_first.reads, 1u);
+  EXPECT_EQ(p2_first.writes, 1u);
+
+  // pid 1's fast CAS loses and returns at once; the slow path then installs
+  // the op under its announced tag: 15 reads + 8 writes for the whole op.
+  w.run_solo(1);
+  ASSERT_TRUE(w.done(1));
+  const auto p1 = w.counts(1);
+  EXPECT_EQ(p1.reads, 15u);
+  EXPECT_EQ(p1.writes, 8u);
+  EXPECT_EQ(c.sim().slow_path_entries(1), 1u);
+  ASSERT_EQ(rep.cell_register().peek().tag, rep.tag_of({1, 1, true}));
+
+  // pid 2's next inc overwrites an announced install, so it raises
+  // applied[1]: 2 reads + 2 CAS.
+  const auto p2_mid = w.counts(2);
+  w.spawn(2, inc);
+  w.run_solo(2);
+  const auto p2_second = w.counts(2) - p2_mid;
+  EXPECT_EQ(p2_second.reads, 2u);
+  EXPECT_EQ(p2_second.writes, 2u);
+
+  const auto cell = rep.cell_register().peek();
+  EXPECT_EQ(cell.tag, rep.tag_of({2, 2}));
+  EXPECT_EQ(cell.value, 4);
+  EXPECT_EQ(rep.applied_opseq(0), 1u);
+  EXPECT_EQ(rep.applied_opseq(1), 1u);
+  EXPECT_EQ(rep.applied_opseq(2), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +657,78 @@ TEST(U2Set, ForcedSlowPathKeepsMembershipConsistent) {
     for (int p = 0; p < n; ++p) slow += s.sim().slow_path_entries(p);
     EXPECT_GT(slow, 0u);
   }
+}
+
+// A fast-path set op whose decision CAS loses returns at once: only its
+// owner executes an unannounced candidate, so the node was never linked and
+// the mark never set. An announced op's lost CAS still resolves.
+TEST(U2Set, LostFastPathCasCostsExactlyTheCas) {
+  using Rep = SortedListRep<api::SimBackend>;
+  const int n = 2;
+  World w(n);
+  api::SimBackend::Mem mem(w, "u2");
+  Rep rep(mem, n, /*capacity_per_proc=*/8, "set");
+  auto prepare = [&](int pid, OpId id, Rep::Invocation inv) {
+    Rep::Prep prep;
+    w.spawn(pid, [&](Context ctx) -> ProcessTask {
+      prep = co_await rep.prepare(ctx, id, inv);
+    });
+    w.run_solo(pid);
+    EXPECT_FALSE(prep.done);
+    return prep;
+  };
+  struct Attempt {
+    Outcome<std::int64_t> out;
+    obs::AccessCounts cost;
+  };
+  auto attempt = [&](int pid, OpId id, Rep::Invocation inv,
+                     const Rep::Prep& prep) {
+    Attempt a;
+    const auto before = w.counts(pid);
+    w.spawn(pid, [&](Context ctx) -> ProcessTask {
+      a.out = co_await rep.attempt(ctx, id, inv, prep);
+    });
+    w.run_solo(pid);
+    a.cost = w.counts(pid) - before;
+    return a;
+  };
+  // pid 0 prepares (id, inv), pid 1 runs its rival op to completion, then
+  // pid 0 attempts its now stale candidate.
+  auto overtaken = [&](OpId id, Rep::Invocation inv, OpId rival,
+                       Rep::Invocation rival_inv) {
+    const Rep::Prep mine = prepare(0, id, inv);
+    const Rep::Prep theirs = prepare(1, rival, rival_inv);
+    EXPECT_TRUE(attempt(1, rival, rival_inv, theirs).out.decided);
+    return attempt(0, id, inv, mine);
+  };
+
+  // Insert: pid 1 swings the head link that pid 0's candidate expects.
+  const Attempt insert =
+      overtaken({0, 1}, Rep::insert(5), {1, 1}, Rep::insert(3));
+  EXPECT_FALSE(insert.out.decided);
+  EXPECT_EQ(insert.cost.reads, 0u);
+  EXPECT_EQ(insert.cost.writes, 1u);
+
+  // Remove: pid 1 marks key 3 first.
+  const Attempt remove =
+      overtaken({0, 2}, Rep::remove(3), {1, 2}, Rep::remove(3));
+  EXPECT_FALSE(remove.out.decided);
+  EXPECT_EQ(remove.cost.reads, 0u);
+  EXPECT_EQ(remove.cost.writes, 1u);
+
+  // The same loss for an announced insert still runs the resolve search.
+  const Attempt announced =
+      overtaken({0, 3, true}, Rep::insert(9), {1, 3}, Rep::insert(8));
+  EXPECT_FALSE(announced.out.decided);
+  EXPECT_GT(announced.cost.reads, 0u);
+  EXPECT_EQ(announced.cost.writes, 1u);
+
+  std::vector<std::int64_t> keys;
+  w.spawn(0, [&](Context ctx) -> ProcessTask {
+    keys = co_await rep.snapshot_keys(ctx);
+  });
+  w.run_solo(0);
+  EXPECT_EQ(keys, (std::vector<std::int64_t>{8}));
 }
 
 // ---------------------------------------------------------------------------
