@@ -29,7 +29,7 @@ using MaxL = MaxLattice<std::int64_t>;
 
 sim::StepCounts measure_solo_scan(int n, ScanMode mode) {
   sim::World w(n);
-  LatticeScanSim<MaxL> ls(w, n, "ls", mode);
+  LatticeScanSim<MaxL> ls(w, n, mode);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     co_await ls.scan(ctx, 1);
   });
@@ -73,7 +73,7 @@ int run(int argc, char** argv) {
   for (std::uint64_t seed : {0ULL, 7ULL, 99ULL}) {
     const int n = 6;
     sim::World w(n);
-    LatticeScanSim<MaxL> ls(w, n, "ls");
+    LatticeScanSim<MaxL> ls(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
         co_await ls.scan(ctx, pid);
@@ -104,7 +104,7 @@ int run(int argc, char** argv) {
     const int n = trace_n;
     tracer = std::make_unique<obs::Tracer>(n, /*capacity_per_ring=*/1 << 12);
     sim::World w(n, {.tracer = tracer.get()});
-    LatticeScanSim<MaxL> ls(w, n, "ls");
+    LatticeScanSim<MaxL> ls(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
         co_await ls.scan(ctx, pid);

@@ -43,7 +43,7 @@ int run(int argc, char** argv) {
   const int n = 4;
   for (int pressure : {0, 1, 2, 4}) {
     sim::World w1(n);
-    AtomicSnapshotSim<int> ours(w1, n, "ours");
+    AtomicSnapshotSim<int> ours(w1, n);
     bool ours_done = false;
     w1.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
       (void)co_await ours.scan(ctx);

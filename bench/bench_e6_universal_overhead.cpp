@@ -132,9 +132,8 @@ int run(int argc, char** argv) {
         expected_scan_reads(n, ScanMode::kOptimized) +
         expected_scan_writes(n, ScanMode::kOptimized) + 1;
     sim::World w(n);
-    api::SimBackend::Mem mem(w, "e6c");
     universal2::Counter2<api::SimBackend> c(
-        mem, n, "c", {.max_fast_attempts = 3, .help_period = 0});
+        w, n, {.max_fast_attempts = 3, .help_period = 0});
     // One warm-up op, then measure the steady-state per-op delta.
     w.spawn(0, [&c](sim::Context ctx) -> sim::ProcessTask {
       co_await c.inc(ctx, 1);
@@ -237,9 +236,8 @@ int run(int argc, char** argv) {
   {
     const int n = 6, ops = 8;
     sim::World w(n, {.tracer = &tracer});
-    api::SimBackend::Mem mem(w, "e6e");
     universal2::Counter2<api::SimBackend> c(
-        mem, n, "c", {.max_fast_attempts = 0, .help_period = 1});
+        w, n, {.max_fast_attempts = 0, .help_period = 1});
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&c, ops](sim::Context ctx) -> sim::ProcessTask {
         for (int i = 0; i < ops; ++i) {

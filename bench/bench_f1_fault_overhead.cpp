@@ -76,7 +76,7 @@ int run(int argc, char** argv) {
   const auto make_exec = [&](sim::World& w,
                              std::vector<sim::Register<int>*>& regs) {
     for (int pid = 0; pid < 3; ++pid) {
-      regs.push_back(&w.make_register<int>("r" + std::to_string(pid), 0, pid));
+      regs.push_back(&w.make<int>(0, pid));
       w.spawn(pid, [&regs, pid, sim_writes](sim::Context ctx)
                   -> sim::ProcessTask {
         for (int i = 1; i <= sim_writes; ++i) {

@@ -26,7 +26,7 @@ struct LoggedEvent {
 int main() {
   const int workers = 3;
   sim::World world(workers);
-  LamportClockSim clock(world, workers, "clk");
+  LamportClockSim clock(world, workers);
 
   std::vector<LoggedEvent> log;
   // Mailboxes: mailbox[i] carries a (stamped) message for worker i.

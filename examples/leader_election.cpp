@@ -25,7 +25,7 @@ int main() {
 
   for (int epoch = 0; epoch < epochs; ++epoch) {
     sim::World world(replicas);
-    RandomizedConsensusSim election(world, replicas, "elect");
+    RandomizedConsensusSim election(world, replicas);
 
     std::vector<std::int64_t> elected(replicas, -1);
     for (int pid = 0; pid < replicas; ++pid) {

@@ -20,7 +20,7 @@ int main() {
   // interleaves them at single-register-access granularity.
   {
     sim::World world(3);
-    AtomicSnapshotSim<int> snapshot(world, 3, "snap");
+    AtomicSnapshotSim<int> snapshot(world, 3);
 
     std::vector<SnapshotView<int>> views(3);
     for (int pid = 0; pid < 3; ++pid) {
@@ -56,7 +56,7 @@ int main() {
   // sequential spec into a wait-free linearizable object.
   {
     sim::World world(2);
-    CounterSim counter(world, 2, "ctr");
+    CounterSim counter(world, 2);
     std::int64_t observed = 0;
 
     world.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {

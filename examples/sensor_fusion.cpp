@@ -32,7 +32,7 @@ int main() {
   }
 
   sim::World world(sensors);
-  ApproxAgreementSim agreement(world, sensors, tolerance, "fuse");
+  ApproxAgreementSim agreement(world, sensors, tolerance);
 
   // Phase 1: every sensor posts its raw reading.
   for (int pid = 0; pid < sensors; ++pid) {

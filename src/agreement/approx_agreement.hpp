@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "agreement/approx_spec.hpp"
@@ -61,8 +60,7 @@ class ApproxAgreement {
     r_.reserve(static_cast<std::size_t>(n_));
     logs_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      r_.push_back(&mem.template make<Entry>(
-          "r[" + std::to_string(p) + "]", Entry{}, /*writer=*/p));
+      r_.push_back(&mem.template make<Entry>(Entry{}, /*writer=*/p));
       logs_.push_back(std::make_unique<Log>());
     }
   }
@@ -171,15 +169,7 @@ class ApproxAgreement {
   std::vector<std::unique_ptr<Log>> logs_;
 };
 
-class ApproxAgreementSim
-    : private api::SimObject,
-      public ApproxAgreement<api::SimBackend> {
- public:
-  ApproxAgreementSim(sim::World& world, int num_procs, double epsilon,
-                     const std::string& name = "aa")
-      : SimObject(world, name),
-        ApproxAgreement<api::SimBackend>(mem_, num_procs, epsilon) {}
-};
+using ApproxAgreementSim = ApproxAgreement<api::SimBackend>;
 
 namespace rt {
 

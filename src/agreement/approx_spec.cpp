@@ -14,10 +14,7 @@ ApproxAgreementSpec::ApproxAgreementSpec(double epsilon) : epsilon_(epsilon) {
   APRAM_CHECK_MSG(epsilon > 0.0, "epsilon must be positive");
 }
 
-void ApproxAgreementSpec::add_input(double x) {
-  inputs_.push_back(x);
-  in_range_.extend(x);
-}
+void ApproxAgreementSpec::add_input(double x) { in_range_.extend(x); }
 
 bool ApproxAgreementSpec::try_output(double y) {
   if (in_range_.empty) return false;  // output before any input: unspecified

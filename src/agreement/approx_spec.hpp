@@ -12,7 +12,6 @@
 
 #include <optional>
 #include <span>
-#include <vector>
 
 namespace apram {
 
@@ -55,14 +54,8 @@ class ApproxAgreementSpec {
   // against the current state; when legal, y is added to Y.
   bool try_output(double y);
 
-  bool has_inputs() const { return !in_range_.empty; }
-
-  const RealRange& input_range() const { return in_range_; }
-  const RealRange& output_range() const { return out_range_; }
-
  private:
   double epsilon_;
-  std::vector<double> inputs_;
   RealRange in_range_;
   RealRange out_range_;
 };

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "agreement/approx_spec.hpp"
@@ -44,15 +43,13 @@ class MidpointAgreementSim {
     bool present = false;
   };
 
-  MidpointAgreementSim(sim::World& world, int num_procs, double epsilon,
-                       const std::string& name = "mid")
+  MidpointAgreementSim(sim::World& world, int num_procs, double epsilon)
       : n_(num_procs), eps_(epsilon) {
     APRAM_CHECK_MSG(num_procs == 2,
                     "midpoint agreement is the two-process testbed");
     APRAM_CHECK(epsilon > 0.0);
     for (int p = 0; p < n_; ++p) {
-      r_.push_back(&world.make_register<Entry>(
-          name + ".r[" + std::to_string(p) + "]", Entry{}, /*writer=*/p));
+      r_.push_back(&world.make<Entry>(Entry{}, /*writer=*/p));
     }
   }
 

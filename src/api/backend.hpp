@@ -20,9 +20,10 @@
 //
 //   B::Ctx               — per-process handle: pid(), and awaitable factories
 //                          read(reg) / write(reg, v) / cas(casreg, exp, des).
-//   B::Mem               — register factory/owner: make<T>(name, init, writer)
-//                          and make_cas<T>(name, init), returning references
-//                          stable for the Mem's lifetime.
+//   B::Mem               — register factory/owner: make<T>(init, writer) and
+//                          make_cas<T>(init), returning references stable
+//                          for the Mem's lifetime. A register is identified
+//                          by its creation order, never by a name.
 //   B::Reg<T>            — single-writer multi-reader register handle.
 //   B::CasReg<T>         — multi-writer register with compare-and-swap.
 //   B::Coro<T>           — the coroutine return type algorithms use.
@@ -46,7 +47,6 @@
 #pragma once
 
 #include <concepts>
-#include <string>
 
 namespace apram::api {
 
@@ -54,11 +54,10 @@ namespace apram::api {
 template <class B, class T>
 concept BackendFor = requires(typename B::Mem& mem,
                               typename B::template Reg<T>& reg,
-                              const typename B::Ctx& ctx, std::string name,
-                              T v, int writer) {
+                              const typename B::Ctx& ctx, T v, int writer) {
   { ctx.pid() } -> std::convertible_to<int>;
   {
-    mem.template make<T>(name, v, writer)
+    mem.template make<T>(v, writer)
   } -> std::same_as<typename B::template Reg<T>&>;
   ctx.read(reg);
   ctx.write(reg, v);
@@ -69,10 +68,9 @@ template <class B, class T>
 concept CasBackendFor =
     BackendFor<B, T> && requires(typename B::Mem& mem,
                                  typename B::template CasReg<T>& reg,
-                                 const typename B::Ctx& ctx, std::string name,
-                                 T v) {
+                                 const typename B::Ctx& ctx, T v) {
       {
-        mem.template make_cas<T>(name, v)
+        mem.template make_cas<T>(v)
       } -> std::same_as<typename B::template CasReg<T>&>;
       ctx.cas(reg, v, v);
     };

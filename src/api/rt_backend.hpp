@@ -11,13 +11,15 @@
 // sim::Register<T>: make() builds it for one writer, make_cas() for
 // num_procs.
 //
-// Mem owns the registers (type-erased holders keep names and creation-order
-// object ids) and is the single attach point for observability and fault
-// injection: attach_obs() instruments every register created SO FAR with
-// aggregate counters "rt.<name>.reads" / ".writes" / ".cas" plus optional
-// trace events. A CAS is counted separately in ".cas" (one atomic step —
-// add it to ".writes" when comparing against sim StepCounts, where a CAS
-// counts as one write). Attach after construction, before concurrent use.
+// Mem owns the registers (one type-erased holder each; a register's object
+// id is its creation order) and is the single attach point for
+// observability and fault injection: attach_obs() instruments every
+// register created SO FAR with aggregate counters "rt.<name>.reads" /
+// ".writes" / ".cas" plus optional trace events, where <name> names the
+// metrics, not a register. A CAS is counted separately in ".cas" (one
+// atomic step — add it to ".writes" when comparing against sim StepCounts,
+// where a CAS counts as one write). Attach after construction, before
+// concurrent use.
 #pragma once
 
 #include <coroutine>
@@ -122,17 +124,17 @@ struct RtBackend {
     int num_procs() const { return num_procs_; }
 
     template <class T>
-    Reg<T>& make(const std::string& name, T initial, int /*writer*/ = -1) {
-      auto h = std::make_unique<Holder<Reg<T>>>(name, std::move(initial));
+    Reg<T>& make(T initial, int /*writer*/ = -1) {
+      auto h = std::make_unique<Holder<Reg<T>>>(std::move(initial));
       Reg<T>& reg = h->reg;
       holders_.push_back(std::move(h));
       return reg;
     }
 
     template <class T>
-    CasReg<T>& make_cas(const std::string& name, T initial) {
-      auto h = std::make_unique<Holder<CasReg<T>>>(name, num_procs_,
-                                                   std::move(initial));
+    CasReg<T>& make_cas(T initial) {
+      auto h =
+          std::make_unique<Holder<CasReg<T>>>(num_procs_, std::move(initial));
       CasReg<T>& reg = h->reg;
       holders_.push_back(std::move(h));
       return reg;
@@ -194,28 +196,25 @@ struct RtBackend {
           .set(static_cast<std::int64_t>(s.acquire_contention));
     }
 
-    std::size_t num_registers() const { return holders_.size(); }
-    const std::string& register_name(std::size_t i) const {
-      return holders_[i]->name;
-    }
-
    private:
     struct HolderBase {
-      explicit HolderBase(std::string n) : name(std::move(n)) {}
       virtual ~HolderBase() = default;
       virtual void attach_probe(const obs::RtProbe* p) = 0;
       virtual void attach_injector(fault::RtInjector* inj) = 0;
       virtual rt::reclaim::ReclaimStats reclaim_stats() const = 0;
 
-      std::string name;
       obs::RtProbe probe;  // configured by attach_obs
     };
 
+    // The vtable pointer and the probe share the first cache line; the
+    // register owns the second.
     template <class R>
     struct Holder final : HolderBase {
       template <class... Args>
-      explicit Holder(std::string n, Args&&... args)
-          : HolderBase(std::move(n)), reg(std::forward<Args>(args)...) {}
+      explicit Holder(Args&&... args) : reg(std::forward<Args>(args)...) {
+        static_assert(sizeof(R) != 64 || sizeof(Holder) == 128,
+                      "a one-line register's holder must stay two lines");
+      }
       void attach_probe(const obs::RtProbe* p) override {
         reg.attach_probe(p);
       }

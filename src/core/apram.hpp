@@ -8,7 +8,7 @@
 //
 //   util/       — rng, stats, tables, flags               (no dependencies)
 //   obs/        — observability: sharded metrics registry, ring-buffer
-//                 event tracer, JSON/table exporters, replay artifacts
+//                 event tracer, JSON exporter, replay artifacts
 //   sim/        — the asynchronous PRAM simulator: coroutine processes,
 //                 atomic registers, schedulers, deterministic replay
 //   fault/      — crash/stall plans, wait-freedom certifier, rt injector
@@ -16,7 +16,7 @@
 //                 reclamation, thread harness
 //   api/        — the register-backend concept (SimBackend, RtBackend):
 //                 every algorithm below is one template over it, run in
-//                 the simulator and on threads via thin …Sim / …RT wrappers
+//                 the simulator (…Sim aliases) and on threads (…RT wrappers)
 //   lattice/    — ∨-semilattices (max, set-union, tagged-vector, product)
 //   farray/     — the stamped-CAS f-array combine tree
 //   snapshot/   — the §6 lattice Scan and atomic snapshot object, the tree

@@ -28,9 +28,8 @@
 // reachable entry) — exactly the overhead §5.4 concedes and universal2's
 // fast path eliminates; bench_e6 pins both numbers.
 //
-// Wrappers: UniversalObjectSim below (simulator; registers named
-// "<name>.root.scan[p][i]") and universal2::PaperUniversalRT (real threads,
-// universal2/rt.hpp).
+// Wrappers: UniversalObjectSim below (simulator) and
+// universal2::PaperUniversalRT (real threads, universal2/rt.hpp).
 #pragma once
 
 #include <algorithm>
@@ -40,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -128,7 +126,8 @@ class PaperUniversal {
     using L = TaggedVectorLattice<const Entry*>;
     typename L::Value joined = L::bottom();
     for (int q = 0; q < n_; ++q) {
-      joined = L::join(joined, root_.lattice_scan().register_at(q, 0).peek());
+      joined = L::join(std::move(joined),
+                       root_.lattice_scan().register_at(q, 0).peek());
     }
     return linearize_view(L::unpack(joined, static_cast<std::size_t>(n_)));
   }
@@ -205,17 +204,8 @@ class PaperUniversal {
   std::vector<std::unique_ptr<PerProc>> per_proc_;
 };
 
-// Simulator instantiation under the historical name: the anchor array's
-// registers are "<name>.root.scan[p][i]".
+// Simulator instantiation under the historical name: (World&, n, mode).
 template <SequentialSpec S>
-class UniversalObjectSim
-    : private api::SimObject,
-      public PaperUniversal<api::SimBackend, S> {
- public:
-  UniversalObjectSim(sim::World& world, int num_procs, const std::string& name,
-                     ScanMode mode = ScanMode::kOptimized)
-      : SimObject(world, name + ".root"),
-        PaperUniversal<api::SimBackend, S>(mem_, num_procs, mode) {}
-};
+using UniversalObjectSim = PaperUniversal<api::SimBackend, S>;
 
 }  // namespace apram

@@ -162,13 +162,12 @@ class FArrayTree {
     while (m_ < n_) m_ *= 2;
     leaves_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      leaves_.push_back(&mem.template make<Value>(
-          "leaf[" + std::to_string(p) + "]", R::identity(), /*writer=*/p));
+      leaves_.push_back(&mem.template make<Value>(R::identity(), /*writer=*/p));
     }
     nodes_.assign(static_cast<std::size_t>(m_), nullptr);
     for (int i = 1; i < m_; ++i) {
-      nodes_[static_cast<std::size_t>(i)] = &mem.template make_cas<Node>(
-          "node[" + std::to_string(i) + "]", Node{0, R::identity()});
+      nodes_[static_cast<std::size_t>(i)] =
+          &mem.template make_cas<Node>(Node{0, R::identity()});
     }
     // Contention cells mirror the heap indexing (cell u = node u; cell 0
     // unused). Node u sits at depth ⌊log2 u⌋, so its refresh level — the

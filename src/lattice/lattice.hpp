@@ -14,7 +14,10 @@
 //   PairLattice<A, B>      — product lattice (component-wise join)
 //
 // All lattices here are stateless types with static members so algorithm
-// templates pay no storage or indirection for them.
+// templates pay no storage or indirection for them. join(a, b) takes `a` by
+// value and joins `b` into it in place, so a fold written
+// `acc = L::join(std::move(acc), x)` updates acc instead of building a new
+// value per step.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +57,10 @@ template <class T>
 struct MaxLattice {
   using Value = T;
   static Value bottom() { return std::numeric_limits<T>::lowest(); }
-  static Value join(const Value& a, const Value& b) { return std::max(a, b); }
+  static Value join(Value a, const Value& b) {
+    if (a < b) a = b;
+    return a;
+  }
   static bool leq(const Value& a, const Value& b) { return a <= b; }
   static bool eq(const Value& a, const Value& b) { return a == b; }
 };
@@ -63,10 +69,9 @@ template <class T>
 struct SetUnionLattice {
   using Value = std::set<T>;
   static Value bottom() { return {}; }
-  static Value join(const Value& a, const Value& b) {
-    Value out = a;
-    out.insert(b.begin(), b.end());
-    return out;
+  static Value join(Value a, const Value& b) {
+    a.insert(b.begin(), b.end());
+    return a;
   }
   static bool leq(const Value& a, const Value& b) {
     return std::includes(b.begin(), b.end(), a.begin(), a.end());
@@ -102,17 +107,12 @@ struct TaggedVectorLattice {
   // lattice laws hold for mixed widths.
   static Value bottom() { return {}; }
 
-  static Value join(const Value& a, const Value& b) {
-    Value out(std::max(a.size(), b.size()));
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const Cell* best = nullptr;
-      if (i < a.size()) best = &a[i];
-      if (i < b.size() && (best == nullptr || b[i].tag > best->tag)) {
-        best = &b[i];
-      }
-      if (best != nullptr) out[i] = *best;
+  static Value join(Value a, const Value& b) {
+    if (a.size() < b.size()) a.resize(b.size());
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      if (b[i].tag > a[i].tag) a[i] = b[i];
     }
-    return out;
+    return a;
   }
 
   static bool leq(const Value& a, const Value& b) {
@@ -158,11 +158,10 @@ struct VectorClockLattice {
 
   static Value bottom() { return {}; }
 
-  static Value join(const Value& a, const Value& b) {
-    Value out(std::max(a.size(), b.size()), 0);
-    for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i];
-    for (std::size_t i = 0; i < b.size(); ++i) out[i] = std::max(out[i], b[i]);
-    return out;
+  static Value join(Value a, const Value& b) {
+    if (a.size() < b.size()) a.resize(b.size(), 0);
+    for (std::size_t i = 0; i < b.size(); ++i) a[i] = std::max(a[i], b[i]);
+    return a;
   }
 
   static bool leq(const Value& a, const Value& b) {
@@ -191,8 +190,10 @@ template <class A, class B>
 struct PairLattice {
   using Value = std::pair<typename A::Value, typename B::Value>;
   static Value bottom() { return {A::bottom(), B::bottom()}; }
-  static Value join(const Value& a, const Value& b) {
-    return {A::join(a.first, b.first), B::join(a.second, b.second)};
+  static Value join(Value a, const Value& b) {
+    a.first = A::join(std::move(a.first), b.first);
+    a.second = B::join(std::move(a.second), b.second);
+    return a;
   }
   static bool leq(const Value& a, const Value& b) {
     return A::leq(a.first, b.first) && B::leq(a.second, b.second);

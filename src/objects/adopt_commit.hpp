@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -38,13 +37,10 @@ struct CaResult {
 
 class AdoptCommitSim {
  public:
-  AdoptCommitSim(sim::World& world, int num_procs, const std::string& name)
-      : n_(num_procs) {
+  AdoptCommitSim(sim::World& world, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      a_.push_back(&world.make_register<SlotA>(
-          name + ".A[" + std::to_string(p) + "]", SlotA{}, /*writer=*/p));
-      b_.push_back(&world.make_register<SlotB>(
-          name + ".B[" + std::to_string(p) + "]", SlotB{}, /*writer=*/p));
+      a_.push_back(&world.make<SlotA>(SlotA{}, /*writer=*/p));
+      b_.push_back(&world.make<SlotB>(SlotB{}, /*writer=*/p));
     }
   }
 

@@ -4,8 +4,6 @@
 // and the Figure 4 construction applies directly.
 #pragma once
 
-#include <string>
-
 #include "core/universal.hpp"
 #include "objects/specs.hpp"
 
@@ -13,9 +11,9 @@ namespace apram {
 
 class CounterSim {
  public:
-  CounterSim(sim::World& world, int num_procs, const std::string& name = "ctr",
+  CounterSim(sim::World& world, int num_procs,
              ScanMode mode = ScanMode::kOptimized)
-      : u_(world, num_procs, name, mode) {}
+      : u_(world, num_procs, mode) {}
 
   sim::SimCoro<void> inc(sim::Context ctx, std::int64_t by = 1) {
     co_await u_.execute(ctx, CounterSpec::inc(by));

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "api/rt_backend.hpp"
@@ -73,16 +72,7 @@ class FastCounter {
   std::vector<std::unique_ptr<Cell>> contribution_;
 };
 
-class FastCounterSim
-    : private api::SimObject,
-      public FastCounter<api::SimBackend> {
- public:
-  FastCounterSim(sim::World& world, int num_procs,
-                 const std::string& name = "fctr",
-                 ScanMode mode = ScanMode::kOptimized)
-      : SimObject(world, name),
-        FastCounter<api::SimBackend>(mem_, num_procs, mode) {}
-};
+using FastCounterSim = FastCounter<api::SimBackend>;
 
 namespace rt {
 

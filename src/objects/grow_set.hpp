@@ -2,8 +2,6 @@
 // the universal construction: inserts commute, queries are overwritten.
 #pragma once
 
-#include <string>
-
 #include "core/universal.hpp"
 #include "objects/specs.hpp"
 
@@ -12,9 +10,8 @@ namespace apram {
 class GrowSetSim {
  public:
   GrowSetSim(sim::World& world, int num_procs,
-             const std::string& name = "gset",
              ScanMode mode = ScanMode::kOptimized)
-      : u_(world, num_procs, name, mode) {}
+      : u_(world, num_procs, mode) {}
 
   sim::SimCoro<void> insert(sim::Context ctx, std::int64_t x) {
     co_await u_.execute(ctx, GrowSetSpec::insert(x));

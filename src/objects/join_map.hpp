@@ -9,7 +9,6 @@
 #pragma once
 
 #include <map>
-#include <string>
 #include <utility>
 
 #include "core/universal.hpp"
@@ -74,9 +73,8 @@ struct JoinMapSpec {
 class JoinMapSim {
  public:
   JoinMapSim(sim::World& world, int num_procs,
-             const std::string& name = "jmap",
              ScanMode mode = ScanMode::kOptimized)
-      : u_(world, num_procs, name, mode) {}
+      : u_(world, num_procs, mode) {}
 
   sim::SimCoro<void> put(sim::Context ctx, std::int64_t k, std::int64_t v) {
     co_await u_.execute(ctx, JoinMapSpec::put(k, v));

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "core/universal.hpp"
@@ -34,9 +33,8 @@ class LamportClockSim {
   };
 
   LamportClockSim(sim::World& world, int num_procs,
-                  const std::string& name = "clock",
                   ScanMode mode = ScanMode::kOptimized)
-      : u_(world, num_procs, name, mode) {}
+      : u_(world, num_procs, mode) {}
 
   sim::SimCoro<std::int64_t> now(sim::Context ctx) {
     const std::int64_t r = co_await u_.execute(ctx, MaxRegisterSpec::read());

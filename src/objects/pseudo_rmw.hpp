@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "core/universal.hpp"
@@ -73,9 +72,8 @@ class PseudoRmwSim {
   using Spec = PrmwSpec<F>;
 
   PseudoRmwSim(sim::World& world, int num_procs,
-               const std::string& name = "prmw",
                ScanMode mode = ScanMode::kOptimized)
-      : u_(world, num_procs, name, mode) {}
+      : u_(world, num_procs, mode) {}
 
   sim::SimCoro<void> apply(sim::Context ctx, typename F::Fn fn) {
     co_await u_.execute(ctx, Spec::apply_fn(std::move(fn)));

@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "objects/adopt_commit.hpp"
@@ -42,11 +41,9 @@ namespace apram {
 // One-shot conciliator: keep on unanimity, local-coin on disagreement.
 class ConciliatorSim {
  public:
-  ConciliatorSim(sim::World& world, int num_procs, const std::string& name)
-      : n_(num_procs) {
+  ConciliatorSim(sim::World& world, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      c_.push_back(&world.make_register<Slot>(
-          name + ".C[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      c_.push_back(&world.make<Slot>(Slot{}, /*writer=*/p));
     }
   }
 
@@ -81,17 +78,13 @@ class ConciliatorSim {
 
 class RandomizedConsensusSim {
  public:
-  RandomizedConsensusSim(sim::World& world, int num_procs,
-                         const std::string& name = "cons",
-                         int max_rounds = 64)
+  RandomizedConsensusSim(sim::World& world, int num_procs, int max_rounds = 64)
       : n_(num_procs) {
     rounds_.reserve(static_cast<std::size_t>(max_rounds));
     for (int r = 0; r < max_rounds; ++r) {
-      rounds_.push_back(Round{
-          std::make_unique<AdoptCommitSim>(world, num_procs,
-                                           name + ".ca" + std::to_string(r)),
-          std::make_unique<ConciliatorSim>(
-              world, num_procs, name + ".co" + std::to_string(r))});
+      rounds_.push_back(
+          Round{std::make_unique<AdoptCommitSim>(world, num_procs),
+                std::make_unique<ConciliatorSim>(world, num_procs)});
     }
   }
 

@@ -74,8 +74,6 @@ struct CounterSpec {
     return {s, 0};
   }
 
-  static bool is_mutation(Kind k) { return k != Kind::kRead; }
-
   static bool commutes(const Invocation& p, const Invocation& q) {
     const bool p_delta = p.kind == Kind::kInc || p.kind == Kind::kDec;
     const bool q_delta = q.kind == Kind::kInc || q.kind == Kind::kDec;

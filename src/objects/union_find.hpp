@@ -60,7 +60,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -90,8 +89,7 @@ class UnionFind {
     APRAM_CHECK(universe >= 1);
     parent_.reserve(static_cast<std::size_t>(u_));
     for (std::int32_t i = 0; i < u_; ++i) {
-      parent_.push_back(&mem.template make_cas<std::int32_t>(
-          "parent[" + std::to_string(i) + "]", i));
+      parent_.push_back(&mem.template make_cas<std::int32_t>(i));
     }
     locals_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
@@ -100,7 +98,6 @@ class UnionFind {
   }
 
   int num_procs() const { return n_; }
-  int universe() const { return u_; }
 
   // The minimum element of x's set (see (b) above).
   Coro<std::int32_t> find(Ctx ctx, std::int32_t x) {
@@ -170,12 +167,6 @@ class UnionFind {
     co_return static_cast<std::int64_t>(u_) - total_links;
   }
 
-  // Test/debug access.
-  const typename B::template CasReg<std::int32_t>& parent_at(int i) const {
-    return parent(i);
-  }
-  LinkCounter& link_counter() { return links_; }
-
  private:
   struct alignas(64) Local {
     std::int64_t links = 0;  // my successful link CASes so far
@@ -216,8 +207,6 @@ class UnionFindRT : public api::RtObject {
  public:
   UnionFindRT(int num_procs, int universe)
       : RtObject(num_procs), impl_(mem_, num_procs, universe) {}
-
-  int universe() const { return impl_.universe(); }
 
   std::int32_t find(int p, std::int32_t x) {
     return impl_.find(api::RtBackend::Ctx{p}, x).get();

@@ -119,7 +119,6 @@ class NodeContention {
 #endif
   }
 
-  bool enabled() const { return kContentionEnabled && nodes_ > 0; }
   int num_nodes() const { return nodes_; }
 
   // Declares node's level for per-level aggregation (level 0 = deepest;

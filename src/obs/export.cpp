@@ -147,23 +147,4 @@ std::string artifact_path(const std::string& filename) {
   return filename;  // no binary dir resolvable: fall back to the cwd
 }
 
-Table registry_table(const Registry& reg, const std::string& title) {
-  Table table(title, {"metric", "type", "value", "detail"});
-  for (const Counter* c : reg.counters()) {
-    table.add(c->name()).add("counter").add(c->value()).add("").end_row();
-  }
-  for (const Gauge* g : reg.gauges()) {
-    table.add(g->name()).add("gauge").add(g->value()).add("").end_row();
-  }
-  for (const Histogram* h : reg.histograms()) {
-    const Histogram::Snapshot snap = h->snapshot();
-    table.add(h->name())
-        .add("histogram")
-        .add(snap.count)
-        .add("sum=" + std::to_string(snap.sum))
-        .end_row();
-  }
-  return table;
-}
-
 }  // namespace apram::obs

@@ -1,5 +1,5 @@
-// apram::obs — exporters: machine-readable JSON and the human table format
-// the bench harness already prints (util/table).
+// apram::obs — the machine-readable JSON exporter, and where its artifacts
+// go.
 //
 // The JSON schema is deliberately flat so CI can diff and assert on it:
 //
@@ -24,7 +24,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/table.hpp"
 
 namespace apram::obs {
 
@@ -51,8 +50,5 @@ void write_metrics_json(const std::string& path, const Registry& reg,
 // teardowns, BenchObs) must go through this; explicit --metrics_out values
 // must not.
 std::string artifact_path(const std::string& filename);
-
-// Human-readable registry dump using the bench harness's table format.
-Table registry_table(const Registry& reg, const std::string& title);
 
 }  // namespace apram::obs

@@ -207,8 +207,6 @@ class LatencyRecorder {
  public:
   LatencyRecorder(class Registry& registry, const std::string& name);
 
-  Histogram& histogram() { return *hist_; }
-
   void record_ns(std::uint64_t ns) { hist_->record(ns); }
 
   // RAII: records the scope's duration in nanoseconds on destruction.

@@ -50,23 +50,6 @@ const char* op_kind_name(OpKind k) {
   return "?";
 }
 
-OpKind op_kind_from_name(const std::string& name) {
-  static constexpr OpKind kAll[] = {
-      OpKind::kNone,   OpKind::kScan,       OpKind::kWriteL,
-      OpKind::kReadMax, OpKind::kPost,      OpKind::kTreeUpdate,
-      OpKind::kTreeScan, OpKind::kInput,    OpKind::kOutput,
-      OpKind::kExecute, OpKind::kUser,      OpKind::kU2Execute,
-      OpKind::kU2Insert, OpKind::kU2Remove, OpKind::kU2Contains,
-      OpKind::kScenarioOp, OpKind::kEnqueue, OpKind::kDequeue,
-      OpKind::kUnion,    OpKind::kFind,
-  };
-  for (OpKind k : kAll) {
-    if (name == op_kind_name(k)) return k;
-  }
-  APRAM_CHECK_MSG(false, "unknown op kind name");
-  return OpKind::kNone;  // unreachable
-}
-
 const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kNone:
@@ -108,8 +91,6 @@ void set_thread_span_tracer(Tracer* tracer) {
   tls_span_tracer = tracer;
   tls_spans.depth = 0;
 }
-
-Tracer* thread_span_tracer() { return tls_span_tracer; }
 
 std::uint64_t thread_op() { return tls_spans.current(); }
 

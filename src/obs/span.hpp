@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -68,7 +67,6 @@ enum class OpKind : std::uint8_t {
 };
 
 const char* op_kind_name(OpKind k);
-OpKind op_kind_from_name(const std::string& name);
 
 // Named phase inside an operation (TraceEvent::arg of kPhase; the event's
 // object field carries the phase index — pass / tree level / round).
@@ -127,7 +125,6 @@ struct SpanStack {
 // thread_op(). Resetting the tracer clears the stack.
 
 void set_thread_span_tracer(Tracer* tracer);
-Tracer* thread_span_tracer();
 
 // Innermost op id of the calling thread; 0 outside any span (or without an
 // ambient tracer). RtProbe stamps this onto every probed access.

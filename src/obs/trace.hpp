@@ -68,7 +68,6 @@ class Tracer {
   Tracer(int num_rings, std::size_t capacity_per_ring);
 
   int num_rings() const { return static_cast<int>(rings_.size()); }
-  std::size_t ring_capacity() const { return cap_; }
 
   // Producer side — callable only by the thread owning ring ev.pid.
   void emit(const TraceEvent& ev);
@@ -81,7 +80,6 @@ class Tracer {
   // stay valid on the sampled population. Install before producers start;
   // swapping mid-run would split spans.
   void set_sampler(SpanSampler sampler) { sampler_ = sampler; }
-  const SpanSampler& sampler() const { return sampler_; }
 
   // Nanoseconds since this tracer's construction (rt timestamp source).
   std::uint64_t now_ns() const;

@@ -13,7 +13,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <string>
 #include <utility>
 
 #include "obs/span.hpp"
@@ -27,22 +26,20 @@ class Context;
 
 inline constexpr int kAnyWriter = -1;
 
-// Type-erased base so the World can own heterogeneous registers and give
-// them stable identities for tracing.
+// Type-erased base so the World can own heterogeneous registers. A
+// register's identity is its id, its creation order in the World: traces
+// and register_at() name it by that alone.
 class RegisterBase {
  public:
-  RegisterBase(std::string name, int id, int writer)
-      : name_(std::move(name)), id_(id), writer_(writer) {}
+  RegisterBase(int id, int writer) : id_(id), writer_(writer) {}
   virtual ~RegisterBase() = default;
   RegisterBase(const RegisterBase&) = delete;
   RegisterBase& operator=(const RegisterBase&) = delete;
 
-  const std::string& name() const { return name_; }
   int id() const { return id_; }
   int writer() const { return writer_; }
 
  private:
-  std::string name_;
   int id_;
   int writer_;  // pid of the unique writer, or kAnyWriter
 };
@@ -50,9 +47,8 @@ class RegisterBase {
 template <class T>
 class Register final : public RegisterBase {
  public:
-  Register(std::string name, int id, int writer, T initial)
-      : RegisterBase(std::move(name), id, writer),
-        value_(std::move(initial)) {}
+  Register(int id, int writer, T initial)
+      : RegisterBase(id, writer), value_(std::move(initial)) {}
 
   // Raw, step-free access. Only for test setup/inspection and for the World;
   // simulated processes must go through Context.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <string>
 
 namespace apram::sim {
 
@@ -83,8 +82,7 @@ ScenarioResult run_scenario(World& w, Scheduler& sched,
                                      opts.ops_per_process);
   sh->regs.reserve(static_cast<std::size_t>(opts.num_registers));
   for (int i = 0; i < opts.num_registers; ++i) {
-    sh->regs.push_back(&w.make_register<std::uint64_t>(
-        "s.reg" + std::to_string(i), 0, kAnyWriter));
+    sh->regs.push_back(&w.make<std::uint64_t>(0, kAnyWriter));
   }
 
   // All driver-side randomness (churn victims) comes from this stream; the

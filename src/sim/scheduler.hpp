@@ -103,8 +103,6 @@ class FixedScheduler final : public Scheduler {
 
   int pick(const World& w) override;
 
-  std::size_t position() const { return pos_; }
-
  private:
   std::vector<int> schedule_;
   std::size_t pos_ = 0;

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -96,16 +95,21 @@ class World {
 
   // Creates a register owned by this World; the reference stays valid for the
   // World's lifetime. `writer` is the pid allowed to write it (kAnyWriter for
-  // multi-writer registers).
+  // multi-writer registers). make and make_cas are the two calls of
+  // api::BackendFor, so the World is api::SimBackend's Mem.
   template <class T>
-  Register<T>& make_register(std::string name, T initial,
-                             int writer = kAnyWriter) {
+  Register<T>& make(T initial, int writer = kAnyWriter) {
     auto reg = std::make_unique<Register<T>>(
-        std::move(name), static_cast<int>(registers_.size()), writer,
-        std::move(initial));
+        static_cast<int>(registers_.size()), writer, std::move(initial));
     auto& ref = *reg;
     registers_.push_back(std::move(reg));
     return ref;
+  }
+
+  // CAS registers are multi-writer by nature (any process may swing them).
+  template <class T>
+  Register<T>& make_cas(T initial) {
+    return make<T>(std::move(initial), kAnyWriter);
   }
 
   const RegisterBase& register_at(int id) const {

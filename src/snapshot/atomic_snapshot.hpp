@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,16 +105,7 @@ class AtomicSnapshot {
 }  // namespace snapshot
 
 template <class T>
-class AtomicSnapshotSim
-    : private api::SimObject,
-      public snapshot::AtomicSnapshot<api::SimBackend, T> {
- public:
-  AtomicSnapshotSim(sim::World& world, int num_procs,
-                    const std::string& name = "snap",
-                    ScanMode mode = ScanMode::kOptimized)
-      : SimObject(world, name),
-        snapshot::AtomicSnapshot<api::SimBackend, T>(mem_, num_procs, mode) {}
-};
+using AtomicSnapshotSim = snapshot::AtomicSnapshot<api::SimBackend, T>;
 
 namespace rt {
 

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,8 +39,7 @@ class AfekSnapshot {
 
   AfekSnapshot(typename B::Mem& mem, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      slots_.push_back(&mem.template make<Slot>(
-          "slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      slots_.push_back(&mem.template make<Slot>(Slot{}, /*writer=*/p));
     }
   }
 
@@ -107,15 +105,7 @@ class AfekSnapshot {
 }  // namespace snapshot
 
 template <class T>
-class AfekSnapshotSim
-    : private api::SimObject,
-      public snapshot::AfekSnapshot<api::SimBackend, T> {
- public:
-  AfekSnapshotSim(sim::World& world, int num_procs,
-                  const std::string& name = "afek")
-      : SimObject(world, name),
-        snapshot::AfekSnapshot<api::SimBackend, T>(mem_, num_procs) {}
-};
+using AfekSnapshotSim = snapshot::AfekSnapshot<api::SimBackend, T>;
 
 namespace rt {
 

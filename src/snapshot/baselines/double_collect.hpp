@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -41,8 +40,7 @@ class DoubleCollectSnapshot {
 
   DoubleCollectSnapshot(typename B::Mem& mem, int num_procs) : n_(num_procs) {
     for (int p = 0; p < n_; ++p) {
-      slots_.push_back(&mem.template make<Slot>(
-          "slot[" + std::to_string(p) + "]", Slot{}, /*writer=*/p));
+      slots_.push_back(&mem.template make<Slot>(Slot{}, /*writer=*/p));
       tags_.push_back(std::make_unique<Tag>());
     }
   }
@@ -103,15 +101,8 @@ class DoubleCollectSnapshot {
 }  // namespace snapshot
 
 template <class T>
-class DoubleCollectSnapshotSim
-    : private api::SimObject,
-      public snapshot::DoubleCollectSnapshot<api::SimBackend, T> {
- public:
-  DoubleCollectSnapshotSim(sim::World& world, int num_procs,
-                           const std::string& name = "dcoll")
-      : SimObject(world, name),
-        snapshot::DoubleCollectSnapshot<api::SimBackend, T>(mem_, num_procs) {}
-};
+using DoubleCollectSnapshotSim =
+    snapshot::DoubleCollectSnapshot<api::SimBackend, T>;
 
 namespace rt {
 

@@ -16,8 +16,6 @@
 // O(n log n)) is how the field later beat the O(n²) scan.
 #pragma once
 
-#include <string>
-
 #include "snapshot/lattice_scan.hpp"
 
 namespace apram {
@@ -28,9 +26,8 @@ class LatticeAgreementSim {
   using Value = typename L::Value;
 
   LatticeAgreementSim(sim::World& world, int num_procs,
-                      const std::string& name = "la",
                       ScanMode mode = ScanMode::kOptimized)
-      : scan_(world, num_procs, name, mode) {}
+      : scan_(world, num_procs, mode) {}
 
   int num_procs() const { return scan_.num_procs(); }
 
@@ -41,8 +38,6 @@ class LatticeAgreementSim {
     Value learned = co_await scan_.scan(ctx, std::move(x));
     co_return learned;
   }
-
-  LatticeScanSim<L>& underlying_scan() { return scan_; }
 
  private:
   LatticeScanSim<L> scan_;

@@ -29,7 +29,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -70,9 +69,7 @@ class LatticeScan {
           static_cast<std::size_t>(n_) + 2);
       for (int i = 0; i <= n_ + 1; ++i) {
         regs_[static_cast<std::size_t>(p)].push_back(
-            &mem.template make<Value>("scan[" + std::to_string(p) + "][" +
-                                          std::to_string(i) + "]",
-                                      L::bottom(), /*writer=*/p));
+            &mem.template make<Value>(L::bottom(), /*writer=*/p));
       }
     }
     caches_.reserve(static_cast<std::size_t>(n_));
@@ -198,18 +195,9 @@ class LatticeScan {
 
 }  // namespace snapshot
 
-// Simulator instantiation under the historical name and constructor
-// signature (World& + register-name prefix).
+// Simulator instantiation under the historical name: (World&, n, mode).
 template <Semilattice L>
-class LatticeScanSim
-    : private api::SimObject,
-      public snapshot::LatticeScan<api::SimBackend, L> {
- public:
-  LatticeScanSim(sim::World& world, int num_procs, const std::string& name,
-                 ScanMode mode = ScanMode::kOptimized)
-      : SimObject(world, name),
-        snapshot::LatticeScan<api::SimBackend, L>(mem_, num_procs, mode) {}
-};
+using LatticeScanSim = snapshot::LatticeScan<api::SimBackend, L>;
 
 // Real-thread instantiation under the historical rt class name: a thin
 // wrapper over the backend-templated class with the int-pid call style (see

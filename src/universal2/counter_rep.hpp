@@ -83,7 +83,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "api/backend.hpp"
@@ -125,16 +124,15 @@ class CounterRep {
     return inv.kind == CounterSpec::Kind::kRead;
   }
 
-  CounterRep(typename B::Mem& mem, int num_procs, const std::string& name)
+  CounterRep(typename B::Mem& mem, int num_procs)
       : n_(num_procs), fast_applied_(static_cast<std::size_t>(num_procs)) {
     APRAM_CHECK(num_procs >= 1);
     const auto n = static_cast<std::uint64_t>(n_);
     max_opseq_ = (kAnnouncedBit - 1 - n) / n;
-    cell_ = &mem.template make_cas<Cell>(name + ".cell", Cell{});
+    cell_ = &mem.template make_cas<Cell>(Cell{});
     applied_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      applied_.push_back(&mem.template make_cas<std::uint64_t>(
-          name + ".applied[" + std::to_string(p) + "]", 0));
+      applied_.push_back(&mem.template make_cas<std::uint64_t>(0));
     }
   }
 
@@ -265,9 +263,8 @@ class Counter2 {
   using Sim = WaitFreeSim<B, CounterRep<B>>;
   using Config = typename Sim::Config;
 
-  Counter2(typename B::Mem& mem, int num_procs, const std::string& name,
-           Config cfg = {})
-      : rep_(mem, num_procs, name), sim_(mem, num_procs, rep_, name, cfg) {}
+  Counter2(typename B::Mem& mem, int num_procs, Config cfg = {})
+      : rep_(mem, num_procs), sim_(mem, num_procs, rep_, cfg) {}
 
   Coro<std::int64_t> inc(Ctx ctx, std::int64_t by = 1) {
     return sim_.execute(ctx, CounterSpec::inc(by));

@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "api/backend.hpp"
@@ -70,13 +69,11 @@ class HelpQueue {
     Op op{};
   };
 
-  HelpQueue(typename B::Mem& mem, int num_procs, const std::string& name)
-      : n_(num_procs) {
+  HelpQueue(typename B::Mem& mem, int num_procs) : n_(num_procs) {
     APRAM_CHECK(num_procs >= 1);
     cells_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      cells_.push_back(&mem.template make_cas<Cell>(
-          name + ".cell[" + std::to_string(p) + "]", Cell{}));
+      cells_.push_back(&mem.template make_cas<Cell>(Cell{}));
     }
   }
 

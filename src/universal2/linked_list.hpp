@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -115,20 +114,17 @@ class SortedListRep {
   static Invocation remove(std::int64_t k) { return {OpType::kRemove, k}; }
   static Invocation contains(std::int64_t k) { return {OpType::kContains, k}; }
 
-  SortedListRep(typename B::Mem& mem, int num_procs, int capacity_per_proc,
-                const std::string& name)
+  SortedListRep(typename B::Mem& mem, int num_procs, int capacity_per_proc)
       : n_(num_procs), cap_per_proc_(capacity_per_proc) {
     APRAM_CHECK(num_procs >= 1 && capacity_per_proc >= 1);
-    head_ = &mem.template make_cas<Link>(name + ".head", Link{});
+    head_ = &mem.template make_cas<Link>(Link{});
     const int cap = n_ * cap_per_proc_;
     keys_.reserve(static_cast<std::size_t>(cap));
     links_.reserve(static_cast<std::size_t>(cap));
     for (int i = 0; i < cap; ++i) {
       const int writer = i / cap_per_proc_;  // partition owner
-      keys_.push_back(&mem.template make<std::int64_t>(
-          name + ".key[" + std::to_string(i) + "]", 0, writer));
-      links_.push_back(&mem.template make_cas<Link>(
-          name + ".link[" + std::to_string(i) + "]", Link{}));
+      keys_.push_back(&mem.template make<std::int64_t>(0, writer));
+      links_.push_back(&mem.template make_cas<Link>(Link{}));
     }
     locals_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
@@ -249,17 +245,6 @@ class SortedListRep {
     co_return out;
   }
 
-  // Raw register access for judges/tests (sim peek-walks, rt reads).
-  const typename B::template CasReg<Link>& head_register() const {
-    return *head_;
-  }
-  const typename B::template CasReg<Link>& link_register(int i) const {
-    return link_reg(i);
-  }
-  const typename B::template Reg<std::int64_t>& key_register(int i) const {
-    return key_reg(i);
-  }
-
  private:
   struct alignas(64) Local {
     std::uint64_t next_slot = 0;  // within this process's partition
@@ -377,9 +362,9 @@ class SortedSet {
   using Config = typename Sim::Config;
 
   SortedSet(typename B::Mem& mem, int num_procs, int capacity_per_proc,
-            const std::string& name, Config cfg = {})
-      : rep_(mem, num_procs, capacity_per_proc, name),
-        sim_(mem, num_procs, rep_, name, cfg) {}
+            Config cfg = {})
+      : rep_(mem, num_procs, capacity_per_proc),
+        sim_(mem, num_procs, rep_, cfg) {}
 
   Coro<std::int64_t> insert(Ctx ctx, std::int64_t key) {
     return sim_.execute(ctx, Rep::insert(key));

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "api/rt_backend.hpp"
 #include "core/universal.hpp"
@@ -21,7 +20,7 @@ class Counter2RT : public api::RtObject {
   using Config = Counter2<api::RtBackend>::Config;
 
   explicit Counter2RT(int num_procs, Config cfg = {})
-      : RtObject(num_procs), counter_(mem_, num_procs, "u2c", cfg) {}
+      : RtObject(num_procs), counter_(mem_, num_procs, cfg) {}
 
   std::int64_t inc(int p, std::int64_t by = 1) {
     return counter_.inc(api::RtBackend::Ctx{p}, by).get();
@@ -50,8 +49,7 @@ class SortedSetRT : public api::RtObject {
   using Config = SortedSet<api::RtBackend>::Config;
 
   SortedSetRT(int num_procs, int capacity_per_proc, Config cfg = {})
-      : RtObject(num_procs),
-        set_(mem_, num_procs, capacity_per_proc, "u2set", cfg) {}
+      : RtObject(num_procs), set_(mem_, num_procs, capacity_per_proc, cfg) {}
 
   std::int64_t insert(int p, std::int64_t key) {
     return set_.insert(api::RtBackend::Ctx{p}, key).get();

@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -105,18 +104,13 @@ class WaitFreeSim {
   };
 
   // `rep` must outlive this simulator; its registers live in the same Mem.
-  WaitFreeSim(typename B::Mem& mem, int num_procs, R& rep,
-              const std::string& name, Config cfg = {})
-      : n_(num_procs),
-        cfg_(cfg),
-        rep_(&rep),
-        queue_(mem, num_procs, name) {
+  WaitFreeSim(typename B::Mem& mem, int num_procs, R& rep, Config cfg = {})
+      : n_(num_procs), cfg_(cfg), rep_(&rep), queue_(mem, num_procs) {
     APRAM_CHECK(num_procs >= 1);
     APRAM_CHECK(cfg.max_fast_attempts >= 0);
     states_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
-      states_.push_back(&mem.template make_cas<Rec>(
-          name + ".state[" + std::to_string(p) + "]", Rec{}));
+      states_.push_back(&mem.template make_cas<Rec>(Rec{}));
     }
     locals_.reserve(static_cast<std::size_t>(n_));
     for (int p = 0; p < n_; ++p) {
@@ -213,7 +207,6 @@ class WaitFreeSim {
   // --- Introspection for tests and benches --------------------------------
 
   std::uint64_t slow_path_entries(int p) const { return local(p).slow_entries; }
-  std::uint64_t ops_started(int p) const { return local(p).ops_started; }
   const typename B::template CasReg<Rec>& state_at(int p) const {
     return state(p);
   }

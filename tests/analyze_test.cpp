@@ -36,7 +36,7 @@ using MaxL = MaxLattice<std::int64_t>;
 std::vector<TraceEvent> traced_scans(int n, std::uint64_t seed) {
   Tracer tracer(n, 1 << 12);
   sim::World w(n, {.tracer = &tracer});
-  LatticeScanSim<MaxL> ls(w, n, "ls");
+  LatticeScanSim<MaxL> ls(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
       (void)co_await ls.scan(ctx, pid);
@@ -51,8 +51,7 @@ std::vector<TraceEvent> traced_scans(int n, std::uint64_t seed) {
 std::vector<TraceEvent> traced_tree_ops(int n, std::uint64_t seed) {
   Tracer tracer(n, 1 << 12);
   sim::World w(n, {.tracer = &tracer});
-  api::SimBackend::Mem mem(w, "t");
-  snapshot::TreeScan<api::SimBackend, MaxL> tree(mem, n);
+  snapshot::TreeScan<api::SimBackend, MaxL> tree(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&tree, pid](sim::Context ctx) -> sim::ProcessTask {
       co_await tree.update(ctx, 100 + pid);
@@ -220,8 +219,7 @@ TEST(Analyze, QueueOpBoundHoldsOnRealTracedRuns) {
   for (int n : {2, 4, 8}) {
     Tracer tracer(n, 1 << 12);
     sim::World w(n, {.tracer = &tracer});
-    api::SimBackend::Mem mem(w, "q");
-    PolylogQueue<api::SimBackend> q(mem, n);
+    PolylogQueue<api::SimBackend> q(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&q, pid](sim::Context ctx) -> sim::ProcessTask {
         co_await q.enqueue(ctx, pid * 10);
@@ -248,7 +246,7 @@ TEST(Analyze, LoadEventsJsonRoundTripsThroughTheMetricsArtifact) {
   Tracer tracer(n, 1 << 12);
   {
     sim::World w(n, {.tracer = &tracer});
-    LatticeScanSim<MaxL> ls(w, n, "ls");
+    LatticeScanSim<MaxL> ls(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
         (void)co_await ls.scan(ctx, pid);
@@ -368,8 +366,7 @@ TEST(Analyze, HeatmapCrossChecksTheOnlineContentionCounters) {
   constexpr int kOpsPerPid = 8;
   Tracer tracer(n, 1 << 14);
   sim::World w(n, {.tracer = &tracer});
-  api::SimBackend::Mem mem(w, "t");
-  snapshot::TreeScan<api::SimBackend, MaxL> tree(mem, n);
+  snapshot::TreeScan<api::SimBackend, MaxL> tree(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&tree, pid](sim::Context ctx) -> sim::ProcessTask {
       for (int i = 0; i < kOpsPerPid; ++i) {

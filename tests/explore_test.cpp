@@ -35,7 +35,7 @@ using sim::World;
 // shuffles of AABB.
 struct TinyExec final : Execution {
   TinyExec() : w(2) {
-    reg = &w.make_register<int>("r", 0);
+    reg = &w.make<int>(0);
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this](Context ctx) -> ProcessTask {
         co_await ctx.read(*reg);
@@ -63,7 +63,7 @@ TEST(Explore, CountsAllInterleavings) {
 // The classic lost-update program: the explorer must find both outcomes.
 struct LostUpdateExec final : Execution {
   LostUpdateExec() : w(2) {
-    reg = &w.make_register<int>("r", 0);
+    reg = &w.make<int>(0);
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this](Context ctx) -> ProcessTask {
         const int v = co_await ctx.read(*reg);
@@ -92,7 +92,7 @@ TEST(Explore, FindsBothLostUpdateOutcomes) {
 
 struct SnapExec final : Execution {
   using L = TaggedVectorLattice<int>;
-  SnapExec() : w(2), snap(w, 2, "s") {
+  SnapExec() : w(2), snap(w, 2) {
     // P0: update then tagged scan; P1: tagged scan then update then scan.
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await snap.update(ctx, 10);
@@ -133,7 +133,7 @@ TEST(Explore, ScanComparabilityHoldsOnEverySchedule) {
 // ---------------------------------------------------------------------------
 
 struct CounterExec final : Execution {
-  CounterExec() : w(2), ctr(w, 2, "c") {
+  CounterExec() : w(2), ctr(w, 2) {
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await ctr.inc(ctx, 1);
@@ -164,7 +164,7 @@ TEST(Explore, FastCounterReadsAlwaysBetweenOwnAndTotal) {
 // ---------------------------------------------------------------------------
 
 struct CaExec final : Execution {
-  CaExec(std::int64_t v0, std::int64_t v1) : w(2), ca(w, 2, "ca") {
+  CaExec(std::int64_t v0, std::int64_t v1) : w(2), ca(w, 2) {
     const std::int64_t inputs[2] = {v0, v1};
     for (int pid = 0; pid < 2; ++pid) {
       const std::int64_t v = inputs[pid];

@@ -88,8 +88,7 @@ TEST(FArray, ClosedFormsMatchTheTreeScanTable) {
 TEST(FArray, RootIsTheSumOfTheLeaves) {
   for (int n : {1, 2, 3, 4, 5, 8}) {  // pow2 and padded shapes
     World w(n);
-    api::SimBackend::Mem mem(w, "fa");
-    SimSum fa(mem, n);
+    SimSum fa(w, n);
     std::int64_t expected = 0;
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -127,8 +126,7 @@ TEST(FArray, NonCommutativeCombineFoldsInPidOrder) {
   };
 
   World w(n);
-  api::SimBackend::Mem mem(w, "sfx");
-  SimSuffix fa(mem, n);
+  SimSuffix fa(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
       co_await fa.write(ctx, leaf_value(xs[static_cast<std::size_t>(pid)]));
@@ -165,8 +163,7 @@ TEST(FArray, SoloWriteMatchesClosedFormAndReadIsOneAccess) {
   std::set<std::uint64_t> read_costs;
   for (int n : {2, 4, 8, 16}) {
     World w(n);
-    api::SimBackend::Mem mem(w, "fa");
-    SimSum fa(mem, n);
+    SimSum fa(w, n);
 
     const auto before_write = w.counts(0);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -200,8 +197,7 @@ TEST(FArray, SoloWriteMatchesClosedFormAndReadIsOneAccess) {
 TEST(FArray, SoloWriteCostIsCombinerIndependent) {
   for (int n : {2, 4, 8, 16}) {
     World w(n);
-    api::SimBackend::Mem mem(w, "sfx");
-    SimSuffix fa(mem, n);
+    SimSuffix fa(w, n);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await fa.write(ctx, Suffix::Value{3, 3});
     });
@@ -215,8 +211,7 @@ TEST(FArray, ContendedWritesStayWithinTheDoubleRefreshBound) {
     for (const std::uint64_t seed : {21u, 22u, 23u}) {
       for (const double sticky : {0.0, 0.6}) {
         World w(n);
-        api::SimBackend::Mem mem(w, "fa");
-        SimSum fa(mem, n);
+        SimSum fa(w, n);
         const int kOps = 4;
         for (int pid = 0; pid < n; ++pid) {
           w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -253,7 +248,7 @@ TEST(FArray, ContendedWritesStayWithinTheDoubleRefreshBound) {
 // ---------------------------------------------------------------------------
 
 struct SumPairExec final : Execution {
-  SumPairExec() : w(2), mem(w, "x"), fa(mem, 2) {
+  SumPairExec() : w(2), fa(w, 2) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await fa.write(ctx, 3);
       roots[0] = co_await fa.read_f(ctx);
@@ -265,7 +260,6 @@ struct SumPairExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimSum fa;
   std::int64_t roots[2] = {-1, -1};
 };

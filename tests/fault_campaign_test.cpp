@@ -60,7 +60,7 @@ std::string artifact_dir(const std::string& subdir) {
 // Two updaters (one update: 1 write each) and a scanner (two tagged scans:
 // 2·(n²−1) = 16 reads, 2·(n+1) = 8 writes at n = 3, kOptimized).
 struct SnapExec final : Execution {
-  SnapExec() : w(3), snap(w, 3, "s") {
+  SnapExec() : w(3), snap(w, 3) {
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await snap.update(ctx, 100 + pid);
@@ -112,7 +112,7 @@ TEST(FaultCampaign, SnapshotThousandAdversarialSchedulesCertify) {
 // ---------------------------------------------------------------------------
 
 struct AgreementExec final : Execution {
-  AgreementExec() : w(3), agree(w, 3, /*epsilon=*/0.01, "agree") {
+  AgreementExec() : w(3), agree(w, 3, /*epsilon=*/0.01) {
     const double inputs[] = {0.0, 1.0, 0.25};
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [this, pid, x = inputs[pid]](Context ctx) -> ProcessTask {

@@ -45,9 +45,9 @@ TEST(CrashSemantics, VictimPerformsExactlyItsQuota) {
   // the crash point must not drift with the other processes' steps.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     World w(3);
-    auto& r0 = w.make_register<int>("r0", 0, 0);
-    auto& r1 = w.make_register<int>("r1", 0, 1);
-    auto& r2 = w.make_register<int>("r2", 0, 2);
+    auto& r0 = w.make<int>(0, 0);
+    auto& r1 = w.make<int>(0, 1);
+    auto& r2 = w.make<int>(0, 2);
     w.spawn(0, [&](Context ctx) { return writer(ctx, r0, 10); });
     w.spawn(1, [&](Context ctx) { return writer(ctx, r1, 10); });
     w.spawn(2, [&](Context ctx) { return writer(ctx, r2, 10); });
@@ -67,8 +67,8 @@ TEST(CrashSemantics, WriterCrashesOneStepBeforeFinalWrite) {
   // final write is the one that never happens.
   const int k = 6;
   World w(2);
-  auto& reg = w.make_register<int>("reg", 0, 0);
-  auto& other = w.make_register<int>("other", 0, 1);
+  auto& reg = w.make<int>(0, 0);
+  auto& other = w.make<int>(0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, k); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 3); });
   w.schedule_crash(0, static_cast<std::uint64_t>(k - 1));
@@ -82,7 +82,7 @@ TEST(CrashSemantics, WriterCrashesOneStepBeforeFinalWrite) {
 TEST(CrashSemantics, CompletionWins) {
   // A quota past the program's length never fires: the process finishes.
   World w(1);
-  auto& reg = w.make_register<int>("reg", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
   w.schedule_crash(0, 5);
   sim::RoundRobinScheduler rr;
@@ -94,8 +94,8 @@ TEST(CrashSemantics, CompletionWins) {
 
 TEST(CrashSemantics, QuotaZeroPreventsAllAccesses) {
   World w(2);
-  auto& reg = w.make_register<int>("reg", 0, 0);
-  auto& other = w.make_register<int>("other", 0, 1);
+  auto& reg = w.make<int>(0, 0);
+  auto& other = w.make<int>(0, 1);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 5); });
   w.spawn(1, [&](Context ctx) { return writer(ctx, other, 5); });
   w.schedule_crash(0, 0);
@@ -110,7 +110,7 @@ TEST(CrashSemantics, ScheduleCrashOnWorldMatchesScheduler) {
   // A threshold armed on the World holds under any scheduler — including
   // explore/replay, which own theirs.
   World w(1);
-  auto& reg = w.make_register<int>("reg", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 9); });
   w.schedule_crash(0, 3);
   sim::RoundRobinScheduler rr;
@@ -122,7 +122,7 @@ TEST(CrashSemantics, ScheduleCrashOnWorldMatchesScheduler) {
 
 TEST(CrashSemantics, ScheduleCrashFiresImmediatelyWhenThresholdMet) {
   World w(1);
-  auto& reg = w.make_register<int>("reg", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return writer(ctx, reg, 9); });
   w.step(0);
   w.step(0);
@@ -141,8 +141,8 @@ TEST(CrashSemantics, ScheduleCrashFiresImmediatelyWhenThresholdMet) {
 // finished would just end the run).
 struct TwoByTwoExec final : Execution {
   TwoByTwoExec() : w(2) {
-    r0 = &w.make_register<int>("r0", 0, 0);
-    r1 = &w.make_register<int>("r1", 0, 1);
+    r0 = &w.make<int>(0, 0);
+    r1 = &w.make<int>(0, 1);
     w.spawn(0, [this](Context ctx) { return writer(ctx, *r0, 2); });
     w.spawn(1, [this](Context ctx) { return writer(ctx, *r1, 2); });
   }
@@ -192,7 +192,7 @@ TEST(FixedSchedulerDeathTest, StrictModeNamesTheDivergencePosition) {
 struct ThreeWriterExec final : Execution {
   explicit ThreeWriterExec(int k = 10) : w(3) {
     for (int pid = 0; pid < 3; ++pid) {
-      regs.push_back(&w.make_register<int>("r" + std::to_string(pid), 0, pid));
+      regs.push_back(&w.make<int>(0, pid));
     }
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [this, pid, k](Context ctx) {
@@ -312,7 +312,7 @@ TEST(RandomPlan, DescribeMentionsEveryFault) {
 // Two updaters (one update each: 1 write) and one scanner (two tagged scans,
 // each n²−1 reads + n+1 writes for n=3 in kOptimized mode: 8r+4w).
 struct SnapCampaignExec final : Execution {
-  SnapCampaignExec() : w(3), snap(w, 3, "s") {
+  SnapCampaignExec() : w(3), snap(w, 3) {
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await snap.update(ctx, 100 + pid);
@@ -449,7 +449,7 @@ TEST(Certifier, DetectsGenuineWaitFreedomFailure) {
   // certifier must report an incomplete execution, not hang.
   struct SpinExec final : Execution {
     SpinExec() : w(2) {
-      flag = &w.make_register<int>("flag", 0, 0);
+      flag = &w.make<int>(0, 0);
       w.spawn(0, [this](Context ctx) -> ProcessTask {
         co_await ctx.write(*flag, 1);
       });
@@ -489,7 +489,7 @@ TEST(Certifier, DetectsGenuineWaitFreedomFailure) {
 // at_access == 0 an updater contributes nothing; with at_access == 1 the
 // updater completes first (completion wins) and the crash never fires.
 struct SnapCrashExec final : Execution {
-  SnapCrashExec(int victim, std::uint64_t at) : w(3), snap(w, 3, "s") {
+  SnapCrashExec(int victim, std::uint64_t at) : w(3), snap(w, 3) {
     for (int pid = 0; pid < 2; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await snap.update(ctx, 100 + pid);

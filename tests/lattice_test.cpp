@@ -3,6 +3,7 @@
 // leq/join consistency law. Randomized value generation per instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "lattice/lattice.hpp"
@@ -176,6 +177,99 @@ TEST(SetUnionLatticeTest, JoinIsUnion) {
   EXPECT_EQ(L::join({1, 2}, {2, 3}), (std::set<int>{1, 2, 3}));
   EXPECT_TRUE(L::leq({1}, {1, 2}));
   EXPECT_FALSE(L::leq({1, 4}, {1, 2}));
+}
+
+// ---------------------------------------------------------------------------
+// In-place joins. Every join takes its left operand by value and updates it;
+// the references below are the copying joins that build a fresh value.
+// ---------------------------------------------------------------------------
+
+using TV = TaggedVectorLattice<int>;
+using VC = VectorClockLattice;
+using SU = SetUnionLattice<int>;
+using TVxVC = PairLattice<TV, VC>;
+
+TV::Value copying_join(const TV::Value& a, const TV::Value& b) {
+  TV::Value out(std::max(a.size(), b.size()));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const TV::Cell* best = nullptr;
+    if (i < a.size()) best = &a[i];
+    if (i < b.size() && (best == nullptr || b[i].tag > best->tag)) {
+      best = &b[i];
+    }
+    if (best != nullptr) out[i] = *best;
+  }
+  return out;
+}
+
+VC::Value copying_join(const VC::Value& a, const VC::Value& b) {
+  VC::Value out(std::max(a.size(), b.size()), 0);
+  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i];
+  for (std::size_t i = 0; i < b.size(); ++i) out[i] = std::max(out[i], b[i]);
+  return out;
+}
+
+SU::Value copying_join(const SU::Value& a, const SU::Value& b) {
+  SU::Value out = a;
+  out.insert(b.begin(), b.end());
+  return out;
+}
+
+TVxVC::Value copying_join(const TVxVC::Value& a, const TVxVC::Value& b) {
+  return {copying_join(a.first, b.first), copying_join(a.second, b.second)};
+}
+
+// Widths 0-6, tags 0-3 (so equal tags and ⊥ cells are common); the values
+// are drawn independently of the tags, so a tie kept from the wrong side
+// shows.
+TV::Value random_tagged(Rng& rng) {
+  TV::Value v(rng.below(7));
+  for (TV::Cell& c : v) {
+    c.tag = rng.below(4);
+    c.value = static_cast<int>(rng.below(100));
+  }
+  return v;
+}
+
+VC::Value random_clock(Rng& rng) {
+  VC::Value v(rng.below(7));
+  for (std::uint64_t& c : v) c = rng.below(4);
+  return v;
+}
+
+SU::Value random_set(Rng& rng) {
+  SU::Value s;
+  const std::uint64_t k = rng.below(7);
+  for (std::uint64_t i = 0; i < k; ++i) {
+    s.insert(static_cast<int>(rng.below(10)));
+  }
+  return s;
+}
+
+// L::join into an lvalue's copy and into an rvalue must both equal the
+// copying join, cell by cell (each cell type's ==).
+template <class L>
+void expect_in_place_join_matches(const typename L::Value& a,
+                                  const typename L::Value& b) {
+  const typename L::Value want = copying_join(a, b);
+  EXPECT_TRUE(L::join(a, b) == want);
+  typename L::Value acc = a;
+  EXPECT_TRUE(L::join(std::move(acc), b) == want);
+}
+
+TEST(Lattice, InPlaceJoinMatchesTheCopyingJoin) {
+  Rng rng(25);
+  for (int trial = 0; trial < 2000; ++trial) {
+    SCOPED_TRACE(trial);
+    const TV::Value ta = random_tagged(rng);
+    const TV::Value tb = random_tagged(rng);
+    const VC::Value ca = random_clock(rng);
+    const VC::Value cb = random_clock(rng);
+    expect_in_place_join_matches<TV>(ta, tb);
+    expect_in_place_join_matches<VC>(ca, cb);
+    expect_in_place_join_matches<SU>(random_set(rng), random_set(rng));
+    expect_in_place_join_matches<TVxVC>({ta, ca}, {tb, cb});
+  }
 }
 
 }  // namespace

@@ -251,8 +251,7 @@ C::Invocation u2_mix_op(Rng& rng) {
 std::vector<RecordedOp<C>> record_u2_counter_run(std::uint64_t seed, int n,
                                                  U2Counter::Config cfg) {
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  U2Counter c(mem, n, "c", cfg);
+  U2Counter c(w, n, cfg);
   HistoryRecorder<C> rec;
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -310,7 +309,7 @@ TEST(EndToEnd, CheckerCatchesABrokenCounter) {
   // raw registers must produce non-linearizable histories under contention.
   // We build the classic lost-update schedule deterministically.
   World w(2);
-  auto& reg = w.make_register<std::int64_t>("naive", 0);
+  auto& reg = w.make<std::int64_t>(0);
   HistoryRecorder<C> rec;
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {

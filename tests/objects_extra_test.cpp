@@ -131,7 +131,7 @@ TEST(AdoptCommitWide, CoherenceAndValidityUnderRandomSchedules) {
   for (int n : {3, 4}) {
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
       World w(n);
-      AdoptCommitSim ca(w, n, "ca");
+      AdoptCommitSim ca(w, n);
       std::vector<CaResult> results(static_cast<std::size_t>(n));
       Rng rng(seed * 17 + static_cast<std::uint64_t>(n));
       std::vector<std::int64_t> inputs;
@@ -172,7 +172,7 @@ TEST(AdoptCommitWide, UnanimousProposalsAlwaysCommit) {
   for (int n : {3, 5}) {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
       World w(n);
-      AdoptCommitSim ca(w, n, "ca");
+      AdoptCommitSim ca(w, n);
       std::vector<CaResult> results(static_cast<std::size_t>(n));
       for (int pid = 0; pid < n; ++pid) {
         w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -196,7 +196,7 @@ TEST(AdoptCommitWide, UnanimousProposalsAlwaysCommit) {
 TEST(PlainMode, GrowSetBehavesIdenticallyInPlainScanMode) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     World w(3);
-    GrowSetSim s(w, 3, "g", ScanMode::kPlain);
+    GrowSetSim s(w, 3, ScanMode::kPlain);
     std::vector<std::int64_t> sizes(3, -1);
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -222,7 +222,7 @@ TEST(MaxRegisterLincheck, UniversalHistoriesAreLinearizable) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const int n = 3;
     World w(n);
-    UniversalObjectSim<S> u(w, n, "mr");
+    UniversalObjectSim<S> u(w, n);
     HistoryRecorder<S> rec;
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {

@@ -328,16 +328,6 @@ TEST(Export, JsonContainsMetricsAndEvents) {
   EXPECT_NE(json.find("\"kind\": \"write\""), std::string::npos);
 }
 
-TEST(Export, TableListsEveryMetric) {
-  Registry reg;
-  reg.counter("a").add(1);
-  reg.gauge("b").set(2);
-  std::stringstream ss;
-  registry_table(reg, "t").print(ss);
-  EXPECT_NE(ss.str().find("a"), std::string::npos);
-  EXPECT_NE(ss.str().find("b"), std::string::npos);
-}
-
 TEST(ReplayArtifact, ScheduleFileRoundTrips) {
   const std::vector<int> sched = {0, 1, 2, 1, 0, 2, 2};
   const std::string path = "obs_test.schedule.txt";
@@ -417,7 +407,7 @@ TEST(Span, SimScanSpanTagsEveryAccessAndPhase) {
   const int n = 3;
   Tracer tracer(n, 4096);
   sim::World w(n, {.tracer = &tracer});
-  LatticeScanSim<MaxL> ls(w, n, "ls");
+  LatticeScanSim<MaxL> ls(w, n);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     (void)co_await ls.scan(ctx, 1);
   });
@@ -457,7 +447,7 @@ TEST(Span, WriteLNestsAScanAndTheInnermostSpanOwnsAccesses) {
   const int n = 2;
   Tracer tracer(n, 4096);
   sim::World w(n, {.tracer = &tracer});
-  LatticeScanSim<MaxL> ls(w, n, "ls");
+  LatticeScanSim<MaxL> ls(w, n);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     co_await ls.write_l(ctx, 7);
   });
@@ -487,7 +477,7 @@ TEST(Span, CrashLeavesTheSpanOpenInTheTrace) {
   const int n = 2;
   Tracer tracer(n, 4096);
   sim::World w(n, {.tracer = &tracer});
-  LatticeScanSim<MaxL> ls(w, n, "ls");
+  LatticeScanSim<MaxL> ls(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&ls, pid](sim::Context ctx) -> sim::ProcessTask {
       (void)co_await ls.scan(ctx, pid);
@@ -617,7 +607,7 @@ TEST(ChromeTrace, GoldenShapeForATinyDeterministicSimSchedule) {
   const int n = 2;
   Tracer tracer(n, 1024);
   sim::World w(n, {.tracer = &tracer});
-  LatticeScanSim<MaxL> ls(w, n, "ls");
+  LatticeScanSim<MaxL> ls(w, n);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     (void)co_await ls.scan(ctx, 1);
   });
@@ -734,8 +724,7 @@ TEST(Contention, TelemetryAddsNoModelAccessesAndPinsSoloOutcomes) {
   // path" half of the compile-out contract.
   const int n = 8;
   sim::World w(n);
-  api::SimBackend::Mem mem(w, "t");
-  snapshot::TreeScan<api::SimBackend, MaxL> tree(mem, n);
+  snapshot::TreeScan<api::SimBackend, MaxL> tree(w, n);
   w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
     co_await tree.update(ctx, 5);
   });
@@ -828,8 +817,7 @@ TEST(Sampler, SampledTraceStillVerifiesTheTreeUpdateBound) {
   Tracer tracer(n, 1 << 14);
   tracer.set_sampler(SpanSampler{/*seed=*/42, /*rate=*/4});
   sim::World w(n, {.tracer = &tracer});
-  api::SimBackend::Mem mem(w, "t");
-  snapshot::TreeScan<api::SimBackend, MaxL> tree(mem, n);
+  snapshot::TreeScan<api::SimBackend, MaxL> tree(w, n);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&tree, pid](sim::Context ctx) -> sim::ProcessTask {
       for (int i = 0; i < kOpsPerPid; ++i) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 
 #include "agreement/approx_agreement.hpp"
 #include "api/rt_backend.hpp"
@@ -54,8 +53,7 @@ template <template <class> class Obj, class Ops, class... Args>
 void expect_same_accesses(Ops ops, Args... args) {
   for (int n : {2, 4, 8}) {
     World w(n);
-    api::SimBackend::Mem sim_mem(w, "obj");
-    Obj<api::SimBackend> sim_obj(sim_mem, n, args...);
+    Obj<api::SimBackend> sim_obj(w, n, args...);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await ops(sim_obj, ctx);
     });
@@ -177,7 +175,7 @@ TEST(SimRtParity, SortedSet) {
         (void)co_await set.remove(ctx, 5);
         (void)co_await set.contains(ctx, 5);
       },
-      /*capacity_per_proc=*/8, std::string("set"));
+      /*capacity_per_proc=*/8);
 }
 
 TEST(SimRtParity, Counter2) {
@@ -186,8 +184,7 @@ TEST(SimRtParity, Counter2) {
         co_await c.inc(ctx, 5);
         co_await c.dec(ctx, 2);
         (void)co_await c.read(ctx);
-      },
-      std::string("u2c"));
+      });
 }
 
 TEST(SimRtParity, UniversalConstruction) {

@@ -59,8 +59,7 @@ using UFSpec = UnionFindSpec<8>;
 TEST(PolylogQueue, SoloRunsAreFifoAcrossProcesses) {
   const int n = 3;
   World w(n);
-  api::SimBackend::Mem mem(w, "q");
-  SimQueue q(mem, n);
+  SimQueue q(w, n);
 
   const auto enq = [&](int pid, std::int64_t v) {
     w.spawn(pid, [&, v](Context ctx) -> ProcessTask {
@@ -95,8 +94,7 @@ TEST(PolylogQueue, SoloRunsAreFifoAcrossProcesses) {
 // take the value even though its leaf is to the left of the enqueue's.
 TEST(PolylogQueue, SameRootBlockEnqueueLinearizesBeforeDequeue) {
   World w(2);
-  api::SimBackend::Mem mem(w, "q");
-  SimQueue q(mem, 2);
+  SimQueue q(w, 2);
   std::int64_t got = -2;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     got = co_await q.dequeue(ctx);
@@ -126,8 +124,7 @@ TEST(PolylogQueue, SameRootBlockEnqueueLinearizesBeforeDequeue) {
 TEST(PolylogQueue, SoloOpsMatchTheClosedForms) {
   for (int n : {1, 2, 4, 8, 16}) {
     World w(n);
-    api::SimBackend::Mem mem(w, "q");
-    SimQueue q(mem, n);
+    SimQueue q(w, n);
     const auto h = static_cast<std::uint64_t>(farray::farray_height(n));
 
     w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -161,8 +158,7 @@ TEST(PolylogQueue, SoloOpsMatchTheClosedForms) {
 std::vector<RecordedOp<QSpec>> record_queue_run(std::uint64_t seed, int n,
                                                 int ops_per_proc) {
   World w(n);
-  api::SimBackend::Mem mem(w, "q");
-  SimQueue q(mem, n);
+  SimQueue q(w, n);
   HistoryRecorder<QSpec> rec;
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -203,7 +199,7 @@ TEST(PolylogQueue, RandomScheduleHistoriesAreLinearizable) {
 // ---------------------------------------------------------------------------
 
 struct QueuePairExec final : Execution {
-  QueuePairExec() : w(2), mem(w, "x"), q(mem, 2) {
+  QueuePairExec() : w(2), q(w, 2) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       const auto tok = rec.begin(0, QSpec::enq(1), ctx.world().global_step());
       co_await q.enqueue(ctx, 1);
@@ -217,7 +213,6 @@ struct QueuePairExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimQueue q;
   HistoryRecorder<QSpec> rec;
   std::int64_t deq_result = -2;
@@ -245,7 +240,7 @@ TEST(PolylogQueueExplore, EveryScheduleLinearizes) {
 // ---------------------------------------------------------------------------
 
 struct QueueCampaignExec final : Execution {
-  QueueCampaignExec() : w(4), mem(w, "q"), q(mem, 4) {
+  QueueCampaignExec() : w(4), q(w, 4) {
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await q.enqueue(ctx, 100 + pid);
@@ -258,7 +253,6 @@ struct QueueCampaignExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimQueue q;
   std::int64_t deqs[2] = {-2, -2};
 };
@@ -392,8 +386,7 @@ TEST(UnionFind, ConcurrentUnionsMatchTheOracleMatrixAndOneReadNumSets) {
   };
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     World w(n);
-    api::SimBackend::Mem mem(w, "uf");
-    SimUF uf(mem, n, kUniverse);
+    SimUF uf(w, n, kUniverse);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         for (const auto& [a, b] : pairs[pid]) {
@@ -450,8 +443,7 @@ TEST(UnionFind, RandomScheduleHistoriesAreLinearizable) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     const int n = 3;
     World w(n);
-    api::SimBackend::Mem mem(w, "uf");
-    SimUF uf(mem, n, 8);
+    SimUF uf(w, n, 8);
     HistoryRecorder<UFSpec> rec;
     std::vector<std::pair<std::int32_t, std::int32_t>> united;
     std::vector<std::int64_t> numset_obs;
@@ -521,8 +513,7 @@ TEST(UnionFind, NumSetsIsAnOvercountFreeBoundInTheLinkCounterWindow) {
   for (const bool crash_linker : {false, true}) {
     const int kUniverse = 4;
     World w(2);
-    api::SimBackend::Mem mem(w, "uf");
-    SimUF uf(mem, 2, kUniverse);
+    SimUF uf(w, 2, kUniverse);
 
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await uf.unite(ctx, 0, 1);
@@ -568,7 +559,7 @@ TEST(UnionFind, NumSetsIsAnOvercountFreeBoundInTheLinkCounterWindow) {
 // ---------------------------------------------------------------------------
 
 struct UnionFindCampaignExec final : Execution {
-  UnionFindCampaignExec() : w(4), mem(w, "uf"), uf(mem, 4, 6) {
+  UnionFindCampaignExec() : w(4), uf(w, 4, 6) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await uf.unite(ctx, 0, 1);
     });
@@ -585,7 +576,6 @@ struct UnionFindCampaignExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimUF uf;
   std::int32_t root = -1;
   std::int64_t sets = -1;

@@ -142,7 +142,7 @@ World::Options lazy_world() {
 
 TEST(LazySpawn, FrameMaterializesAtFirstGrantNotAtSpawn) {
   World w(1, lazy_world());
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   bool body_entered = false;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     body_entered = true;
@@ -180,7 +180,7 @@ TEST(LazySpawn, ZeroAccessProgramCompletesOnItsFirstGrant) {
 TEST(LazySpawn, RunDrivesPendingProcessesToCompletion) {
   const int n = 32;
   World w(n, lazy_world());
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&reg, pid](Context ctx) -> ProcessTask {
       co_await ctx.write(reg, pid);
@@ -198,7 +198,7 @@ TEST(LazySpawn, RunDrivesPendingProcessesToCompletion) {
 
 TEST(World, ReviveRestartsACrashedPidAsANewIncarnation) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   const auto writer = [&](int val) {
     return [&reg, val](Context ctx) -> ProcessTask {
       co_await ctx.write(reg, val);
@@ -229,7 +229,7 @@ TEST(RandomScheduler, StickinessDoesNotFollowAPidAcrossIncarnations) {
   // the fix every revive forces a fresh uniform draw, so over many cycles
   // both pids must receive grants.
   World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   const auto busy = [&reg](Context ctx) -> ProcessTask {
     for (int i = 0; i < 1'000'000; ++i) co_await ctx.write(reg, i);
   };
@@ -252,7 +252,7 @@ TEST(RandomScheduler, IsDeterministicPerSeedAtScale) {
   const auto run_once = [](std::uint64_t seed) {
     const int n = 512;
     World w(n, lazy_world());
-    auto& reg = w.make_register<std::uint64_t>("r", 0, kAnyWriter);
+    auto& reg = w.make<std::uint64_t>(0, kAnyWriter);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&reg, pid](Context ctx) -> ProcessTask {
         for (int i = 0; i < 8; ++i) {
@@ -278,7 +278,7 @@ ProcessTask spin_writer(Context ctx, Register<int>& reg, int k) {
 TEST(ScheduleCrash, VictimStopsAfterExactlyItsQuota) {
   const int n = 8;
   World w(n);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   for (int pid = 0; pid < n; ++pid) {
     w.spawn(pid, [&](Context ctx) { return spin_writer(ctx, reg, 20); });
   }
@@ -300,7 +300,7 @@ TEST(ScheduleCrash, VictimStopsAfterExactlyItsQuota) {
 
 TEST(ScheduleCrash, ArmsVictimsThatSpawnMidRun) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
   w.schedule_crash(1, 4);  // victim 1 is not spawned yet
   RoundRobinScheduler rr;
@@ -315,7 +315,7 @@ TEST(ScheduleCrash, ArmsVictimsThatSpawnMidRun) {
 
 TEST(ScheduleCrash, FiresOnStepsTakenOutsideRun) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0, kAnyWriter);
+  auto& reg = w.make<int>(0, kAnyWriter);
   w.spawn(0, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
   w.spawn(1, [&](Context ctx) { return spin_writer(ctx, reg, 10); });
   w.schedule_crash(1, 3);

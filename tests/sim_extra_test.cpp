@@ -14,7 +14,7 @@ namespace {
 
 TEST(Respawn, SecondProgramRunsAfterFirstCompletes) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await ctx.write(reg, 1); });
   w.run_solo(0);
   EXPECT_TRUE(w.done(0));
@@ -30,7 +30,7 @@ TEST(Respawn, SecondProgramRunsAfterFirstCompletes) {
 
 TEST(Respawn, StepCountsAccumulateAcrossPrograms) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   for (int phase = 0; phase < 3; ++phase) {
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await ctx.write(reg, 1);
@@ -43,7 +43,7 @@ TEST(Respawn, StepCountsAccumulateAcrossPrograms) {
 
 TEST(Respawn, RunningProcessCannotBeRespawned) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await ctx.read(reg);
     co_await ctx.read(reg);
@@ -56,7 +56,7 @@ TEST(Respawn, RunningProcessCannotBeRespawned) {
 
 TEST(Respawn, CrashedProcessCannotBeRespawned) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     for (int i = 0; i < 5; ++i) co_await ctx.read(reg);
   });
@@ -68,7 +68,7 @@ TEST(Respawn, CrashedProcessCannotBeRespawned) {
 
 TEST(FixedScheduler, RoundRobinFallbackFinishesTheRun) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   std::vector<int> order;
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -88,7 +88,7 @@ TEST(FixedScheduler, RoundRobinFallbackFinishesTheRun) {
 
 TEST(FixedScheduler, StopFallbackLeavesWorkUnfinished) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     for (int i = 0; i < 5; ++i) co_await ctx.read(reg);
   });
@@ -100,7 +100,7 @@ TEST(FixedScheduler, StopFallbackLeavesWorkUnfinished) {
 
 TEST(FixedScheduler, SkipsFinishedProcessEntries) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask { co_await ctx.read(reg); });
   }
@@ -113,7 +113,7 @@ TEST(FixedScheduler, SkipsFinishedProcessEntries) {
 
 TEST(RandomScheduler, StickinessKeepsBursts) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   std::vector<int> order;
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -149,7 +149,7 @@ std::vector<obs::TraceEvent> access_events(const obs::Tracer& tracer) {
 TEST(Trace, GlobalStepMatchesTraceLength) {
   obs::Tracer tracer(2, 64);
   World w(2, {.tracer = &tracer});
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
       co_await ctx.read(reg);
@@ -170,8 +170,8 @@ TEST(Trace, GlobalStepMatchesTraceLength) {
 TEST(Trace, ReadsAndWritesAttributedToRightRegisters) {
   obs::Tracer tracer(1, 64);
   World w(1, {.tracer = &tracer});
-  auto& a = w.make_register<int>("a", 0);
-  auto& b = w.make_register<int>("b", 0);
+  auto& a = w.make<int>(0);
+  auto& b = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await ctx.read(a);
     co_await ctx.write(b, 1);
@@ -189,18 +189,17 @@ TEST(Trace, ReadsAndWritesAttributedToRightRegisters) {
 
 TEST(World, RegisterNamesAndIdsAreStable) {
   World w(1);
-  auto& a = w.make_register<int>("alpha", 0);
-  auto& b = w.make_register<int>("beta", 0, /*writer=*/0);
+  auto& a = w.make<int>(0);
+  auto& b = w.make<int>(0, /*writer=*/0);
   EXPECT_EQ(a.id(), 0);
   EXPECT_EQ(b.id(), 1);
-  EXPECT_EQ(w.register_at(0).name(), "alpha");
   EXPECT_EQ(w.register_at(1).writer(), 0);
   EXPECT_EQ(w.num_registers(), 2);
 }
 
 TEST(World, NumRunnableTracksLifecycle) {
   World w(3);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   EXPECT_EQ(w.num_runnable(), 0);  // nothing spawned yet
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask { co_await ctx.read(reg); });
@@ -227,7 +226,7 @@ TEST(World, ZeroAccessProgramCompletesAtSpawn) {
 
 TEST(ScheduleCrash, CrashAtStepZeroPreventsAllProgress) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
       for (int i = 0; i < 4; ++i) co_await ctx.read(reg);

@@ -23,8 +23,8 @@ ProcessTask copier(Context ctx, const Register<int>& src, Register<int>& dst,
 
 TEST(World, SingleProcessRunsToCompletion) {
   World w(1);
-  auto& src = w.make_register<int>("src", 7);
-  auto& dst = w.make_register<int>("dst", 0);
+  auto& src = w.make<int>(7);
+  auto& dst = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return copier(ctx, src, dst, 3); });
   const RunResult r = w.run_solo(0);
   EXPECT_TRUE(r.all_done);
@@ -36,8 +36,8 @@ TEST(World, SingleProcessRunsToCompletion) {
 
 TEST(World, StepGranularityIsOneAccess) {
   World w(1);
-  auto& src = w.make_register<int>("src", 1);
-  auto& dst = w.make_register<int>("dst", 0);
+  auto& src = w.make<int>(1);
+  auto& dst = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return copier(ctx, src, dst, 1); });
   // First grant performs the read...
   w.step(0);
@@ -54,7 +54,7 @@ TEST(World, StepGranularityIsOneAccess) {
 TEST(World, InterleavingIsSchedulerControlled) {
   // Classic lost-update interleaving: both processes read 0, both write 1.
   World w(2);
-  auto& reg = w.make_register<int>("reg", 0);
+  auto& reg = w.make<int>(0);
   auto incr = [&](Context ctx) -> ProcessTask {
     const int v = co_await ctx.read(reg);
     co_await ctx.write(reg, v + 1);
@@ -69,7 +69,7 @@ TEST(World, InterleavingIsSchedulerControlled) {
 
 TEST(World, SequentialScheduleAvoidsLostUpdate) {
   World w(2);
-  auto& reg = w.make_register<int>("reg", 0);
+  auto& reg = w.make<int>(0);
   auto incr = [&](Context ctx) -> ProcessTask {
     const int v = co_await ctx.read(reg);
     co_await ctx.write(reg, v + 1);
@@ -83,7 +83,7 @@ TEST(World, SequentialScheduleAvoidsLostUpdate) {
 
 TEST(World, SingleWriterEnforced) {
   World w(2);
-  auto& reg = w.make_register<int>("owned", 0, /*writer=*/0);
+  auto& reg = w.make<int>(0, /*writer=*/0);
   w.spawn(1, [&](Context ctx) -> ProcessTask {
     co_await ctx.write(reg, 5);  // illegal: pid 1 writing pid 0's register
   });
@@ -92,7 +92,7 @@ TEST(World, SingleWriterEnforced) {
 
 TEST(World, ReadOfForeignSingleWriterRegisterIsFine) {
   World w(2);
-  auto& reg = w.make_register<int>("owned", 42, /*writer=*/0);
+  auto& reg = w.make<int>(42, /*writer=*/0);
   int out = 0;
   w.spawn(1, [&](Context ctx) -> ProcessTask {
     out = co_await ctx.read(reg);
@@ -103,7 +103,7 @@ TEST(World, ReadOfForeignSingleWriterRegisterIsFine) {
 
 TEST(World, CrashStopsProcessButOthersFinish) {
   World w(2);
-  auto& a = w.make_register<int>("a", 0);
+  auto& a = w.make<int>(0);
   auto body = [&](Context ctx) -> ProcessTask {
     for (int i = 0; i < 10; ++i) co_await ctx.write(a, i);
   };
@@ -122,8 +122,8 @@ TEST(World, CrashStopsProcessButOthersFinish) {
 TEST(World, TraceRecordsAccesses) {
   obs::Tracer tracer(1, 64);
   World w(1, {.tracer = &tracer});
-  auto& src = w.make_register<int>("src", 0);
-  auto& dst = w.make_register<int>("dst", 0);
+  auto& src = w.make<int>(0);
+  auto& dst = w.make<int>(0);
   w.spawn(0, [&](Context ctx) { return copier(ctx, src, dst, 2); });
   w.run_solo(0);
   std::vector<obs::TraceEvent> accesses;
@@ -152,8 +152,8 @@ SimCoro<int> sum_two(Context ctx, const Register<int>& x,
 
 TEST(SimCoro, NestedProcedureStepsCountAndInterleave) {
   World w(2);
-  auto& x = w.make_register<int>("x", 10);
-  auto& y = w.make_register<int>("y", 20);
+  auto& x = w.make<int>(10);
+  auto& y = w.make<int>(20);
   int result = -1;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     result = co_await sum_two(ctx, x, y);
@@ -177,8 +177,8 @@ SimCoro<int> doubly_nested(Context ctx, const Register<int>& x,
 
 TEST(SimCoro, TwoLevelsOfNesting) {
   World w(1);
-  auto& x = w.make_register<int>("x", 1);
-  auto& y = w.make_register<int>("y", 2);
+  auto& x = w.make<int>(1);
+  auto& y = w.make<int>(2);
   int result = -1;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     result = co_await doubly_nested(ctx, x, y);
@@ -190,7 +190,7 @@ TEST(SimCoro, TwoLevelsOfNesting) {
 
 TEST(SimCoro, VoidProcedure) {
   World w(1);
-  auto& x = w.make_register<int>("x", 0);
+  auto& x = w.make<int>(0);
   auto setter = [](Context ctx, Register<int>& r, int v) -> SimCoro<void> {
     co_await ctx.write(r, v);
   };
@@ -204,7 +204,7 @@ TEST(SimCoro, VoidProcedure) {
 
 TEST(Scheduler, RoundRobinIsFair) {
   World w(3);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   std::vector<int> order;
   for (int pid = 0; pid < 3; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -222,7 +222,7 @@ TEST(Scheduler, RoundRobinIsFair) {
 TEST(Scheduler, RandomIsDeterministicPerSeed) {
   auto run_once = [](std::uint64_t seed) {
     World w(3);
-    auto& reg = w.make_register<int>("r", 0);
+    auto& reg = w.make<int>(0);
     std::vector<int> order;
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -243,7 +243,7 @@ TEST(Scheduler, RandomIsDeterministicPerSeed) {
 TEST(Scheduler, RecordingSchedulerReproducesRun) {
   auto build = [](std::vector<int>* order) {
     auto w = std::make_unique<World>(2);
-    auto& reg = w->make_register<int>("r", 0);
+    auto& reg = w->make<int>(0);
     for (int pid = 0; pid < 2; ++pid) {
       w->spawn(pid, [&reg, order, pid](Context ctx) -> ProcessTask {
         for (int i = 0; i < 4; ++i) {
@@ -271,7 +271,7 @@ TEST(Scheduler, RecordingSchedulerReproducesRun) {
 
 TEST(ScheduleCrash, InjectsFailureUnderRoundRobin) {
   World w(2);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
       for (int i = 0; i < 10; ++i) co_await ctx.read(reg);
@@ -290,7 +290,7 @@ TEST(ScheduleCrash, InjectsFailureUnderRoundRobin) {
 
 TEST(World, MaxStepsGuardsNontermination) {
   World w(1);
-  auto& reg = w.make_register<int>("r", 0);
+  auto& reg = w.make<int>(0);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     for (;;) co_await ctx.read(reg);  // deliberately non-terminating
   });
@@ -301,7 +301,7 @@ TEST(World, MaxStepsGuardsNontermination) {
 // Replay: outputs after replaying a recorded prefix match the original run.
 struct CounterExec final : Execution {
   explicit CounterExec(int procs) : w(procs) {
-    reg = &w.make_register<int>("r", 0);
+    reg = &w.make<int>(0);
     outs.resize(static_cast<std::size_t>(procs), -1);
     for (int pid = 0; pid < procs; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {

@@ -32,7 +32,7 @@ using MaxL = MaxLattice<std::int64_t>;
 
 TEST(LatticeScan, SoloScanReturnsOwnContribution) {
   World w(1);
-  LatticeScanSim<MaxL> ls(w, 1, "ls");
+  LatticeScanSim<MaxL> ls(w, 1);
   std::int64_t out = 0;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     out = co_await ls.scan(ctx, 42);
@@ -43,7 +43,7 @@ TEST(LatticeScan, SoloScanReturnsOwnContribution) {
 
 TEST(LatticeScan, ReadMaxSeesEarlierWriteL) {
   World w(2);
-  LatticeScanSim<MaxL> ls(w, 2, "ls");
+  LatticeScanSim<MaxL> ls(w, 2);
   std::int64_t out = 0;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await ls.write_l(ctx, 99);
@@ -58,7 +58,7 @@ TEST(LatticeScan, ReadMaxSeesEarlierWriteL) {
 
 TEST(LatticeScan, ReadMaxWithNoWritesIsBottom) {
   World w(2);
-  LatticeScanSim<MaxL> ls(w, 2, "ls");
+  LatticeScanSim<MaxL> ls(w, 2);
   std::int64_t out = 123;
   w.spawn(1, [&](Context ctx) -> ProcessTask {
     out = co_await ls.read_max(ctx);
@@ -70,7 +70,7 @@ TEST(LatticeScan, ReadMaxWithNoWritesIsBottom) {
 TEST(LatticeScan, SetUnionAccumulatesAcrossProcesses) {
   using SetL = SetUnionLattice<int>;
   World w(3);
-  LatticeScanSim<SetL> ls(w, 3, "ls");
+  LatticeScanSim<SetL> ls(w, 3);
   std::set<int> out;
   for (int pid = 0; pid < 3; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -93,7 +93,7 @@ TEST(LatticeScan, SetUnionAccumulatesAcrossProcesses) {
 
 TEST(LatticeScan, PostIsVisibleToLaterScan) {
   World w(2);
-  LatticeScanSim<MaxL> ls(w, 2, "ls");
+  LatticeScanSim<MaxL> ls(w, 2);
   std::int64_t out = 0;
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await ls.post(ctx, 7); });
   w.spawn(1, [&](Context ctx) -> ProcessTask {
@@ -114,7 +114,7 @@ class ScanOpCounts : public ::testing::TestWithParam<std::tuple<int, ScanMode>> 
 TEST_P(ScanOpCounts, MatchesClosedForm) {
   const auto [n, mode] = GetParam();
   World w(n);
-  LatticeScanSim<MaxL> ls(w, n, "ls", mode);
+  LatticeScanSim<MaxL> ls(w, n, mode);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await ls.scan(ctx, 5);
   });
@@ -136,7 +136,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ScanOpCountsExtra, CostIsTheSameOnRepeatedScans) {
   World w(4);
-  LatticeScanSim<MaxL> ls(w, 4, "ls");
+  LatticeScanSim<MaxL> ls(w, 4);
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     for (int i = 0; i < 3; ++i) co_await ls.scan(ctx, i);
   });
@@ -148,7 +148,7 @@ TEST(ScanOpCountsExtra, CostIsTheSameOnRepeatedScans) {
 
 TEST(ScanOpCountsExtra, PostCostsOneWrite) {
   World w(4);
-  LatticeScanSim<MaxL> ls(w, 4, "ls", ScanMode::kOptimized);
+  LatticeScanSim<MaxL> ls(w, 4, ScanMode::kOptimized);
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await ls.post(ctx, 1); });
   w.run_solo(0);
   EXPECT_EQ(w.counts(0).reads, 0u);
@@ -164,7 +164,7 @@ struct ComparabilityRig {
   static constexpr int kScansPerProc = 3;
 
   explicit ComparabilityRig(int n, ScanMode mode, std::uint64_t /*seed*/)
-      : world(n), ls(world, n, "ls", mode) {
+      : world(n), ls(world, n, mode) {
     results.resize(static_cast<std::size_t>(n));
     for (int pid = 0; pid < n; ++pid) {
       world.spawn(pid, [this, pid, n](Context ctx) -> ProcessTask {
@@ -224,7 +224,7 @@ TEST_P(SnapshotComparability, TaggedViewsArePairwiseComparable) {
   const int n = GetParam();
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     World w(n);
-    AtomicSnapshotSim<int> snap(w, n, "snap");
+    AtomicSnapshotSim<int> snap(w, n);
     std::vector<L::Value> views;
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -258,7 +258,7 @@ INSTANTIATE_TEST_SUITE_P(Procs, SnapshotComparability,
 
 TEST(AtomicSnapshot, EmptySlotsAreNullopt) {
   World w(3);
-  AtomicSnapshotSim<int> snap(w, 3, "snap");
+  AtomicSnapshotSim<int> snap(w, 3);
   SnapshotView<int> view;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await snap.update(ctx, 11);
@@ -273,7 +273,7 @@ TEST(AtomicSnapshot, EmptySlotsAreNullopt) {
 
 TEST(AtomicSnapshot, LatestUpdateWinsPerSlot) {
   World w(2);
-  AtomicSnapshotSim<int> snap(w, 2, "snap");
+  AtomicSnapshotSim<int> snap(w, 2);
   SnapshotView<int> view;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await snap.update(ctx, 1);
@@ -290,7 +290,7 @@ TEST(AtomicSnapshot, LatestUpdateWinsPerSlot) {
 
 TEST(AtomicSnapshot, UpdateAndScanIncludesOwnValue) {
   World w(2);
-  AtomicSnapshotSim<int> snap(w, 2, "snap");
+  AtomicSnapshotSim<int> snap(w, 2);
   SnapshotView<int> view;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     view = co_await snap.update_and_scan(ctx, 5);
@@ -303,7 +303,7 @@ TEST(AtomicSnapshot, ScanReflectsCompletedUpdatesOfOthers) {
   // Real-time order: if update(v) completes before scan starts, the scan
   // must contain v (or something newer in that slot).
   World w(3);
-  AtomicSnapshotSim<int> snap(w, 3, "snap");
+  AtomicSnapshotSim<int> snap(w, 3);
   SnapshotView<int> view;
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await snap.update(ctx, 1); });
   w.spawn(1, [&](Context ctx) -> ProcessTask { co_await snap.update(ctx, 2); });
@@ -325,7 +325,7 @@ TEST(AtomicSnapshot, ScanCompletesDespiteCrashes) {
   const int n = 4;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     World w(n);
-    AtomicSnapshotSim<int> snap(w, n, "snap");
+    AtomicSnapshotSim<int> snap(w, n);
     bool scanned = false;
     for (int pid = 0; pid + 1 < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -353,7 +353,7 @@ TEST(LatticeScan, ScanStepBoundIsExactEvenUnderContention) {
   const int n = 3;
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     World w(n);
-    LatticeScanSim<MaxL> ls(w, n, "ls");
+    LatticeScanSim<MaxL> ls(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         co_await ls.scan(ctx, pid);

@@ -64,8 +64,7 @@ TEST(TreeScan, ClosedFormsMatchTheStepComplexityTable) {
 TEST(TreeScan, SequentialUpdatesReachTheRoot) {
   for (int n : {1, 2, 3, 4, 5, 8}) {  // pow2 and padded shapes
     World w(n);
-    api::SimBackend::Mem mem(w, "t");
-    SimTree tree(mem, n);
+    SimTree tree(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         co_await tree.update(ctx, 100 + pid);
@@ -84,8 +83,7 @@ TEST(TreeScan, SequentialUpdatesReachTheRoot) {
 TEST(TreeScan, SnapshotViewUnpacksPerProcessSlots) {
   const int n = 3;
   World w(n);
-  api::SimBackend::Mem mem(w, "snap");
-  SimSnap snap(mem, n);
+  SimSnap snap(w, n);
   w.spawn(0, [&](Context ctx) -> ProcessTask { co_await snap.update(ctx, 7); });
   w.run_solo(0);
   w.spawn(2, [&](Context ctx) -> ProcessTask { co_await snap.update(ctx, 9); });
@@ -110,8 +108,7 @@ TEST(TreeScan, SoloUpdateMatchesClosedFormAndScanIsOneAccess) {
   std::set<std::uint64_t> scan_costs;
   for (int n : {2, 4, 8, 16}) {
     World w(n);
-    api::SimBackend::Mem mem(w, "t");
-    SimTree tree(mem, n);
+    SimTree tree(w, n);
 
     const auto before_update = w.counts(0);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -148,8 +145,7 @@ TEST(TreeScan, ContendedUpdatesStayWithinTheDoubleRefreshBound) {
     for (const std::uint64_t seed : {11u, 12u, 13u}) {
       for (const double sticky : {0.0, 0.6}) {
         World w(n);
-        api::SimBackend::Mem mem(w, "t");
-        SimTree tree(mem, n);
+        SimTree tree(w, n);
         const int kOps = 4;
         for (int pid = 0; pid < n; ++pid) {
           w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -185,8 +181,7 @@ TEST(TreeScan, TaggedScansArePairwiseComparableUnderRandomSchedules) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const int n = 4;
     World w(n);
-    api::SimBackend::Mem mem(w, "snap");
-    SimSnap snap(mem, n);
+    SimSnap snap(w, n);
     std::vector<L::Value> views;
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -213,7 +208,7 @@ TEST(TreeScan, TaggedScansArePairwiseComparableUnderRandomSchedules) {
 
 struct TreePairExec final : Execution {
   using L = TaggedVectorLattice<int>;
-  TreePairExec() : w(2), mem(w, "x"), snap(mem, 2) {
+  TreePairExec() : w(2), snap(w, 2) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await snap.update(ctx, 10);
       views[0] = co_await snap.tree().scan(ctx);
@@ -225,7 +220,6 @@ struct TreePairExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimSnap snap;
   L::Value views[2];
 };
@@ -254,7 +248,7 @@ TEST(TreeScanExplore, ComparabilityAndOwnVisibilityOnEverySchedule) {
 // is exactly 9 accesses (no CAS contention from readers), so the space is
 // 12!/(9!·2!·1!) = 660 interleavings.
 struct TreePaddedExec final : Execution {
-  TreePaddedExec() : w(3), mem(w, "x"), tree(mem, 3) {
+  TreePaddedExec() : w(3), tree(w, 3) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await tree.update(ctx, 10);
     });
@@ -268,7 +262,6 @@ struct TreePaddedExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimTree tree;
   std::int64_t scans[3] = {-1, -1, -1};
 };
@@ -294,7 +287,7 @@ TEST(TreeScanExplore, PaddedTreeScansAreMonotoneOnEverySchedule) {
 // n = 4 (height 2): three updaters (one update each: ≤ 6h = 12 reads,
 // ≤ 1 + 2h = 5 writes) and a scanner (two scans: 2 reads, 0 writes).
 struct TreeCampaignExec final : Execution {
-  TreeCampaignExec() : w(4), mem(w, "t"), tree(mem, 4) {
+  TreeCampaignExec() : w(4), tree(w, 4) {
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await tree.update(ctx, 100 + pid);
@@ -307,7 +300,6 @@ struct TreeCampaignExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimTree tree;
   std::int64_t scans[2] = {-1, -1};
 };
@@ -344,8 +336,7 @@ TEST(TreeScanFault, SiblingRefreshRecoversACrashedUpdatersLeaf) {
   const int n = 4;
   // pid 1 dies right after its leaf write (access 1 of its update).
   World w(n, {.crashes = {{.pid = 1, .at_access = 1}}});
-  api::SimBackend::Mem mem(w, "t");
-  SimTree tree(mem, n);
+  SimTree tree(w, n);
   w.spawn(1, [&](Context ctx) -> ProcessTask {
     co_await tree.update(ctx, 999);
   });

@@ -70,8 +70,7 @@ std::string artifact_dir(const std::string& subdir) {
 // ---------------------------------------------------------------------------
 
 struct CounterCampaignExec final : Execution {
-  explicit CounterCampaignExec(SimCounter::Config cfg)
-      : w(4), mem(w, "u2"), c(mem, 4, "c", cfg) {
+  explicit CounterCampaignExec(SimCounter::Config cfg) : w(4), c(w, 4, cfg) {
     for (int pid = 0; pid < 3; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         co_await c.inc(ctx, pid + 1);
@@ -85,7 +84,6 @@ struct CounterCampaignExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimCounter c;
   std::int64_t reads[2] = {-1, -1};
 };
@@ -173,7 +171,7 @@ TEST(U2FaultCampaign, CounterMixedPathsSurviveCrashesAndStalls) {
 
 struct SetCampaignExec final : Execution {
   explicit SetCampaignExec(SimSet::Config cfg)
-      : w(4), mem(w, "u2"), s(mem, 4, /*capacity_per_proc=*/64, "set", cfg) {
+      : w(4), s(w, 4, /*capacity_per_proc=*/64, cfg) {
     for (int pid = 0; pid < 4; ++pid) {
       w.spawn(pid, [this, pid](Context ctx) -> ProcessTask {
         acked[pid] = co_await s.insert(ctx, 100 + pid);
@@ -185,7 +183,6 @@ struct SetCampaignExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimSet s;
   std::int64_t acked[4] = {0, 0, 0, 0};
   std::int64_t shared_acks[4] = {0, 0, 0, 0};
@@ -258,11 +255,10 @@ TEST(U2Fault, InserterCrashSweepIsAllOrNothing) {
   const int n = 3;
   for (std::uint64_t at = 0; at < 40; ++at) {
     World w(n, {.crashes = {{.pid = 1, .at_access = at}}});
-    api::SimBackend::Mem mem(w, "u2");
     SimSet::Config cfg;
     cfg.max_fast_attempts = 0;
     cfg.help_period = 1;
-    SimSet s(mem, n, /*capacity_per_proc=*/16, "set", cfg);
+    SimSet s(w, n, /*capacity_per_proc=*/16, cfg);
     w.spawn(1, [&](Context ctx) -> ProcessTask {
       (void)co_await s.insert(ctx, 42);
     });

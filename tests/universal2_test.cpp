@@ -62,8 +62,7 @@ using SimQueue = HelpQueue<api::SimBackend, int>;
 TEST(U2Counter, SoloSequentialSemantics) {
   const int n = 4;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  SimCounter c(mem, n, "c");
+  SimCounter c(w, n);
   std::int64_t got = -1;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     std::int64_t r = co_await c.inc(ctx, 5);
@@ -96,10 +95,9 @@ TEST(U2Counter, SoloSequentialSemantics) {
 TEST(U2Counter, UncontendedFastPathIsOneReadPlusOneCas) {
   for (int n : {2, 4, 8, 16}) {
     World w(n);
-    api::SimBackend::Mem mem(w, "u2");
     SimCounter::Config cfg;
     cfg.help_period = 0;  // isolate the rep's own cost
-    SimCounter c(mem, n, "c", cfg);
+    SimCounter c(w, n, cfg);
 
     const auto before = w.counts(0);
     w.spawn(0, [&](Context ctx) -> ProcessTask { co_await c.inc(ctx); });
@@ -119,10 +117,9 @@ TEST(U2Counter, UncontendedFastPathIsOneReadPlusOneCas) {
 TEST(U2Counter, HelpPeriodAddsOneQueuePeekEveryKthOp) {
   const int n = 8;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
   SimCounter::Config cfg;
   cfg.help_period = 4;
-  SimCounter c(mem, n, "c", cfg);
+  SimCounter c(w, n, cfg);
 
   // Ops 1 and 5 peek (ops_started ≡ 0 mod 4): n extra reads on an empty
   // queue. Ops 2–4 are pure fast path.
@@ -150,10 +147,9 @@ TEST(U2Counter, HelpPeriodAddsOneQueuePeekEveryKthOp) {
 TEST(U2Counter, ForcedSlowPathCompletesBySelfHelp) {
   const int n = 4;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
   SimCounter::Config cfg;
   cfg.max_fast_attempts = 0;
-  SimCounter c(mem, n, "c", cfg);
+  SimCounter c(w, n, cfg);
   std::int64_t got = -1;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await c.inc(ctx, 7);
@@ -181,8 +177,7 @@ TEST(U2Counter, ConcurrentIncrementsSumExactlyUnderRandomSchedules) {
       const int n = 4;
       const int kOps = 3;
       World w(n);
-      api::SimBackend::Mem mem(w, "u2");
-      SimCounter c(mem, n, "c");
+      SimCounter c(w, n);
       for (int pid = 0; pid < n; ++pid) {
         w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
           for (int i = 0; i < kOps; ++i) {
@@ -208,11 +203,10 @@ TEST(U2Counter, ForcedSlowPathSumsExactlyAndAllRecordsRetire) {
     const int n = 4;
     const int kOps = 3;
     World w(n);
-    api::SimBackend::Mem mem(w, "u2");
     SimCounter::Config cfg;
     cfg.max_fast_attempts = 0;  // every inc announces; helpers race
     cfg.help_period = 1;        // and every op helps first
-    SimCounter c(mem, n, "c", cfg);
+    SimCounter c(w, n, cfg);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         for (int i = 0; i < kOps; ++i) {
@@ -246,8 +240,7 @@ TEST(U2Counter, ForcedSlowPathSumsExactlyAndAllRecordsRetire) {
 TEST(U2HelpQueue, FifoOrderAndRetraction) {
   const int n = 4;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  SimQueue q(mem, n, "q");
+  SimQueue q(w, n);
 
   auto announce = [&](int pid, int op) {
     w.spawn(pid, [&, pid, op](Context ctx) -> ProcessTask {
@@ -298,7 +291,7 @@ TEST(U2HelpQueue, FifoOrderAndRetraction) {
 // always the active announce with minimum (stamp, pid); equal stamps (both
 // scanned before either installed) break toward the lower pid.
 struct QueuePairExec final : Execution {
-  QueuePairExec() : w(2), mem(w, "u2"), q(mem, 2, "q") {
+  QueuePairExec() : w(2), q(w, 2) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await q.enqueue(ctx, 1, 10);
     });
@@ -308,7 +301,6 @@ struct QueuePairExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   SimQueue q;
 };
 
@@ -342,10 +334,10 @@ TEST(U2HelpQueueExplore, HeadIsTheMinStampPidOnEverySchedule) {
 // ---------------------------------------------------------------------------
 
 struct CounterIncReadExec final : Execution {
-  CounterIncReadExec() : w(2), mem(w, "u2") {
+  CounterIncReadExec() : w(2) {
     SimCounter::Config cfg;
     cfg.help_period = 0;  // smallest schedule space: pure fast path
-    c = std::make_unique<SimCounter>(mem, 2, "c", cfg);
+    c = std::make_unique<SimCounter>(w, 2, cfg);
     w.spawn(0, [this](Context ctx) -> ProcessTask {
       co_await c->inc(ctx);
     });
@@ -355,7 +347,6 @@ struct CounterIncReadExec final : Execution {
   }
   World& world() override { return w; }
   World w;
-  api::SimBackend::Mem mem;
   std::unique_ptr<SimCounter> c;
   std::int64_t seen = -1;
 };
@@ -385,11 +376,10 @@ TEST(U2Counter, CrashedAnnouncerIsCompletedByAHelperExactlyOnce) {
   // the record install, mid-bakery-scan, after the announce, mid-self-help.
   for (std::uint64_t at = 0; at < 20; ++at) {
     World w(n, {.crashes = {{.pid = 1, .at_access = at}}});
-    api::SimBackend::Mem mem(w, "u2");
     SimCounter::Config cfg;
     cfg.max_fast_attempts = 0;
     cfg.help_period = 1;  // every op helps first
-    SimCounter c(mem, n, "c", cfg);
+    SimCounter c(w, n, cfg);
     w.spawn(1, [&](Context ctx) -> ProcessTask { co_await c.inc(ctx, 100); });
     w.run_solo(1);  // crashes somewhere inside (or completes, at large `at`)
 
@@ -420,11 +410,10 @@ TEST(U2Counter, CrashedAnnouncerIsCompletedByAHelperExactlyOnce) {
 TEST(U2Counter, HelperOverwritingItsOwnPendingInstallKeepsItApplied) {
   const int n = 3;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
   SimCounter::Config cfg;
   cfg.max_fast_attempts = 0;  // every inc announces itself
   cfg.help_period = 0;        // only slow-path waiters help
-  SimCounter c(mem, n, "c", cfg);
+  SimCounter c(w, n, cfg);
   const CounterRep<api::SimBackend>& rep = c.rep();
   const auto& queue = c.sim().queue();
   for (int p = 0; p < n; ++p) {
@@ -483,11 +472,10 @@ TEST(U2Counter, HelperOverwritingItsOwnPendingInstallKeepsItApplied) {
 TEST(U2Counter, ContendedFastPathKeepsEvidenceOnlyForAnnouncedInstalls) {
   const int n = 3;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
   SimCounter::Config cfg;
   cfg.max_fast_attempts = 1;  // one lost fast CAS sends an inc slow
   cfg.help_period = 0;        // no queue peeks: the rep's costs alone
-  SimCounter c(mem, n, "c", cfg);
+  SimCounter c(w, n, cfg);
   const CounterRep<api::SimBackend>& rep = c.rep();
   auto inc = [&c](Context ctx) -> ProcessTask { co_await c.inc(ctx, 1); };
 
@@ -542,8 +530,7 @@ TEST(U2Counter, ContendedFastPathKeepsEvidenceOnlyForAnnouncedInstalls) {
 TEST(U2Set, SoloSequentialSemantics) {
   const int n = 2;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  SimSet s(mem, n, /*capacity_per_proc=*/8, "set");
+  SimSet s(w, n, /*capacity_per_proc=*/8);
   std::vector<std::int64_t> rs;
   std::vector<std::int64_t> keys;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -578,8 +565,7 @@ TEST(U2Set, SoloSequentialSemantics) {
 void run_set_contention(std::uint64_t seed) {
   const int n = 4;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  SimSet obj(mem, n, /*capacity_per_proc=*/64, "set");
+  SimSet obj(w, n, /*capacity_per_proc=*/64);
   // Per-key net balance: +1 per acked insert, -1 per acked remove. Keys
   // 0..4 are contested by everyone.
   constexpr int kKeys = 5;
@@ -628,11 +614,10 @@ TEST(U2Set, ForcedSlowPathKeepsMembershipConsistent) {
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
     const int n = 4;
     World w(n);
-    api::SimBackend::Mem mem(w, "u2");
     SimSet::Config cfg;
     cfg.max_fast_attempts = 0;
     cfg.help_period = 1;
-    SimSet s(mem, n, /*capacity_per_proc=*/64, "set", cfg);
+    SimSet s(w, n, /*capacity_per_proc=*/64, cfg);
     std::int64_t acked[4] = {};
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
@@ -666,8 +651,7 @@ TEST(U2Set, LostFastPathCasCostsExactlyTheCas) {
   using Rep = SortedListRep<api::SimBackend>;
   const int n = 2;
   World w(n);
-  api::SimBackend::Mem mem(w, "u2");
-  Rep rep(mem, n, /*capacity_per_proc=*/8, "set");
+  Rep rep(w, n, /*capacity_per_proc=*/8);
   auto prepare = [&](int pid, OpId id, Rep::Invocation inv) {
     Rep::Prep prep;
     w.spawn(pid, [&](Context ctx) -> ProcessTask {
@@ -739,13 +723,12 @@ TEST(U2Set, LostFastPathCasCostsExactlyTheCas) {
 // Runs one coroutine for one pid to completion: sim solo, rt inline.
 struct SimRunner {
   using B = api::SimBackend;
-  explicit SimRunner(int n) : w(n), mem(w, "u2") {}
+  explicit SimRunner(int n) : mem(n) {}
   template <class F>
   void run(int pid, F f) {
-    w.spawn(pid, [&](Context ctx) -> ProcessTask { co_await f(ctx); });
-    w.run_solo(pid);
+    mem.spawn(pid, [&](Context ctx) -> ProcessTask { co_await f(ctx); });
+    mem.run_solo(pid);
   }
-  World w;
   B::Mem mem;
 };
 
@@ -765,7 +748,7 @@ void check_tag_only_expected() {
   using Step = typename B::template Coro<void>;
   const int n = 3;
   Runner r(n);
-  Rep rep(r.mem, n, "c");
+  Rep rep(r.mem, n);
   const OpId a{0, 1};
   const OpId b{1, 1};
   EXPECT_EQ(rep.tag_of(a), 4u);  // opseq*n + pid + 1
@@ -911,11 +894,10 @@ TEST(U2Trace, HelpBoundHoldsOnRealTracesAndRejectsPaddedOnes) {
   obs::Tracer tracer(n, 1 << 16);
   {
     World w(n, {.tracer = &tracer});
-    api::SimBackend::Mem mem(w, "u2");
     SimCounter::Config cfg;
     cfg.max_fast_attempts = 0;
     cfg.help_period = 1;
-    SimCounter c(mem, n, "c", cfg);
+    SimCounter c(w, n, cfg);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         for (int i = 0; i < 3; ++i) {
@@ -956,8 +938,7 @@ TEST(U2Trace, HelpBoundHoldsOnRealTracesAndRejectsPaddedOnes) {
 TEST(U2PaperUniversal, SimMatchesSequentialCounterSemantics) {
   const int n = 3;
   World w(n);
-  api::SimBackend::Mem mem(w, "pu");
-  PaperUniversal<api::SimBackend, CounterSpec> u(mem, n);
+  PaperUniversal<api::SimBackend, CounterSpec> u(w, n);
   std::int64_t got = -1;
   w.spawn(0, [&](Context ctx) -> ProcessTask {
     co_await u.execute(ctx, CounterSpec::inc(4));
@@ -979,8 +960,7 @@ TEST(U2PaperUniversal, ConcurrentExecutionsAgreeUnderRandomSchedules) {
   for (const std::uint64_t seed : {7u, 8u, 9u}) {
     const int n = 3;
     World w(n);
-    api::SimBackend::Mem mem(w, "pu");
-    PaperUniversal<api::SimBackend, CounterSpec> u(mem, n);
+    PaperUniversal<api::SimBackend, CounterSpec> u(w, n);
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         co_await u.execute(ctx, CounterSpec::inc(pid + 1));
