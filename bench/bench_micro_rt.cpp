@@ -3,7 +3,8 @@
 //        tagged vector (the snapshot's value) read/write, and a word
 //        read/write with an obs::RtProbe attached;
 //   M2 — one solo object operation: AtomicSnapshotRT update and scan versus
-//        n, FastCounterRT inc and read.
+//        n, TreeScanRT<MaxLattice> raising and self-covered update and scan,
+//        FastCounterRT inc and read.
 // The multi-thread throughput shapes live in bench_e5_snapshot_compare.
 // Each row times one loop — --ops accesses for M1, --ops/100 operations
 // for M2 — after an untimed warm-up pass. A read row sums its results in a
@@ -19,6 +20,7 @@
 #include "obs/rt_probe.hpp"
 #include "rt/register.hpp"
 #include "snapshot/atomic_snapshot.hpp"
+#include "snapshot/tree_snapshot.hpp"
 
 namespace apram::bench {
 namespace {
@@ -163,6 +165,20 @@ int run(int argc, char** argv) {
            op_ns([&](std::int64_t i) { snap.update(0, i); }, object_ops));
     m2_row("AtomicSnapshotRT", "scan (~n^2 reads)", n,
            read_ns([&] { return *snap.scan(0).back(); }, object_ops));
+  }
+  for (const int n : {4, 16}) {
+    // A raising update walks its root path (1 + 4h accesses); a
+    // self-covered one, a constant below the caller's completed maximum,
+    // makes no shared access; a scan is one root read.
+    snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
+    for (int p = 0; p < n; ++p) tree.update(p, p);
+    std::int64_t top = n;  // op_ns restarts i after its warm-up pass
+    m2_row("TreeScanRT<Max>", "update raising", n,
+           op_ns([&](std::int64_t) { tree.update(0, ++top); }, object_ops));
+    m2_row("TreeScanRT<Max>", "update self-covered", n,
+           op_ns([&](std::int64_t) { tree.update(0, 1); }, object_ops));
+    m2_row("TreeScanRT<Max>", "scan", n,
+           read_ns([&] { return tree.scan(0); }, object_ops));
   }
   for (const int n : {4, 16}) {
     rt::FastCounterRT ctr(n);

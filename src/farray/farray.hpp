@@ -124,6 +124,16 @@ concept NodeRefresherFor = requires(R& refresher, int pid, const T& cur, T l,
   } -> std::convertible_to<T>;
 };
 
+// The optional discard hook: a refresher that allocates in refresh() may
+// define discard(pid, cur, made), which the tree calls after a CAS that
+// tried to install `made` over `cur` lost. No register ever held `made`, so
+// the refresher may take it back (the polylog queue's block stores).
+template <class R, class T>
+concept DiscardingRefresherFor = requires(R& refresher, int pid, const T& cur,
+                                          const T& made) {
+  refresher.discard(pid, cur, made);
+};
+
 // Refresher of a pure combiner: nodes hold f(subtree), recomputed from the
 // children on every install. Missing (padding) children fold as identity on
 // the correct side, preserving left-to-right operand order.
@@ -233,7 +243,13 @@ class FArrayTree {
         Node next{cur.seq + 1, refresher_.refresh(ctx.pid(), cur.v,
                                                   std::move(lv),
                                                   std::move(rv))};
-        bool ok = co_await ctx.cas(node(u), std::move(cur), std::move(next));
+        bool ok = false;
+        if constexpr (DiscardingRefresherFor<R, T>) {
+          ok = co_await ctx.cas(node(u), cur, next);
+          if (!ok) refresher_.discard(ctx.pid(), cur.v, next.v);
+        } else {
+          ok = co_await ctx.cas(node(u), std::move(cur), std::move(next));
+        }
         if (ok) {
           installed = true;
           installed_attempt = attempt;

@@ -44,7 +44,8 @@
 // O(log² n) envelope (12·⌈log2 n⌉²). The searches are local work on the
 // value read, as in the paper's large-register model: a register's value is
 // the immutable chain its pointer reaches. Space is unbounded: the queue
-// owns every block in per-process stores and frees them on destruction.
+// owns every published block in per-process stores and frees them on
+// destruction (a node block whose CAS lost goes back to its store at once).
 #pragma once
 
 #include <array>
@@ -127,6 +128,19 @@ class alignas(64) BlockStore {
     return &b;
   }
 
+  // Takes back `made`, which must be the newest block: a node block whose
+  // install CAS lost, so no register ever held it.
+  void pop(QueueChain made) {
+    APRAM_CHECK_MSG(used_ > 0 && made == &chunks_.back()[used_ - 1],
+                    "queue block store pops only its newest block");
+    --used_;
+  }
+
+  // Blocks allocated and not popped.
+  std::size_t blocks() const {
+    return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunk + used_;
+  }
+
  private:
   static constexpr std::size_t kChunk = 1024;
   std::vector<std::unique_ptr<QueueBlock[]>> chunks_;
@@ -155,7 +169,10 @@ QueueChain earliest(QueueChain x, Pred covers) {
 // The block-appending node refresher (farray::NodeRefresherFor): extend the
 // node's chain with one block covering what the children appended since
 // `cur`, allocated from the refreshing process's store. Children that have
-// not moved leave `cur` as it is.
+// not moved leave `cur` as it is. A lost CAS returns its block to the store
+// (farray::DiscardingRefresherFor): only `pid` allocates from its store, and
+// it allocates nothing between the refresh and the CAS, so the block is
+// still the newest one.
 struct QueueRefresh {
   queue_detail::BlockStore* stores;  // [n], owned by the queue
 
@@ -166,6 +183,10 @@ struct QueueRefresh {
     if (l == cur->left && r == cur->right) return cur;
     return stores[pid].make(cur, l, r, l->enqs + r->enqs, l->deqs + r->deqs,
                             0);
+  }
+
+  void discard(int pid, QueueChain cur, QueueChain made) const {
+    if (made != cur) stores[pid].pop(made);
   }
 };
 
@@ -207,6 +228,12 @@ class PolylogQueue {
     const std::int64_t resp = respond(p, own, root);
     ctx.op_end(obs::OpKind::kDequeue);
     co_return resp;
+  }
+
+  // Blocks in process p's store: its leaf blocks plus the node blocks its
+  // installs published.
+  std::size_t blocks(int p) const {
+    return stores_[static_cast<std::size_t>(p)].blocks();
   }
 
   void export_contention_gauges(obs::Registry& registry,

@@ -7,8 +7,9 @@
 // instantiates it over a lattice join (JoinCombiner<L>) and keeps the
 // snapshot-specific parts:
 //
-//   update(P, v): join v into P's local mirror and farray-write the result
-//                 (1 write + root-path refresh) — ≤ 1 + 8·⌈log2 n⌉ accesses.
+//   update(P, v): if v ≤ P's `reached` (below), return with no shared
+//                 access; otherwise join v into P's leaf mirror and
+//                 farray-write the result (1 write + root-path refresh).
 //   scan():       one root read.
 //
 // Node monotonicity (why scan is ONE read, not a double-collect — the
@@ -23,11 +24,29 @@
 // after the update returns — linearizability by the same argument as
 // Theorem 33.
 //
+// Self-covered updates. The state is the join of every value written, so
+// an update the state already covers changes no scan. Each process keeps
+// `reached`: the leaf value of its last update whose tree write RETURNED.
+// By the helping lemma that value was at the root when the write returned,
+// and by node monotonicity every later root read covers it. So an update
+// with v ≤ reached returns at once and linearizes at its invocation, where
+// the join already covers v. The rule reads only the caller's own completed
+// updates (a value covered by another process's write still walks), and
+// never the leaf mirror `leaf`, which is set BEFORE the leaf write so that
+// the leaf stays monotone: a process revived (World::revive) after crashing
+// between its leaf write and its walk has leaf = 999 while the root never
+// saw 999, and a leaf-keyed rule would let its update(500) return with 500
+// missing from every later scan. A crashed owner's orphaned leaf now
+// reaches the root only through a sibling update that walks, not a
+// self-covered one; an incomplete update may stay unlinearized. A
+// TreeSnapshot update carries a fresh tag, so it is never self-covered.
+//
 // Step counts (exact for n a power of two; upper bounds otherwise):
 //
-//   update, solo:       1 + 4h   (h = ⌈log2 n⌉)
-//   update, contended:  ≤ 1 + 8h
-//   scan:               1
+//   update, self-covered:  0
+//   update, solo:          1 + 4h   (h = ⌈log2 n⌉)
+//   update, contended:     ≤ 1 + 8h
+//   scan:                  1
 //
 // versus Figure 5's n²−1 reads and n+1 writes per operation (§6.2).
 #pragma once
@@ -94,14 +113,18 @@ class TreeScan {
   int height() const { return tree_.height(); }
 
   // Joins v into the lattice state; on return the contribution is visible
-  // at the root (the farray helping lemma). ≤ 1 + 8·height() accesses.
+  // at the root (the farray helping lemma). 0 accesses when v ≤ reached,
+  // else ≤ 1 + 8·height().
   Coro<void> update(Ctx ctx, Value v) {
     const int p = ctx.pid();
     Cache& cache = *caches_[static_cast<std::size_t>(p)];
     ctx.op_begin(obs::OpKind::kTreeUpdate);
-    Value nv = L::join(std::move(v), cache.leaf);
-    cache.leaf = nv;
-    co_await tree_.write(ctx, std::move(nv));
+    if (!L::leq(v, cache.reached)) {
+      Value nv = L::join(std::move(v), cache.leaf);
+      cache.leaf = nv;
+      co_await tree_.write(ctx, std::move(nv));
+      cache.reached = cache.leaf;
+    }
     ctx.op_end(obs::OpKind::kTreeUpdate);
   }
 
@@ -129,7 +152,8 @@ class TreeScan {
 
  private:
   struct alignas(64) Cache {
-    Value leaf = L::bottom();  // mirror of own leaf (single writer)
+    Value leaf = L::bottom();     // mirror of own leaf (single writer)
+    Value reached = L::bottom();  // leaf value of the last returned write
   };
 
   Tree tree_;

@@ -117,6 +117,7 @@ TEST(SimRtParity, TreeScan) {
   expect_same_accesses<TreeScan>(
       [](auto& tree, auto ctx) -> VoidCoro<decltype(ctx)> {
         co_await tree.update(ctx, 5);
+        co_await tree.update(ctx, 3);  // self-covered: no access
         (void)co_await tree.scan(ctx);
       });
 }

@@ -116,6 +116,79 @@ TEST(PolylogQueue, SameRootBlockEnqueueLinearizesBeforeDequeue) {
   EXPECT_EQ(after, -1);  // the one value was taken exactly once
 }
 
+// A refresh whose CAS loses returns its node block to its store. n = 4:
+// pids 0 and 1 write their leaves and both read node 2's children; pid 0
+// installs first, so pid 1's first CAS loses with a block no register ever
+// held. Its second attempt finds the children unmoved and reinstalls pid
+// 0's block, and its root refresh installs one block of its own.
+TEST(PolylogQueue, LostRefreshReturnsItsBlockToTheStore) {
+  World w(4);
+  SimQueue q(w, 4);
+  for (int pid = 0; pid < 2; ++pid) {
+    w.spawn(pid, [&q, pid](Context ctx) -> ProcessTask {
+      co_await q.enqueue(ctx, 10 * (pid + 1));
+    });
+  }
+  std::vector<int> picks;
+  const auto grant = [&picks](int pid, int steps) {
+    picks.insert(picks.end(), static_cast<std::size_t>(steps), pid);
+  };
+  grant(0, 1);  // leaf writes
+  grant(1, 1);
+  grant(0, 3);  // pid 0 reads node 2 and both leaves
+  grant(1, 3);  // pid 1 reads them too and makes a node block
+  grant(0, 1);  // pid 0's CAS at node 2 installs
+  grant(1, 1);  // pid 1's CAS at node 2 loses
+  grant(1, 4);  // pid 1 reinstalls pid 0's block at node 2
+  grant(1, 4);  // pid 1 installs its root block
+  grant(0, 4);  // pid 0 finds the root current and reinstalls it
+  sim::FixedScheduler sched(picks, sim::FixedScheduler::Fallback::kStop,
+                            sim::FixedScheduler::Divergence::kFail);
+  ASSERT_TRUE(w.run(sched).all_done);
+  EXPECT_EQ(w.counts(0).total(), 9u);   // 1 + 4h, no retry
+  EXPECT_EQ(w.counts(1).total(), 13u);  // one level retried
+  // Each store holds its leaf block plus the node blocks it installed.
+  EXPECT_EQ(q.blocks(0), 2u);
+  EXPECT_EQ(q.blocks(1), 2u);
+
+  // The reused slot holds pid 1's root block: the order is intact.
+  for (const std::int64_t want : {10, 20, -1}) {
+    std::int64_t got = -2;
+    w.spawn(2, [&](Context ctx) -> ProcessTask {
+      got = co_await q.dequeue(ctx);
+    });
+    ASSERT_TRUE(w.run_solo(2).all_done);
+    EXPECT_EQ(got, want);
+  }
+}
+
+// A lost CAS whose refresh found the children unmoved tried to reinstall
+// the node's own block, which is published: nothing goes back to the store.
+// n = 2: pid 1 reads root block B0 with both leaves current, then pid 0's
+// dequeue installs over B0 before pid 1's CAS.
+TEST(PolylogQueue, LostReinstallKeepsThePublishedBlock) {
+  World w(2);
+  SimQueue q(w, 2);
+  w.spawn(0, [&](Context ctx) -> ProcessTask { co_await q.enqueue(ctx, 10); });
+  w.spawn(1, [&](Context ctx) -> ProcessTask { co_await q.enqueue(ctx, 20); });
+  ASSERT_TRUE(w.step(0));  // leaf writes
+  ASSERT_TRUE(w.step(1));
+  w.run_solo(0);  // pid 0 installs B0
+  ASSERT_TRUE(w.done(0));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(w.step(1));  // reads B0, leaves
+  std::int64_t got = -2;
+  w.spawn(0, [&](Context ctx) -> ProcessTask {
+    got = co_await q.dequeue(ctx);
+  });
+  w.run_solo(0);  // installs over B0
+  ASSERT_TRUE(w.done(0));
+  EXPECT_EQ(got, 10);
+  ASSERT_TRUE(w.run_solo(1).all_done);  // loses once, then reinstalls
+  EXPECT_EQ(w.counts(1).total(), 9u);
+  EXPECT_EQ(q.blocks(0), 4u);  // two leaf blocks, two root blocks
+  EXPECT_EQ(q.blocks(1), 1u);  // its leaf block only
+}
+
 // ---------------------------------------------------------------------------
 // Queue: exact solo step counts (the register-model costs the queue_op
 // trace bound certifies with margin).

@@ -8,6 +8,7 @@
 // linearizable behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <vector>
@@ -207,30 +208,70 @@ TEST(RtStress, TreeSnapshotHistoriesAreLinearizable) {
   run_snapshot_lincheck_stress<snapshot::TreeSnapshotRT<std::int64_t>>(8);
 }
 
+// A MaxLattice TreeScan is a max register. Values drawn from {0..3} make
+// most updates self-covered (no shared access); a scan's ⊥ reads as the
+// spec's 0.
+TEST(RtStress, TreeScanMaxRegisterHistoriesAreLinearizable) {
+  using S = MaxRegisterSpec;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 3;
+    snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
+    RtRecorder<S> rec;
+    parallel_run(n, [&](int pid) {
+      Rng rng(static_cast<std::uint64_t>(trial) * 131 +
+              static_cast<std::uint64_t>(pid));
+      for (int i = 0; i < 6; ++i) {
+        if (rng.chance(0.6)) {
+          const std::int64_t v = rng.range(0, 3);
+          const auto tok = rec.begin(pid, S::write_max(v));
+          tree.update(pid, v);
+          rec.end(tok, 0);
+        } else {
+          const auto tok = rec.begin(pid, S::read());
+          const std::int64_t got = tree.scan(pid);
+          rec.end(tok, got == MaxLattice<std::int64_t>::bottom() ? 0 : got);
+        }
+      }
+    });
+    EXPECT_TRUE(is_linearizable<S>(rec.take())) << "trial " << trial;
+  }
+}
+
 TEST(RtStress, TreeScanRootIsMonotoneUnderConcurrentUpdates) {
   // Node monotonicity is the linchpin of the TreeScan linearizability
   // argument; hammer it with real parallelism on the MaxLattice instance.
-  const int n = 4;
-  snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> violation{false};
-  parallel_run(n, [&](int pid) {
-    if (pid == 0) {
-      std::int64_t last = tree.scan(pid);
-      for (int k = 0; k < 400; ++k) {
-        const std::int64_t v = tree.scan(pid);
-        if (v < last) violation.store(true);
-        last = v;
+  // Raising updaters walk every time; updaters drawing from {0..7} are
+  // mostly self-covered, and each checks that its scans cover its own
+  // largest write.
+  for (const bool small_range : {false, true}) {
+    const int n = 4;
+    snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
+    std::atomic<bool> stop{false};
+    std::atomic<bool> violation{false};
+    parallel_run(n, [&](int pid) {
+      if (pid == 0) {
+        std::int64_t last = tree.scan(pid);
+        for (int k = 0; k < 400; ++k) {
+          const std::int64_t v = tree.scan(pid);
+          if (v < last) violation.store(true);
+          last = v;
+        }
+        stop.store(true);
+      } else {
+        Rng rng(static_cast<std::uint64_t>(pid));
+        std::int64_t i = 0;
+        std::int64_t own_max = MaxLattice<std::int64_t>::bottom();
+        while (!stop.load(std::memory_order_acquire)) {
+          const std::int64_t v =
+              small_range ? rng.range(0, 7) : pid * 1'000'000 + ++i;
+          tree.update(pid, v);
+          own_max = std::max(own_max, v);
+          if (small_range && tree.scan(pid) < own_max) violation.store(true);
+        }
       }
-      stop.store(true);
-    } else {
-      std::int64_t i = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        tree.update(pid, pid * 1'000'000 + ++i);
-      }
-    }
-  });
-  EXPECT_FALSE(violation.load());
+    });
+    EXPECT_FALSE(violation.load()) << "small_range=" << small_range;
+  }
 }
 
 TEST(RtStress, AfekSnapshotSequentialBehaviour) {

@@ -1,11 +1,14 @@
 // TreeScan — the f-array-style wait-free snapshot (update O(log n), scan
 // O(1)) — exercised across every verification tier the repo has:
 //
-//   * exact solo step counts against the closed forms, n ∈ {2, 4, 8, 16}
+//   * exact solo step counts against the closed forms, n ∈ {2, 4, 8, 16},
+//     and 0 accesses for an update its caller's completed updates cover
 //   * the contention bound 1 + 8·⌈log2 n⌉ under randomized adversaries
 //   * exhaustive schedule enumeration at n = 2 and a cheap n = 3 variant
 //   * a seeded fault campaign (certify_wait_freedom) with per-pid bounds
-//   * crash schedules injected at construction via World::Options
+//   * crash schedules injected at construction via World::Options, and by
+//     hand with World::crash / World::revive
+//   * lincheck of MaxLattice histories against MaxRegisterSpec
 //
 // The same TreeScan template instantiates against api::SimBackend here and
 // api::RtBackend in the rt tests/benchmarks — one algorithm, two backends.
@@ -22,10 +25,14 @@
 #include "api/sim_backend.hpp"
 #include "fault/certifier.hpp"
 #include "fault_seeds.hpp"
+#include "lincheck/checker.hpp"
+#include "objects/specs.hpp"
+#include "rt_recorder.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
 #include "snapshot/tree_snapshot.hpp"
+#include "util/rng.hpp"
 
 namespace apram::snapshot {
 namespace {
@@ -104,25 +111,60 @@ TEST(TreeScan, SnapshotViewUnpacksPerProcessSlots) {
 // access at every n (the acceptance criterion for n ∈ {2, 4, 8, 16}).
 // ---------------------------------------------------------------------------
 
+// Runs update(v) solo as `pid` and returns its accesses.
+obs::AccessCounts update_cost(World& w, SimTree& tree, int pid,
+                              std::int64_t v) {
+  const auto before = w.counts(pid);
+  w.spawn(pid, [&tree, v](Context ctx) -> ProcessTask {
+    co_await tree.update(ctx, v);
+  });
+  w.run_solo(pid);
+  return w.counts(pid) - before;
+}
+
+// Runs one solo scan as `pid`.
+std::int64_t solo_scan(World& w, SimTree& tree, int pid) {
+  std::int64_t got = -1;
+  w.spawn(pid, [&](Context ctx) -> ProcessTask {
+    got = co_await tree.scan(ctx);
+  });
+  w.run_solo(pid);
+  return got;
+}
+
 TEST(TreeScan, SoloUpdateMatchesClosedFormAndScanIsOneAccess) {
   std::set<std::uint64_t> scan_costs;
   for (int n : {2, 4, 8, 16}) {
     World w(n);
     SimTree tree(w, n);
-
-    const auto before_update = w.counts(0);
-    w.spawn(0, [&](Context ctx) -> ProcessTask {
-      co_await tree.update(ctx, 42);
-    });
-    w.run_solo(0);
-    const auto after_update = w.counts(0);
-    EXPECT_EQ(after_update.total() - before_update.total(),
-              tree_scan_update_solo_accesses(n))
+    // ⊥ is covered on a fresh tree.
+    EXPECT_EQ(update_cost(w, tree, 0, MaxL::bottom()).total(), 0u)
         << "n=" << n;
+
+    const auto update = update_cost(w, tree, 0, 42);
+    EXPECT_EQ(update.total(), tree_scan_update_solo_accesses(n)) << "n=" << n;
     // The split: h reads of the node + 2h child reads, 1 leaf write + h CAS.
     const auto h = static_cast<std::uint64_t>(tree_scan_height(n));
-    EXPECT_EQ(after_update.reads - before_update.reads, 3 * h) << "n=" << n;
-    EXPECT_EQ(after_update.writes - before_update.writes, 1 + h) << "n=" << n;
+    EXPECT_EQ(update.reads, 3 * h) << "n=" << n;
+    EXPECT_EQ(update.writes, 1 + h) << "n=" << n;
+
+    // Values the caller's completed update covers return without a shared
+    // access; a larger one walks at the closed form again.
+    for (const std::int64_t v : {42, 7}) {
+      EXPECT_EQ(update_cost(w, tree, 0, v).total(), 0u)
+          << "n=" << n << " v=" << v;
+    }
+    const auto raise = update_cost(w, tree, 0, 43);
+    EXPECT_EQ(raise.reads, 3 * h) << "n=" << n;
+    EXPECT_EQ(raise.writes, 1 + h) << "n=" << n;
+    // The rule reads only the caller's own completed updates: pid 1's 100
+    // is at the root, yet pid 0's 50 walks.
+    EXPECT_EQ(update_cost(w, tree, 1, 100).total(),
+              tree_scan_update_solo_accesses(n))
+        << "n=" << n;
+    EXPECT_EQ(update_cost(w, tree, 0, 50).total(),
+              tree_scan_update_solo_accesses(n))
+        << "n=" << n;
 
     const auto before_scan = w.counts(0);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
@@ -243,6 +285,40 @@ TEST(TreeScanExplore, ComparabilityAndOwnVisibilityOnEverySchedule) {
   EXPECT_GT(stats.executions, 1000u);  // a real search, not a smoke test
 }
 
+// Self-covered updates on every schedule: pid 0's update(3) follows its
+// update(5) and makes no access, wherever pid 1's update(4) runs.
+struct TreeCoverExec final : Execution {
+  TreeCoverExec() : w(2), tree(w, 2) {
+    w.spawn(0, [this](Context ctx) -> ProcessTask {
+      co_await tree.update(ctx, 5);
+      co_await tree.update(ctx, 3);
+      scans[0] = co_await tree.scan(ctx);
+    });
+    w.spawn(1, [this](Context ctx) -> ProcessTask {
+      co_await tree.update(ctx, 4);
+      scans[1] = co_await tree.scan(ctx);
+    });
+  }
+  World& world() override { return w; }
+  World w;
+  SimTree tree;
+  std::int64_t scans[2] = {-1, -1};
+};
+
+TEST(TreeScanExplore, SelfCoveredUpdatesKeepScansExactOnEverySchedule) {
+  const auto stats = sim::explore_all_schedules(
+      [] { return std::make_unique<TreeCoverExec>(); },
+      [&](Execution& e, const std::vector<int>&) {
+        auto& x = static_cast<TreeCoverExec&>(e);
+        ASSERT_GE(x.scans[0], 5);  // each scan covers its own largest write
+        ASSERT_GE(x.scans[1], 4);
+        ASSERT_TRUE(MaxL::leq(x.scans[0], x.scans[1]) ||
+                    MaxL::leq(x.scans[1], x.scans[0]));
+        ASSERT_EQ(solo_scan(x.w, x.tree, 0), 5);
+      });
+  EXPECT_GT(stats.executions, 100u);
+}
+
 // n = 3 exercises the padded tree (m = 4, one free padding leaf). One
 // updater and two scanners keep the schedule space small: the solo update
 // is exactly 9 accesses (no CAS contention from readers), so the space is
@@ -278,6 +354,47 @@ TEST(TreeScanExplore, PaddedTreeScansAreMonotoneOnEverySchedule) {
         ASSERT_LE(x.scans[0], x.scans[1]);  // same-process scans are monotone
       });
   EXPECT_EQ(stats.executions, 660u);
+}
+
+// ---------------------------------------------------------------------------
+// Lincheck: a MaxLattice TreeScan is a max register. Values drawn from
+// {0..3} make most updates self-covered; a scan's ⊥ reads as the spec's 0.
+// The windows come from RtRecorder's strictly increasing clock, not the
+// global step: two self-covered updates of one process make no access, so
+// global-step windows would give both the same empty window, each
+// "preceding" the other.
+// ---------------------------------------------------------------------------
+
+TEST(TreeScan, MaxLatticeHistoriesAreLinearizableAsAMaxRegister) {
+  using S = MaxRegisterSpec;
+  for (int n : {2, 3, 4}) {
+    for (std::uint64_t seed = 0; seed < 20; ++seed) {
+      World w(n);
+      SimTree tree(w, n);
+      RtRecorder<S> rec;
+      for (int pid = 0; pid < n; ++pid) {
+        w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
+          Rng rng(seed * 131 + static_cast<std::uint64_t>(pid));
+          for (int i = 0; i < 6; ++i) {
+            if (rng.chance(0.6)) {
+              const std::int64_t v = rng.range(0, 3);
+              const auto tok = rec.begin(pid, S::write_max(v));
+              co_await tree.update(ctx, v);
+              rec.end(tok, 0);
+            } else {
+              const auto tok = rec.begin(pid, S::read());
+              const std::int64_t got = co_await tree.scan(ctx);
+              rec.end(tok, got == MaxL::bottom() ? 0 : got);
+            }
+          }
+        });
+      }
+      sim::RandomScheduler sched(seed, /*stickiness=*/0.3);
+      ASSERT_TRUE(w.run(sched).all_done);
+      EXPECT_TRUE(is_linearizable<S>(rec.take()))
+          << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +477,55 @@ TEST(TreeScanFault, SiblingRefreshRecoversACrashedUpdatersLeaf) {
   });
   w.run_solo(3);
   EXPECT_EQ(after, 999);
+}
+
+// A process brought back after a crash between its leaf write and its walk
+// has 999 in its leaf and its mirror, but the root never saw it. Its next
+// update must walk: a rule keyed on the leaf mirror would return at once
+// and 500 would be missing from every later scan.
+TEST(TreeScanFault, RevivedUpdaterWalksPastItsOrphanedLeaf) {
+  for (int n : {2, 4, 8}) {
+    World w(n);
+    SimTree tree(w, n);
+    w.spawn(1, [&](Context ctx) -> ProcessTask {
+      co_await tree.update(ctx, 999);
+    });
+    ASSERT_TRUE(w.step(1));  // the leaf write
+    w.crash(1);
+    EXPECT_EQ(solo_scan(w, tree, 0), MaxL::bottom()) << "n=" << n;
+
+    const auto before = w.counts(1);
+    w.revive(1, [&](Context ctx) -> ProcessTask {
+      co_await tree.update(ctx, 500);
+    });
+    ASSERT_TRUE(w.run_solo(1).all_done) << "n=" << n;
+    EXPECT_EQ((w.counts(1) - before).total(),
+              tree_scan_update_solo_accesses(n))
+        << "n=" << n;
+    EXPECT_EQ(solo_scan(w, tree, 0), 999) << "n=" << n;
+  }
+}
+
+// The one behavioural change of the self-cover rule: a self-covered update
+// no longer carries a crashed sibling's orphaned leaf to the root (the
+// crashed update may stay unlinearized). The next update that walks does.
+TEST(TreeScanFault, SelfCoveredUpdateLeavesAnOrphanedLeafBehind) {
+  const int n = 4;
+  World w(n);
+  SimTree tree(w, n);
+  EXPECT_EQ(update_cost(w, tree, 0, 200).total(),
+            tree_scan_update_solo_accesses(n));
+  w.spawn(1, [&](Context ctx) -> ProcessTask {
+    co_await tree.update(ctx, 999);
+  });
+  ASSERT_TRUE(w.step(1));  // 999 sits in leaf 1 only
+  w.crash(1);
+
+  EXPECT_EQ(update_cost(w, tree, 0, 150).total(), 0u);
+  EXPECT_EQ(solo_scan(w, tree, 3), 200);
+  EXPECT_EQ(update_cost(w, tree, 0, 300).total(),
+            tree_scan_update_solo_accesses(n));
+  EXPECT_EQ(solo_scan(w, tree, 3), 999);  // pid 0's walk read leaf 1
 }
 
 TEST(TreeScan, RtWrappersMatchSequentialSemantics) {
