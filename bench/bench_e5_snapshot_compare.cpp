@@ -57,7 +57,7 @@ int run(int argc, char** argv) {
       schedule.push_back(0);
       for (int j = 0; j < pressure; ++j) schedule.push_back(1);
     }
-    sim::FixedScheduler s1(schedule, sim::FixedScheduler::Fallback::kStop);
+    sim::FixedScheduler s1(schedule);
     w1.run_steps(s1, 100'000);
     const std::uint64_t ours_reads = ours_done ? w1.counts(0).reads : 0;
 
@@ -71,7 +71,7 @@ int run(int argc, char** argv) {
     w2.spawn(1, [&](sim::Context ctx) -> sim::ProcessTask {
       for (int i = 0; i < 200'000; ++i) co_await dc.update(ctx, i);
     });
-    sim::FixedScheduler s2(schedule, sim::FixedScheduler::Fallback::kStop);
+    sim::FixedScheduler s2(schedule);
     w2.run_steps(s2, 100'000);
     const std::uint64_t dc_reads = dc_done ? w2.counts(0).reads : 0;
 
@@ -85,7 +85,7 @@ int run(int argc, char** argv) {
     w3.spawn(1, [&](sim::Context ctx) -> sim::ProcessTask {
       for (int i = 0; i < 200'000; ++i) co_await afek.update(ctx, i);
     });
-    sim::FixedScheduler s3(schedule, sim::FixedScheduler::Fallback::kStop);
+    sim::FixedScheduler s3(schedule);
     w3.run_steps(s3, 100'000);
     const std::uint64_t afek_reads = afek_done ? w3.counts(0).reads : 0;
 

@@ -45,7 +45,7 @@ class TwoProcExecution final : public AgreementExecution {
 double preference(const AgreementFactory& factory,
                   const std::vector<int>& prefix, int pid) {
   auto exec = factory();
-  sim::FixedScheduler sched(prefix, sim::FixedScheduler::Fallback::kStop);
+  sim::FixedScheduler sched(prefix);
   exec->world().run(sched);
   exec->world().run_solo(pid);
   APRAM_CHECK(exec->out(pid).has_value());
@@ -55,7 +55,7 @@ double preference(const AgreementFactory& factory,
 bool done_after(const AgreementFactory& factory,
                 const std::vector<int>& prefix, int pid) {
   auto exec = factory();
-  sim::FixedScheduler sched(prefix, sim::FixedScheduler::Fallback::kStop);
+  sim::FixedScheduler sched(prefix);
   exec->world().run(sched);
   return exec->world().done(pid);
 }
@@ -167,7 +167,7 @@ AdversaryResult run_lower_bound_adversary(const AgreementFactory& factory,
   // Drive the remaining execution to completion and record the outputs so
   // callers can verify the algorithm still met its specification.
   auto exec = factory();
-  sim::FixedScheduler replay_sched(prefix, sim::FixedScheduler::Fallback::kStop);
+  sim::FixedScheduler replay_sched(prefix);
   exec->world().run(replay_sched);
   sim::RoundRobinScheduler rr;
   exec->world().run(rr);

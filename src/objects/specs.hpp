@@ -26,6 +26,10 @@
 //                        implementable from CAS: objects/polylog_queue.hpp
 //                        linchecks against this spec.)
 //
+// Lincheck oracle only (no algebra claims):
+//   SnapshotSpec       — 3-slot single-writer snapshot: update(pid, v) fills
+//                        slot pid, scan returns every slot (-1 = empty).
+//
 // The declared commutes/overwrites tables are validated against the
 // semantic Definitions 10–11 by tests/algebra_test.cpp.
 #pragma once
@@ -350,6 +354,44 @@ struct QueueSpec {
 
   static Invocation enq(std::int64_t v) { return {Kind::kEnq, v}; }
   static Invocation deq() { return {Kind::kDeq, 0}; }
+};
+
+// Snapshot over 3 single-writer slots.
+struct SnapshotSpec {
+  static constexpr int kSlots = 3;
+  enum class Kind : std::uint8_t { kUpdate, kScan };
+
+  struct Invocation {
+    Kind kind = Kind::kScan;
+    int pid = 0;
+    std::int64_t value = 0;
+    friend bool operator==(const Invocation&, const Invocation&) = default;
+  };
+  using State = std::vector<std::int64_t>;  // -1 = empty slot
+  using Response = std::vector<std::int64_t>;
+
+  static State initial() { return State(kSlots, -1); }
+
+  static std::pair<State, Response> apply(const State& s,
+                                          const Invocation& inv) {
+    if (inv.kind == Kind::kUpdate) {
+      State next = s;
+      next[static_cast<std::size_t>(inv.pid)] = inv.value;
+      return {std::move(next), {}};
+    }
+    return {s, s};
+  }
+
+  // Unused by the checker but required by the SequentialSpec concept.
+  static bool commutes(const Invocation&, const Invocation&) { return false; }
+  static bool overwrites(const Invocation&, const Invocation&) {
+    return false;
+  }
+
+  static Invocation update(int pid, std::int64_t v) {
+    return {Kind::kUpdate, pid, v};
+  }
+  static Invocation scan() { return {Kind::kScan, 0, 0}; }
 };
 
 }  // namespace apram

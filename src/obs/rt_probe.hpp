@@ -4,7 +4,9 @@
 // reports into. Registers hold an atomic pointer to a probe; unattached, the
 // hot-path overhead is one relaxed load and a predictable branch. Attached,
 // each access costs one relaxed fetch_add per counter plus (if a tracer is
-// set and the thread has a model pid) one ring-slot write.
+// set and the thread has a model pid) one Tracer::event call, which stamps
+// the thread's innermost open op id and writes a ring slot unless the
+// sampler dropped that span.
 //
 // Thread identity: trace rings are single-producer per pid, so probe events
 // are emitted only from threads that declared which model process they act
@@ -15,7 +17,6 @@
 #include <cstdint>
 
 #include "obs/metrics.hpp"
-#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace apram::obs {
@@ -53,8 +54,7 @@ struct RtProbe {
     if (tracer == nullptr) return;
     const int pid = thread_pid();
     if (pid < 0 || pid >= tracer->num_rings()) return;
-    tracer->emit(
-        TraceEvent{tracer->now_ns(), pid, kind, object, arg, thread_op()});
+    tracer->event(pid, kind, object, arg);
   }
 };
 

@@ -14,7 +14,9 @@
 // Determinism: the decision hashes (seed, pid, op) with splitmix64 — no
 // global state, no RNG stream to synchronize. All events carrying a given
 // op id are emitted by the op's owner pid (helpers record kHelp into the
-// *owner's* span), so one (pid, op) decision covers the whole span. The
+// *owner's* span), so one (pid, op) decision covers the whole span: the
+// Tracer takes it once, at op_begin, and keeps it in the span's stack
+// frame, so the span's later events neither rehash nor read the clock. The
 // same seed reproduces the same subset across runs; different seeds select
 // different subsets (obs_test pins both).
 //
@@ -29,8 +31,6 @@ namespace apram::obs {
 struct SpanSampler {
   std::uint64_t seed = 0;
   std::uint32_t rate = 1;  // keep 1 op in `rate`; rate <= 1 keeps everything
-
-  bool active() const { return rate > 1; }
 
   // True iff operation `op` of process `pid` is in the sampled subset.
   bool keep(std::int32_t pid, std::uint64_t op) const {

@@ -1,6 +1,6 @@
 #include "obs/span.hpp"
 
-#include "obs/rt_probe.hpp"
+#include "util/assert.hpp"
 
 namespace apram::obs {
 
@@ -75,65 +75,44 @@ const char* phase_name(Phase p) {
 }
 
 namespace {
-thread_local Tracer* tls_span_tracer = nullptr;
-thread_local SpanStack tls_spans;
-
-// The ring owner contract of Tracer::emit: only emit when the thread has a
-// model pid that maps to one of the tracer's rings.
-int emitting_pid(const Tracer* tracer) {
-  const int pid = thread_pid();
-  if (pid < 0 || pid >= tracer->num_rings()) return -1;
-  return pid;
-}
+// The calling thread's ambient tracer and its ring; null tracer outside a
+// traced harness body.
+struct AmbientSpans {
+  Tracer* tracer = nullptr;
+  int pid = -1;
+};
+thread_local AmbientSpans tls_spans;
 }  // namespace
 
-void set_thread_span_tracer(Tracer* tracer) {
-  tls_span_tracer = tracer;
-  tls_spans.depth = 0;
+void set_thread_span_tracer(Tracer* tracer, int pid) {
+  if (tracer != nullptr) tracer->clear_spans(pid);
+  tls_spans = AmbientSpans{tracer, pid};
 }
 
-std::uint64_t thread_op() { return tls_spans.current(); }
-
 void rt_op_begin(OpKind kind) {
-  Tracer* tracer = tls_span_tracer;
+  Tracer* tracer = tls_spans.tracer;
   if (tracer == nullptr) return;
-  const int pid = emitting_pid(tracer);
-  if (pid < 0) return;
-  const std::uint64_t id = tracer->next_op_id();
-  tls_spans.push(id, kind);
-  tracer->emit(TraceEvent{tracer->now_ns(), pid, EventKind::kOpBegin,
-                          /*object=*/-1, static_cast<std::uint64_t>(kind),
-                          id});
+  tracer->op_begin(tls_spans.pid, kind);
 }
 
 void rt_op_end(OpKind kind) {
-  Tracer* tracer = tls_span_tracer;
+  Tracer* tracer = tls_spans.tracer;
   if (tracer == nullptr) return;
-  const int pid = emitting_pid(tracer);
-  if (pid < 0) return;
-  const SpanStack::Frame frame = tls_spans.pop();
-  tracer->emit(TraceEvent{tracer->now_ns(), pid, EventKind::kOpEnd,
-                          /*object=*/-1, static_cast<std::uint64_t>(kind),
-                          frame.op_id});
+  const bool closed = tracer->op_end(tls_spans.pid, kind);
+  APRAM_CHECK_MSG(closed, "op_end without a matching op_begin");
 }
 
 void rt_op_phase(Phase phase, int index) {
-  Tracer* tracer = tls_span_tracer;
+  Tracer* tracer = tls_spans.tracer;
   if (tracer == nullptr) return;
-  const int pid = emitting_pid(tracer);
-  if (pid < 0) return;
-  tracer->emit(TraceEvent{tracer->now_ns(), pid, EventKind::kPhase, index,
-                          static_cast<std::uint64_t>(phase),
-                          tls_spans.current()});
+  tracer->event(tls_spans.pid, EventKind::kPhase, index,
+                static_cast<std::uint64_t>(phase));
 }
 
 void rt_op_help(int object) {
-  Tracer* tracer = tls_span_tracer;
+  Tracer* tracer = tls_spans.tracer;
   if (tracer == nullptr) return;
-  const int pid = emitting_pid(tracer);
-  if (pid < 0) return;
-  tracer->emit(TraceEvent{tracer->now_ns(), pid, EventKind::kHelp, object,
-                          /*arg=*/0, tls_spans.current()});
+  tracer->event(tls_spans.pid, EventKind::kHelp, object, /*arg=*/0);
 }
 
 }  // namespace apram::obs

@@ -9,17 +9,12 @@
 // algorithm's internal structure — collect passes, tree levels, agreement
 // rounds — and kHelp marks the double-refresh helping case.
 //
-// Two propagation paths, one per backend:
-//
-//   sim — the World owns a SpanStack per process; sim::Context::op_begin()
-//         etc. forward to it, and count_access/count_cas stamp the innermost
-//         op id onto every access event. Span calls are local bookkeeping:
-//         they cost zero model steps.
-//   rt  — thread-local ambient state (set_thread_span_tracer, installed by
-//         rt::parallel_run alongside the thread pid); RtBackend::Ctx
-//         op_begin() etc. hit it, and RtProbe stamps thread_op() onto every
-//         probed access. Without an ambient tracer every call is a cheap
-//         no-op (one TLS load and a branch).
+// One propagation path for both backends: obs::Tracer keeps each pid's open
+// spans next to its ring and stamps the innermost op id onto every event.
+// sim::Context::op_begin() etc. call the World's tracer at the global step
+// (zero model steps). In rt, RtBackend::Ctx's span calls go to the thread's
+// ambient tracer (below) — one TLS load and a branch without one — and
+// RtProbe sends every probed access to its own tracer.
 //
 // Algorithms use the explicit begin/end calls, NOT RAII: a sim coroutine
 // frame destroyed by a crash must leave its span open in the trace (that is
@@ -30,7 +25,6 @@
 #include <cstdint>
 
 #include "obs/trace.hpp"
-#include "util/assert.hpp"
 
 namespace apram::obs {
 
@@ -86,52 +80,15 @@ enum class Phase : std::uint8_t {
 
 const char* phase_name(Phase p);
 
-// Per-producer stack of open spans. Bounded: the deepest nesting in the
-// library is execute → read_max → scan (depth 3); 8 leaves headroom for
-// user composition. Overflow is a programming error, not a runtime state.
-struct SpanStack {
-  static constexpr int kMaxDepth = 8;
-
-  struct Frame {
-    std::uint64_t op_id = 0;
-    OpKind kind = OpKind::kNone;
-  };
-
-  Frame frames[kMaxDepth];
-  int depth = 0;
-
-  void push(std::uint64_t op_id, OpKind kind) {
-    APRAM_CHECK_MSG(depth < kMaxDepth, "span stack overflow");
-    frames[depth] = Frame{op_id, kind};
-    ++depth;
-  }
-
-  Frame pop() {
-    APRAM_CHECK_MSG(depth > 0, "op_end without a matching op_begin");
-    --depth;
-    return frames[depth];
-  }
-
-  // Innermost open op id; 0 when no span is open.
-  std::uint64_t current() const {
-    return depth > 0 ? frames[depth - 1].op_id : 0;
-  }
-};
-
 // --- rt ambient span state (thread-local) ---------------------------------
 //
-// Installed by rt::parallel_run next to set_thread_pid; rt algorithm code
-// reaches it through RtBackend::Ctx::op_begin() etc., probes through
-// thread_op(). Resetting the tracer clears the stack.
+// Installed by rt::parallel_run next to set_thread_pid, with the thread's
+// pid (its ring); installing clears that pid's open spans, and nullptr
+// uninstalls.
+void set_thread_span_tracer(Tracer* tracer, int pid);
 
-void set_thread_span_tracer(Tracer* tracer);
-
-// Innermost op id of the calling thread; 0 outside any span (or without an
-// ambient tracer). RtProbe stamps this onto every probed access.
-std::uint64_t thread_op();
-
-// Emit span events into the ambient tracer. No-ops when no tracer is
-// installed or the thread has no model pid / ring.
+// Emit span events into the ambient tracer; no-ops when none is installed.
+// rt_op_end aborts when the thread has no open span.
 void rt_op_begin(OpKind kind);
 void rt_op_end(OpKind kind);
 void rt_op_phase(Phase phase, int index = -1);

@@ -61,17 +61,49 @@ Tracer::Tracer(int num_rings, std::size_t capacity_per_ring)
   }
 }
 
-void Tracer::emit(const TraceEvent& ev) {
-  const int r = ev.pid >= 0 ? ev.pid : 0;
-  APRAM_CHECK_MSG(r < num_rings(), "trace event pid outside tracer rings");
-  if (sampler_.active() && !sampler_.keep(ev.pid, ev.op)) {
-    sampled_out_.fetch_add(1, std::memory_order_relaxed);
+void Tracer::op_begin(int pid, OpKind kind, std::uint64_t when) {
+  Ring& r = ring(pid);
+  APRAM_CHECK_MSG(r.depth < kMaxSpanDepth, "span stack overflow");
+  const std::uint64_t op = next_op_.fetch_add(1, std::memory_order_relaxed);
+  r.frames[r.depth++] = Frame{op, sampler_.keep(pid, op)};
+  event(pid, EventKind::kOpBegin, /*object=*/-1,
+        static_cast<std::uint64_t>(kind), when);
+}
+
+bool Tracer::op_end(int pid, OpKind kind, std::uint64_t when) {
+  Ring& r = ring(pid);
+  if (r.depth == 0) return false;
+  event(pid, EventKind::kOpEnd, /*object=*/-1, static_cast<std::uint64_t>(kind),
+        when);
+  --r.depth;
+  return true;
+}
+
+void Tracer::event(int pid, EventKind kind, std::int32_t object,
+                   std::uint64_t arg, std::uint64_t when) {
+  Ring& r = ring(pid);
+  const Frame f = r.depth > 0 ? r.frames[r.depth - 1] : Frame{};
+  if (!f.keep) {
+    r.sampled_out.store(r.sampled_out.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
     return;
   }
-  Ring& ring = *rings_[static_cast<std::size_t>(r)];
-  const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
-  ring.slots[static_cast<std::size_t>(h % cap_)] = ev;
-  ring.head.store(h + 1, std::memory_order_release);
+  emit(TraceEvent{when == kNow ? now_ns() : when, pid, kind, object, arg,
+                  f.op});
+}
+
+void Tracer::lifecycle(int pid, EventKind kind, std::uint64_t when) {
+  event(pid, kind, /*object=*/-1, /*arg=*/0, when);
+  if (kind == EventKind::kCrash) clear_spans(pid);
+}
+
+void Tracer::clear_spans(int pid) { ring(pid).depth = 0; }
+
+void Tracer::emit(const TraceEvent& ev) {
+  Ring& r = ring(ev.pid);
+  const std::uint64_t h = r.head.load(std::memory_order_relaxed);
+  r.slots[static_cast<std::size_t>(h % cap_)] = ev;
+  r.head.store(h + 1, std::memory_order_release);
 }
 
 std::uint64_t Tracer::now_ns() const {
@@ -155,6 +187,14 @@ std::uint64_t Tracer::recorded() const {
   std::uint64_t total = retired_recorded_;
   for (const auto& ring : rings_) {
     total += ring->head.load(std::memory_order_acquire);
+  }
+  return total;
+}
+
+std::uint64_t Tracer::sampled_out() const {
+  std::uint64_t total = 0;
+  for (const auto& ring : rings_) {
+    total += ring->sampled_out.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -6,8 +6,15 @@
 // pinned to pid i). Emitting overwrites the oldest slot when full — the
 // newest events always survive, which is what post-mortem debugging wants.
 //
+// The Tracer is the only code that builds a TraceEvent. Each ring also
+// keeps its pid's stack of open operation spans (obs/span.hpp), which needs
+// no synchronization for the same reason the ring does: one producer. Sim
+// and rt producers call the same entry points, which stamp the innermost
+// open op id onto every event.
+//
 // Hot-path budget: one slot copy plus one release store of the ring head.
-// No allocation, no locking, no cross-thread stores.
+// No allocation, no locking, no cross-thread stores. An event of a span the
+// sampler dropped costs a plain per-ring count and no clock read.
 //
 // Reading (events()/drain()) is defined at quiescence only: after the sim
 // run returns, or after the rt harness has joined its threads (the join
@@ -26,6 +33,8 @@
 #include "util/assert.hpp"
 
 namespace apram::obs {
+
+enum class OpKind : std::uint8_t;  // obs/span.hpp
 
 enum class EventKind : std::uint8_t {
   kRead,   // shared-register read (object = register id)
@@ -69,26 +78,44 @@ class Tracer {
 
   int num_rings() const { return static_cast<int>(rings_.size()); }
 
-  // Producer side — callable only by the thread owning ring ev.pid.
+  // --- Producer side: only the thread owning ring `pid` ---------------
+  //
+  // `when` is the caller's timestamp (the simulator's global step); kNow
+  // reads this tracer's ns clock, only for an event that is kept.
+  static constexpr std::uint64_t kNow = ~std::uint64_t{0};
+
+  // Opens a span with a fresh op id (unique per tracer, sim and rt alike)
+  // and emits its kOpBegin; the sampler decides here, once, whether the
+  // whole span is kept.
+  void op_begin(int pid, OpKind kind, std::uint64_t when = kNow);
+
+  // Emits the innermost span's kOpEnd and closes it. Returns false, having
+  // emitted nothing, when pid has no open span.
+  bool op_end(int pid, OpKind kind, std::uint64_t when = kNow);
+
+  // An access (kRead/kWrite/kCas), kPhase or kHelp of pid, stamped with its
+  // innermost open op id (0 outside any span).
+  void event(int pid, EventKind kind, std::int32_t object, std::uint64_t arg,
+             std::uint64_t when = kNow);
+
+  // kSpawn, kDone or kCrash, stamped like event(). A kCrash carries the open
+  // op id — that span stays open in the trace — and then clears pid's
+  // stack, so the next incarnation starts outside any span.
+  void lifecycle(int pid, EventKind kind, std::uint64_t when = kNow);
+
+  // Forgets pid's open spans without emitting (a producer attaching).
+  void clear_spans(int pid);
+
+  // Appends a caller-built event as is: no stamping, no sampling (tests).
   void emit(const TraceEvent& ev);
 
-  // Installs a deterministic 1-in-N span sampler (obs/sampler.hpp). Events
-  // whose op is sampled out are rejected at emit() — they never enter a
-  // ring, never count as recorded, and are tallied in sampled_out()
-  // instead. Exact subset semantics: the decision is a pure function of
-  // (seed, pid, op), so kept spans are complete and per-op bound checks
-  // stay valid on the sampled population. Install before producers start;
-  // swapping mid-run would split spans.
+  // Installs a deterministic 1-in-N span sampler (obs/sampler.hpp). The
+  // events of a span it drops never enter a ring or count as recorded; they
+  // are tallied in sampled_out() instead. Exact subset semantics: the
+  // decision is a pure function of (seed, pid, op), so kept spans are
+  // complete and per-op bound checks stay valid on the sampled population.
+  // Install before producers start; swapping mid-run would split spans.
   void set_sampler(SpanSampler sampler) { sampler_ = sampler; }
-
-  // Nanoseconds since this tracer's construction (rt timestamp source).
-  std::uint64_t now_ns() const;
-
-  // Fresh operation id for a span (obs/span.hpp). Ids are unique per tracer
-  // across sim and rt producers; 0 is reserved for "no span".
-  std::uint64_t next_op_id() {
-    return next_op_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   // --- Quiescent readers -------------------------------------------------
 
@@ -125,25 +152,39 @@ class Tracer {
   std::uint64_t recorded() const;  // total events accepted into rings
   std::uint64_t dropped() const;   // overwritten by ring overflow (exact:
                                    // max(0, head − capacity) per ring)
-  std::uint64_t sampled_out() const {  // rejected by the span sampler
-    return sampled_out_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sampled_out() const;  // events of spans the sampler dropped
 
  private:
+  // Open spans nest at most execute → read_max → scan (depth 3) in the
+  // library; 8 leaves headroom, and overflow is a programming error.
+  static constexpr int kMaxSpanDepth = 8;
+  struct Frame {
+    std::uint64_t op = 0;
+    bool keep = true;  // the sampler's decision for this span
+  };
+
   struct Ring {
     alignas(64) std::atomic<std::uint64_t> head{0};
+    std::atomic<std::uint64_t> sampled_out{0};  // single writer: no RMW
+    int depth = 0;
+    Frame frames[kMaxSpanDepth];
     std::vector<TraceEvent> slots;
   };
 
+  Ring& ring(int pid) {
+    APRAM_CHECK_MSG(pid >= 0 && pid < num_rings(),
+                    "trace event pid outside tracer rings");
+    return *rings_[static_cast<std::size_t>(pid)];
+  }
+  std::uint64_t now_ns() const;  // since construction
   void collect(std::vector<TraceEvent>& out, CollectStats* stats) const;
 
   std::size_t cap_;
   std::vector<std::unique_ptr<Ring>> rings_;
   SpanSampler sampler_;  // rate 1 (keep everything) unless set_sampler'd
-  std::atomic<std::uint64_t> sampled_out_{0};
   std::uint64_t retired_recorded_ = 0;  // carried across drain() resets
   std::uint64_t retired_dropped_ = 0;
-  std::atomic<std::uint64_t> next_op_{1};  // 0 is "no span"
+  std::atomic<std::uint64_t> next_op_{1};  // op ids; 0 is "no span"
   std::chrono::steady_clock::time_point epoch_;
 };
 

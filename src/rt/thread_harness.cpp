@@ -36,22 +36,16 @@ std::vector<std::thread> launch_workers(
     threads.emplace_back([barrier, &body, tracer, on_done, pid] {
       obs::set_thread_pid(pid);
       obs::pin_this_shard(pid);  // spreads harness threads over metric slots
-      obs::set_thread_span_tracer(tracer);
+      obs::set_thread_span_tracer(tracer, pid);
       barrier->ready.fetch_add(1, std::memory_order_relaxed);
       while (!barrier->go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      if (tracer != nullptr) {
-        tracer->emit(obs::TraceEvent{tracer->now_ns(), pid,
-                                     obs::EventKind::kSpawn, -1, 0});
-      }
+      if (tracer != nullptr) tracer->lifecycle(pid, obs::EventKind::kSpawn);
       body(pid);
       if (on_done) on_done(pid);
-      if (tracer != nullptr) {
-        tracer->emit(obs::TraceEvent{tracer->now_ns(), pid,
-                                     obs::EventKind::kDone, -1, 0});
-      }
-      obs::set_thread_span_tracer(nullptr);
+      if (tracer != nullptr) tracer->lifecycle(pid, obs::EventKind::kDone);
+      obs::set_thread_span_tracer(nullptr, -1);
       obs::set_thread_pid(-1);
     });
   }

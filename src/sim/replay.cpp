@@ -7,7 +7,7 @@ std::unique_ptr<Execution> replay(const ExecutionFactory& factory,
                                   FixedScheduler::Divergence divergence) {
   auto exec = factory();
   APRAM_CHECK(exec != nullptr);
-  FixedScheduler sched(prefix, FixedScheduler::Fallback::kStop, divergence);
+  FixedScheduler sched(prefix, divergence);
   exec->world().run(sched);
   return exec;
 }

@@ -172,8 +172,7 @@ ScenarioResult run_scenario_recorded(const ScenarioOptions& opts,
 ScenarioResult replay_scenario(const ScenarioOptions& opts,
                                const std::vector<int>& picks) {
   World w(opts.num_procs, scenario_world_options(opts));
-  FixedScheduler fixed(picks, FixedScheduler::Fallback::kStop,
-                       FixedScheduler::Divergence::kFail);
+  FixedScheduler fixed(picks, FixedScheduler::Divergence::kFail);
   return run_scenario(w, fixed, opts);
 }
 

@@ -50,7 +50,6 @@ int FixedScheduler::pick(const World& w) {
     // kSkip: a scheduled pid that already finished (or crashed) is dropped —
     // speculative prefixes may extend past a process's completion point.
   }
-  if (fallback_ == Fallback::kRoundRobin) return rr_.pick(w);
   return -1;
 }
 

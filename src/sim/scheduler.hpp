@@ -74,10 +74,8 @@ class RandomScheduler final : public Scheduler {
   std::uint32_t last_epoch_ = 0;  // World::spawn_epoch at the sticky pick
 };
 
-// Replays a fixed pid sequence; after it is exhausted behaviour depends on
-// `fallback`:
-//   kStop       — pick() returns -1
-//   kRoundRobin — continue round-robin over runnable processes
+// Replays a fixed pid sequence; once it is exhausted pick() returns -1, so
+// run() stops. To finish a run after the prefix, run a RoundRobinScheduler.
 //
 // A scheduled pid that is not runnable (finished, crashed, out of range) is
 // a *divergence*: the execution being driven no longer matches the one the
@@ -91,24 +89,18 @@ class RandomScheduler final : public Scheduler {
 //           replay is not deterministic.
 class FixedScheduler final : public Scheduler {
  public:
-  enum class Fallback { kStop, kRoundRobin };
   enum class Divergence { kSkip, kFail };
 
   explicit FixedScheduler(std::vector<int> schedule,
-                          Fallback fallback = Fallback::kStop,
                           Divergence divergence = Divergence::kSkip)
-      : schedule_(std::move(schedule)),
-        fallback_(fallback),
-        divergence_(divergence) {}
+      : schedule_(std::move(schedule)), divergence_(divergence) {}
 
   int pick(const World& w) override;
 
  private:
   std::vector<int> schedule_;
   std::size_t pos_ = 0;
-  Fallback fallback_;
   Divergence divergence_;
-  RoundRobinScheduler rr_;
 };
 
 class RecordingScheduler final : public Scheduler {

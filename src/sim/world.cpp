@@ -20,7 +20,12 @@ World::World(int num_procs, const Options& options)
 
 void World::apply_options(const Options& options) {
   if (options.lazy_spawn) lazy_spawn_ = true;
-  if (options.tracer != nullptr) set_tracer_impl(options.tracer);
+  if (options.tracer != nullptr) {
+    APRAM_CHECK_MSG(options.tracer->num_rings() >= num_procs(),
+                    "tracer needs one ring per process");
+    tracer_ = options.tracer;
+    for (int pid = 0; pid < num_procs(); ++pid) tracer_->clear_spans(pid);
+  }
   default_max_steps_ = options.max_steps;
   for (const CrashPoint& c : options.crashes) {
     schedule_crash(c.pid, c.at_access);
@@ -124,67 +129,13 @@ void World::maybe_fire_scheduled_crash(int pid) {
   }
 }
 
-void World::set_tracer_impl(obs::Tracer* tracer) {
-  APRAM_CHECK_MSG(tracer == nullptr || tracer->num_rings() >= num_procs(),
-                  "tracer needs one ring per process");
-  tracer_ = tracer;
-  // Span stacks are only needed (and only paid for) with a tracer attached.
-  if (tracer_ != nullptr && spans_.empty()) {
-    spans_.resize(state_.size());
-  }
-}
-
-void World::emit_lifecycle(int pid, obs::EventKind kind) {
-  if (tracer_ == nullptr) return;
-  // A kCrash event carries the victim's innermost open op id: the span stays
-  // open in the trace, which is the truth of that execution.
-  tracer_->emit(obs::TraceEvent{global_step_, pid, kind, /*object=*/-1,
-                                /*arg=*/0, current_op(pid)});
-}
-
-void World::op_begin(int pid, obs::OpKind kind) {
-  if (tracer_ == nullptr) return;
-  const std::uint64_t id = tracer_->next_op_id();
-  spans_[static_cast<std::size_t>(pid)].push(id, kind);
-  tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kOpBegin,
-                                /*object=*/-1,
-                                static_cast<std::uint64_t>(kind), id});
-}
-
-void World::op_end(int pid, obs::OpKind kind) {
-  if (tracer_ == nullptr) return;
-  obs::SpanStack& spans = spans_[static_cast<std::size_t>(pid)];
-  // Tolerate a tracer attached mid-operation (apply_options on a live
-  // World): the end of an un-begun span is dropped, not an underflow.
-  if (spans.depth == 0) return;
-  const obs::SpanStack::Frame frame = spans.pop();
-  tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kOpEnd,
-                                /*object=*/-1,
-                                static_cast<std::uint64_t>(kind),
-                                frame.op_id});
-}
-
-void World::op_phase(int pid, obs::Phase phase, int index) {
-  if (tracer_ == nullptr) return;
-  tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kPhase,
-                                index, static_cast<std::uint64_t>(phase),
-                                current_op(pid)});
-}
-
-void World::op_help(int pid, int object) {
-  if (tracer_ == nullptr) return;
-  tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kHelp,
-                                object, /*arg=*/0, current_op(pid)});
-}
-
 void World::count_access(int pid, int register_id, bool is_write) {
   StepCounts& c = counts_[static_cast<std::size_t>(pid)];
   ++(is_write ? c.writes : c.reads);
   if (tracer_ != nullptr) {
-    tracer_->emit(obs::TraceEvent{
-        global_step_, pid,
-        is_write ? obs::EventKind::kWrite : obs::EventKind::kRead,
-        register_id, /*arg=*/0, current_op(pid)});
+    const obs::EventKind kind =
+        is_write ? obs::EventKind::kWrite : obs::EventKind::kRead;
+    tracer_->event(pid, kind, register_id, /*arg=*/0, global_step_);
   }
   ++global_step_;
 }
@@ -192,9 +143,8 @@ void World::count_access(int pid, int register_id, bool is_write) {
 void World::count_cas(int pid, int register_id, bool success) {
   ++counts_[static_cast<std::size_t>(pid)].writes;
   if (tracer_ != nullptr) {
-    tracer_->emit(obs::TraceEvent{global_step_, pid, obs::EventKind::kCas,
-                                  register_id, success ? 1u : 0u,
-                                  current_op(pid)});
+    tracer_->event(pid, obs::EventKind::kCas, register_id, success ? 1u : 0u,
+                   global_step_);
   }
   ++global_step_;
 }

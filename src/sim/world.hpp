@@ -11,7 +11,8 @@
 // The World counts reads and writes per process — the step-complexity
 // measure used by all the paper's theorems — and is the one place a
 // simulated process is crashed (crash(), schedule_crash()) or logged: an
-// attached obs::Tracer gets one event per access and per lifecycle change.
+// attached obs::Tracer gets one event per access and per lifecycle change at
+// the global step, and keeps each process's open spans (obs/span.hpp).
 //
 // Per-process state is stored structure-of-arrays (one status byte, one
 // counts struct, one resume handle per pid in parallel vectors) rather than
@@ -230,9 +231,8 @@ class World {
   // A tracer gets one obs event per atomic step (kRead/kWrite/kCas,
   // object = register id, when = the current global step) plus
   // kSpawn/kDone/kCrash lifecycle events, and needs a ring per process.
+  // Attaching clears each process's open spans in that tracer.
   void apply_options(const Options& options);
-
-  obs::Tracer* tracer() const { return tracer_; }
 
  private:
   friend class Context;
@@ -260,8 +260,6 @@ class World {
     ProcessFn fn;
     ProcessTask task;
   };
-
-  void set_tracer_impl(obs::Tracer* tracer);
 
   static constexpr std::uint64_t kNoScheduledCrash =
       ~static_cast<std::uint64_t>(0);
@@ -292,20 +290,10 @@ class World {
         "single-writer register written by a foreign process");
   }
 
-  void emit_lifecycle(int pid, obs::EventKind kind);
-  void maybe_fire_scheduled_crash(int pid);
-  std::uint64_t current_op(int pid) const {
-    return spans_.empty() ? 0 : spans_[static_cast<std::size_t>(pid)].current();
+  void emit_lifecycle(int pid, obs::EventKind kind) {
+    if (tracer_ != nullptr) tracer_->lifecycle(pid, kind, global_step_);
   }
-
-  // Operation-span markers, called through Context::op_begin etc. Local
-  // bookkeeping at the current global step — zero model steps. No-ops
-  // without a tracer, so the per-proc span stacks stay balanced whether or
-  // not instrumentation is attached.
-  void op_begin(int pid, obs::OpKind kind);
-  void op_end(int pid, obs::OpKind kind);
-  void op_phase(int pid, obs::Phase phase, int index);
-  void op_help(int pid, int object);
+  void maybe_fire_scheduled_crash(int pid);
 
   // Hot per-process state, structure-of-arrays (indexed by pid).
   std::vector<ProcState> state_;
@@ -314,7 +302,6 @@ class World {
   std::vector<std::uint64_t> crash_at_;   // see schedule_crash
   std::vector<std::uint32_t> epoch_;      // see spawn_epoch
   std::vector<Body> bodies_;              // cold: closures + frames
-  std::vector<obs::SpanStack> spans_;     // sized only when a tracer attaches
   RunnableSet runnable_;                  // pids with state kPending/kLive
 
   std::vector<std::unique_ptr<RegisterBase>> registers_;
@@ -411,24 +398,38 @@ auto Context::cas(Register<T>& reg, T expected, T desired) const {
                        std::move(desired)};
 }
 
+// Span markers go to the World's tracer, stamped with the current global
+// step: local bookkeeping, zero model steps.
 inline void Context::op_begin(obs::OpKind kind) const {
   APRAM_CHECK(world_ != nullptr);
-  world_->op_begin(pid_, kind);
+  if (obs::Tracer* t = world_->tracer_) {
+    t->op_begin(pid_, kind, world_->global_step_);
+  }
 }
 
 inline void Context::op_end(obs::OpKind kind) const {
   APRAM_CHECK(world_ != nullptr);
-  world_->op_end(pid_, kind);
+  // A tracer attached mid-operation (apply_options on a live World) never
+  // saw this span begin: its end is dropped, not an underflow.
+  if (obs::Tracer* t = world_->tracer_) {
+    (void)t->op_end(pid_, kind, world_->global_step_);
+  }
 }
 
 inline void Context::op_phase(obs::Phase phase, int index) const {
   APRAM_CHECK(world_ != nullptr);
-  world_->op_phase(pid_, phase, index);
+  if (obs::Tracer* t = world_->tracer_) {
+    t->event(pid_, obs::EventKind::kPhase, index,
+             static_cast<std::uint64_t>(phase), world_->global_step_);
+  }
 }
 
 inline void Context::op_help(int object) const {
   APRAM_CHECK(world_ != nullptr);
-  world_->op_help(pid_, object);
+  if (obs::Tracer* t = world_->tracer_) {
+    t->event(pid_, obs::EventKind::kHelp, object, /*arg=*/0,
+             world_->global_step_);
+  }
 }
 
 }  // namespace apram::sim

@@ -38,23 +38,10 @@ std::int64_t Flags::get_int(const std::string& name, std::int64_t def) {
   return it == values_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
 }
 
-double Flags::get_double(const std::string& name, double def) {
-  used_[name] = true;
-  auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
-}
-
 std::string Flags::get_string(const std::string& name, std::string def) {
   used_[name] = true;
   auto it = values_.find(name);
   return it == values_.end() ? def : it->second;
-}
-
-bool Flags::get_bool(const std::string& name, bool def) {
-  used_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
 }
 
 void Flags::check_unused() const {

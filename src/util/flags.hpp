@@ -17,9 +17,7 @@ class Flags {
   Flags(int argc, char** argv);
 
   std::int64_t get_int(const std::string& name, std::int64_t def);
-  double get_double(const std::string& name, double def);
   std::string get_string(const std::string& name, std::string def);
-  bool get_bool(const std::string& name, bool def);
 
   // Call after all get_* calls: aborts if any provided flag was never read.
   void check_unused() const;

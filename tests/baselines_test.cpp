@@ -71,8 +71,10 @@ TEST(DoubleCollect, AdversarialUpdaterStarvesTheScanner) {
   for (int round = 0; round < 50; ++round) {
     schedule.insert(schedule.end(), {0, 0, 1, 0, 0});  // c1, write, c2
   }
-  sim::FixedScheduler sched(schedule, sim::FixedScheduler::Fallback::kRoundRobin);
-  w.run(sched, 2'000'000);
+  sim::FixedScheduler sched(schedule);
+  w.run(sched);
+  sim::RoundRobinScheduler rr;
+  w.run(rr, 2'000'000);
   EXPECT_TRUE(gave_up);
 }
 
@@ -94,8 +96,10 @@ TEST(DoubleCollect, OurScanTerminatesUnderTheSameAdversary) {
   for (int round = 0; round < 50; ++round) {
     schedule.insert(schedule.end(), {0, 0, 1, 0, 0});
   }
-  sim::FixedScheduler sched(schedule, sim::FixedScheduler::Fallback::kRoundRobin);
-  w.run(sched, 2'000'000);
+  sim::FixedScheduler sched(schedule);
+  w.run(sched);
+  sim::RoundRobinScheduler rr;
+  w.run(rr, 2'000'000);
   EXPECT_TRUE(done);
 }
 

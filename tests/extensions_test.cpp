@@ -9,6 +9,7 @@
 #include "algebra/check.hpp"
 #include "lincheck/checker.hpp"
 #include "objects/pseudo_rmw.hpp"
+#include "objects/specs.hpp"
 #include "sim/scheduler.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/lattice_agreement.hpp"
@@ -220,79 +221,38 @@ TEST(LatticeAgreement, VectorClockCutsFormAChain) {
 // Snapshot linearizability, end to end through the checker
 // ---------------------------------------------------------------------------
 
-// Sequential specification of an n-slot snapshot object (n fixed small).
-struct SnapshotSpec3 {
-  static constexpr int kSlots = 3;
-  enum class Kind : std::uint8_t { kUpdate, kScan };
-
-  struct Invocation {
-    Kind kind = Kind::kScan;
-    int pid = 0;
-    std::int64_t value = 0;
-
-    friend bool operator==(const Invocation&, const Invocation&) = default;
-  };
-  using State = std::vector<std::int64_t>;  // -1 = empty slot
-  using Response = std::vector<std::int64_t>;
-
-  static State initial() { return State(kSlots, -1); }
-
-  static std::pair<State, Response> apply(const State& s,
-                                          const Invocation& inv) {
-    if (inv.kind == Kind::kUpdate) {
-      State next = s;
-      next[static_cast<std::size_t>(inv.pid)] = inv.value;
-      return {std::move(next), {}};
-    }
-    return {s, s};
-  }
-
-  // Unused by the checker but required by the SequentialSpec concept.
-  static bool commutes(const Invocation&, const Invocation&) { return false; }
-  static bool overwrites(const Invocation&, const Invocation&) {
-    return false;
-  }
-
-  static Invocation update(int pid, std::int64_t v) {
-    return {Kind::kUpdate, pid, v};
-  }
-  static Invocation scan() { return {Kind::kScan, 0, 0}; }
-};
-
 TEST(SnapshotLinearizability, RecordedHistoriesCheckOut) {
   for (std::uint64_t seed = 0; seed < 15; ++seed) {
     const int n = 3;
     World w(n);
     AtomicSnapshotSim<std::int64_t> snap(w, n);
-    HistoryRecorder<SnapshotSpec3> rec;
+    HistoryRecorder<SnapshotSpec> rec;
     for (int pid = 0; pid < n; ++pid) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         for (int k = 0; k < 2; ++k) {
           const std::int64_t v = pid * 10 + k;
-          const auto t1 = rec.begin(pid, SnapshotSpec3::update(pid, v),
-                                    ctx.world().global_step());
+          const auto t1 = rec.begin(pid, SnapshotSpec::update(pid, v));
           co_await snap.update(ctx, v);
-          rec.end(t1, {}, ctx.world().global_step());
+          rec.end(t1, {});
 
-          const auto t2 =
-              rec.begin(pid, SnapshotSpec3::scan(), ctx.world().global_step());
+          const auto t2 = rec.begin(pid, SnapshotSpec::scan());
           const auto view = co_await snap.scan(ctx);
           std::vector<std::int64_t> flat;
           for (const auto& slot : view) flat.push_back(slot.value_or(-1));
-          rec.end(t2, flat, ctx.world().global_step());
+          rec.end(t2, flat);
         }
       });
     }
     sim::RandomScheduler sched(seed);
     ASSERT_TRUE(w.run(sched).all_done);
-    EXPECT_TRUE(is_linearizable<SnapshotSpec3>(rec.ops())) << "seed=" << seed;
+    EXPECT_TRUE(is_linearizable<SnapshotSpec>(rec.take())) << "seed=" << seed;
   }
 }
 
 TEST(SnapshotLinearizability, CheckerRejectsTornSnapshots) {
   // Sanity: a hand-built "scan" that pairs values which never coexisted must
   // be rejected.
-  using S = SnapshotSpec3;
+  using S = SnapshotSpec;
   std::vector<RecordedOp<S>> h;
   h.push_back({0, S::update(0, 1), {}, 0, 1});
   h.push_back({1, S::update(1, 5), {}, 2, 3});

@@ -14,7 +14,6 @@
 // failure) and in the gtest temp dir otherwise.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -182,35 +181,21 @@ TEST(FaultCampaign, RtInjectionHundredRunsLinearizable) {
       rt::FastCounterRT counter(n);
       counter.attach_injector(&inj);
 
-      std::atomic<std::uint64_t> clock{0};
-      std::vector<std::vector<RecordedOp<C>>> per_thread(
-          static_cast<std::size_t>(n));
+      HistoryRecorder<C> rec;
       rt::parallel_run(n, [&](int pid) {
-        auto& ops = per_thread[static_cast<std::size_t>(pid)];
         Rng rng(seed * 31 + static_cast<std::uint64_t>(pid));
         for (int i = 0; i < ops_per_thread; ++i) {
-          RecordedOp<C> r;
-          r.pid = pid;
           if (rng.chance(0.5)) {
-            r.inv = C::inc(1);
-            r.invoke_time = clock.fetch_add(1);
+            const auto tok = rec.begin(pid, C::inc(1));
             counter.inc(pid);
-            r.resp = 0;
+            rec.end(tok, 0);
           } else {
-            r.inv = C::read();
-            r.invoke_time = clock.fetch_add(1);
-            r.resp = counter.read(pid);
+            const auto tok = rec.begin(pid, C::read());
+            rec.end(tok, counter.read(pid));
           }
-          r.respond_time = clock.fetch_add(1);
-          ops.push_back(r);
         }
       });
-
-      std::vector<RecordedOp<C>> history;
-      for (const auto& ops : per_thread) {
-        history.insert(history.end(), ops.begin(), ops.end());
-      }
-      ASSERT_TRUE(is_linearizable<C>(std::move(history))) << "seed=" << seed;
+      ASSERT_TRUE(is_linearizable<C>(rec.take())) << "seed=" << seed;
     }
   }
   EXPECT_GE(runs, 100);

@@ -7,7 +7,6 @@
 // injector shakes them. They run on any core count (including 1).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -274,35 +273,21 @@ TEST(FaultRt, InjectedCounterHistoriesAreLinearizable) {
     FastCounterRT counter(n);
     counter.attach_injector(&inj);
 
-    std::atomic<std::uint64_t> clock{0};
-    std::vector<std::vector<RecordedOp<C>>> per_thread(
-        static_cast<std::size_t>(n));
+    HistoryRecorder<C> rec;
     parallel_run(n, [&](int pid) {
-      auto& ops = per_thread[static_cast<std::size_t>(pid)];
       Rng rng(seed * 977 + static_cast<std::uint64_t>(pid));
       for (int i = 0; i < ops_per_thread; ++i) {
-        RecordedOp<C> r;
-        r.pid = pid;
         if (rng.chance(0.5)) {
-          r.inv = C::inc(1);
-          r.invoke_time = clock.fetch_add(1);
+          const auto tok = rec.begin(pid, C::inc(1));
           counter.inc(pid);
-          r.resp = 0;
+          rec.end(tok, 0);
         } else {
-          r.inv = C::read();
-          r.invoke_time = clock.fetch_add(1);
-          r.resp = counter.read(pid);
+          const auto tok = rec.begin(pid, C::read());
+          rec.end(tok, counter.read(pid));
         }
-        r.respond_time = clock.fetch_add(1);
-        ops.push_back(r);
       }
     });
-
-    std::vector<RecordedOp<C>> history;
-    for (const auto& ops : per_thread) {
-      history.insert(history.end(), ops.begin(), ops.end());
-    }
-    EXPECT_TRUE(is_linearizable<C>(std::move(history))) << "seed=" << seed;
+    EXPECT_TRUE(is_linearizable<C>(rec.take())) << "seed=" << seed;
     EXPECT_GT(inj.yields_injected() + inj.sleeps_injected(), 0u);
   }
 }

@@ -179,8 +179,7 @@ TEST(ReplayDivergence, StrictReplayOfFaithfulScheduleSucceeds) {
 
 TEST(FixedSchedulerDeathTest, StrictModeNamesTheDivergencePosition) {
   TwoByTwoExec exec;
-  sim::FixedScheduler sched({0, 0, 0}, sim::FixedScheduler::Fallback::kStop,
-                            sim::FixedScheduler::Divergence::kFail);
+  sim::FixedScheduler sched({0, 0, 0}, sim::FixedScheduler::Divergence::kFail);
   EXPECT_DEATH(exec.w.run(sched), "diverged at position 2");
 }
 

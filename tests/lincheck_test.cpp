@@ -190,14 +190,14 @@ std::vector<RecordedOp<C>> record_counter_run(std::uint64_t seed, int n,
       for (int i = 0; i < ops_per_proc; ++i) {
         if (rng.chance(0.5)) {
           const auto inv = C::inc(1);
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           co_await c.inc(ctx, 1);
-          rec.end(tok, 0, ctx.world().global_step());
+          rec.end(tok, 0);
         } else {
           const auto inv = C::read();
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           const std::int64_t r = co_await c.read(ctx);
-          rec.end(tok, r, ctx.world().global_step());
+          rec.end(tok, r);
         }
       }
     });
@@ -205,7 +205,7 @@ std::vector<RecordedOp<C>> record_counter_run(std::uint64_t seed, int n,
   if (inject_crashes) w.schedule_crash(0, 30 + seed % 7);
   sim::RandomScheduler rnd(seed);
   w.run(rnd);
-  return rec.ops();
+  return rec.take();
 }
 
 TEST(EndToEnd, UniversalCounterHistoriesAreLinearizable) {
@@ -258,9 +258,9 @@ std::vector<RecordedOp<C>> record_u2_counter_run(std::uint64_t seed, int n,
       Rng rng(seed * 131 + static_cast<std::uint64_t>(pid));
       for (int i = 0; i < 3; ++i) {
         const C::Invocation inv = u2_mix_op(rng);
-        const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+        const auto tok = rec.begin(pid, inv);
         const std::int64_t r = co_await c.sim().execute(ctx, inv);
-        rec.end(tok, r, ctx.world().global_step());
+        rec.end(tok, r);
       }
     });
   }
@@ -274,12 +274,12 @@ std::vector<RecordedOp<C>> record_u2_counter_run(std::uint64_t seed, int n,
   // effect: a lost or doubled mutation cannot hide behind a missing read.
   const int reader = w.crashed(0) ? 1 : 0;
   w.spawn(reader, [&](Context ctx) -> ProcessTask {
-    const auto tok = rec.begin(reader, C::read(), ctx.world().global_step());
+    const auto tok = rec.begin(reader, C::read());
     const std::int64_t r = co_await c.read(ctx);
-    rec.end(tok, r, ctx.world().global_step());
+    rec.end(tok, r);
   });
   w.run_solo(reader);
-  return rec.ops();
+  return rec.take();
 }
 
 TEST(EndToEnd, U2CounterHistoriesAreLinearizable) {
@@ -313,16 +313,16 @@ TEST(EndToEnd, CheckerCatchesABrokenCounter) {
   HistoryRecorder<C> rec;
   for (int pid = 0; pid < 2; ++pid) {
     w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
-      const auto tok = rec.begin(pid, C::inc(1), ctx.world().global_step());
+      const auto tok = rec.begin(pid, C::inc(1));
       const std::int64_t v = co_await ctx.read(reg);
       co_await ctx.write(reg, v + 1);
-      rec.end(tok, 0, ctx.world().global_step());
+      rec.end(tok, 0);
     });
   }
   sim::FixedScheduler sched({0, 1, 0, 1});
   w.run(sched);
   // Append a read of the final value: 1, though two incs completed.
-  auto h = rec.ops();
+  auto h = rec.take();
   h.push_back(op(0, C::read(), reg.peek(), 1000, 1001));
   EXPECT_EQ(reg.peek(), 1);
   EXPECT_FALSE(is_linearizable<C>(std::move(h)));

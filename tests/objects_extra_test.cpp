@@ -104,22 +104,21 @@ TEST(JoinMap, HistoriesAreLinearizable) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         {
           const auto inv = JoinMapSpec::put(0, pid + 1);
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           co_await m.put(ctx, 0, pid + 1);
-          rec.end(tok, 0, ctx.world().global_step());
+          rec.end(tok, 0);
         }
         {
           const auto inv = JoinMapSpec::get(0);
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           const auto got = co_await m.get(ctx, 0);
-          rec.end(tok, got.value_or(JoinMapSpec::kMissing),
-                  ctx.world().global_step());
+          rec.end(tok, got.value_or(JoinMapSpec::kMissing));
         }
       });
     }
     sim::RandomScheduler sched(seed);
     ASSERT_TRUE(w.run(sched).all_done);
-    EXPECT_TRUE(is_linearizable<JoinMapSpec>(rec.ops())) << "seed=" << seed;
+    EXPECT_TRUE(is_linearizable<JoinMapSpec>(rec.take())) << "seed=" << seed;
   }
 }
 
@@ -228,21 +227,21 @@ TEST(MaxRegisterLincheck, UniversalHistoriesAreLinearizable) {
       w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
         {
           const auto inv = S::write_max((pid + 1) * 10);
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           co_await u.execute(ctx, inv);
-          rec.end(tok, 0, ctx.world().global_step());
+          rec.end(tok, 0);
         }
         {
           const auto inv = S::read();
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           const auto r = co_await u.execute(ctx, inv);
-          rec.end(tok, r, ctx.world().global_step());
+          rec.end(tok, r);
         }
       });
     }
     sim::RandomScheduler sched(seed);
     ASSERT_TRUE(w.run(sched).all_done);
-    EXPECT_TRUE(is_linearizable<S>(rec.ops())) << "seed=" << seed;
+    EXPECT_TRUE(is_linearizable<S>(rec.take())) << "seed=" << seed;
   }
 }
 

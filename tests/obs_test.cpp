@@ -220,7 +220,7 @@ TEST(SimObs, TraceOfThreeProcessRunReplaysIdentically) {
   // And the replayed run's own trace matches the original event-for-event.
   Tracer tracer2(n, 4096);
   auto traced_replay = make(&tracer2);
-  sim::FixedScheduler fs(loaded, sim::FixedScheduler::Fallback::kStop);
+  sim::FixedScheduler fs(loaded);
   ASSERT_TRUE(traced_replay->world().run(fs).all_done);
   const auto events2 = tracer2.events();
   ASSERT_EQ(events2.size(), events.size());
@@ -506,6 +506,101 @@ TEST(Span, CrashLeavesTheSpanOpenInTheTrace) {
   EXPECT_TRUE(crash_tagged);
 }
 
+// A crash leaves the victim's spans open in the trace, and the revived
+// incarnation starts outside them: its kSpawn carries op 0, and however
+// often a pid is revived mid-op its open spans never pile up past the
+// tracer's stack depth (8). The nested case crashes inside write_l → scan.
+TEST(Span, MidOpRevivesStartOutsideTheCrashedSpans) {
+  constexpr int kRevives = 8;
+  for (const bool nested : {false, true}) {
+    const int n = 2;
+    Tracer tracer(n, 4096);
+    sim::World w(n, {.tracer = &tracer});
+    LatticeScanSim<MaxL> ls(w, n);
+    const auto body = [&ls, nested](sim::Context ctx) -> sim::ProcessTask {
+      if (nested) {
+        co_await ls.write_l(ctx, 7);
+      } else {
+        (void)co_await ls.scan(ctx, 1);
+      }
+    };
+    w.spawn(0, body);
+    for (int i = 0; i < kRevives; ++i) {
+      ASSERT_TRUE(w.step(0));
+      ASSERT_TRUE(w.step(0));  // two accesses into the scan
+      w.crash(0);
+      w.revive(0, body);
+    }
+    ASSERT_TRUE(w.run_solo(0).all_done);
+
+    const std::vector<TraceEvent> events = tracer.events();
+    const TraceAnalysis a = analyze(events);
+    const std::size_t depth = nested ? 2 : 1;
+    std::vector<std::uint64_t> begun;  // this incarnation's op ids
+    int spawns = 0;
+    int crashes = 0;
+    for (const TraceEvent& ev : events) {
+      if (ev.kind == EventKind::kSpawn) {
+        EXPECT_EQ(ev.op, 0u) << "incarnation " << spawns;
+        ++spawns;
+        begun.clear();
+      } else if (ev.kind == EventKind::kOpBegin) {
+        begun.push_back(ev.op);
+      } else if (ev.kind == EventKind::kCrash) {
+        ASSERT_EQ(begun.size(), depth);
+        EXPECT_EQ(ev.op, begun.back());  // the innermost open op
+        for (const std::uint64_t op : begun) {
+          const OpStats* s = a.find(op);
+          ASSERT_NE(s, nullptr);
+          EXPECT_TRUE(s->opened && !s->closed) << "op " << op;
+        }
+        ++crashes;
+      }
+    }
+    EXPECT_EQ(spawns, kRevives + 1);
+    EXPECT_EQ(crashes, kRevives);
+    EXPECT_EQ(a.open_ops, kRevives * depth);
+    // The last incarnation's scan owns exactly its own solo accesses.
+    ASSERT_EQ(begun.size(), depth);
+    const OpStats* last = a.find(begun.back());
+    ASSERT_NE(last, nullptr);
+    EXPECT_TRUE(last->closed);
+    EXPECT_EQ(last->reads, static_cast<std::uint64_t>(n * n - 1));
+    EXPECT_EQ(last->writes, static_cast<std::uint64_t>(n + 1));
+  }
+}
+
+// An end with no open span: the sim World drops it, because a tracer
+// attached to a live World (the certifier's apply_options) never saw the
+// begin, and the accesses after the attach are untagged. In rt it is a
+// programming error.
+TEST(Span, AnEndWithNoOpenSpanIsDroppedBySimAndFatalInRt) {
+  const int n = 2;
+  Tracer tracer(n, 4096);
+  sim::World w(n);
+  LatticeScanSim<MaxL> ls(w, n);
+  w.spawn(0, [&](sim::Context ctx) -> sim::ProcessTask {
+    (void)co_await ls.scan(ctx, 1);
+  });
+  ASSERT_TRUE(w.step(0));  // the scan's span is open, untraced
+  w.apply_options({.tracer = &tracer});
+  ASSERT_TRUE(w.run_solo(0).all_done);
+  const std::vector<TraceEvent> events = tracer.events();
+  ASSERT_FALSE(events.empty());
+  for (const TraceEvent& ev : events) {
+    EXPECT_NE(ev.kind, EventKind::kOpEnd);
+    EXPECT_EQ(ev.op, 0u);
+  }
+  EXPECT_EQ(analyze(events).untagged_accesses,
+            static_cast<std::uint64_t>(n * n - 1 + n + 1 - 1));
+
+  const auto end_outside_any_span = [&tracer] {
+    set_thread_span_tracer(&tracer, 0);
+    rt_op_end(OpKind::kUser);
+  };
+  EXPECT_DEATH(end_outside_any_span(), "op_end without a matching op_begin");
+}
+
 TEST(Span, RtAmbientSpanTagsProbedAccesses) {
   Tracer tracer(2, 256);
   Registry reg;
@@ -540,7 +635,11 @@ TEST(Span, RtAmbientSpanTagsProbedAccesses) {
   }
   EXPECT_TRUE(saw_write);
   EXPECT_TRUE(saw_read);
-  EXPECT_EQ(thread_op(), 0u);  // ambient state cleared outside the harness
+  // Outside the harness the thread has no ambient tracer: a span is a no-op.
+  const std::uint64_t recorded = tracer.recorded();
+  rt_op_begin(OpKind::kUser);
+  rt_op_end(OpKind::kUser);
+  EXPECT_EQ(tracer.recorded(), recorded);
 }
 
 // ----------------------------------------------------------- chrome trace --
@@ -776,7 +875,6 @@ TEST(Sampler, DeterministicSubsetPerSeed) {
   const SpanSampler a{/*seed=*/0xfeedULL, /*rate=*/8};
   const SpanSampler b{/*seed=*/0xfeedULL, /*rate=*/8};
   const SpanSampler c{/*seed=*/0xbeefULL, /*rate=*/8};
-  EXPECT_TRUE(a.active());
 
   std::set<std::uint64_t> kept_a;
   std::set<std::uint64_t> kept_c;
@@ -798,10 +896,9 @@ TEST(Sampler, DeterministicSubsetPerSeed) {
   EXPECT_TRUE(pid_differs);
 
   // op 0 (spawn/done/untagged accesses) is population metadata, never
-  // sampled out; rate <= 1 keeps everything and reports inactive.
+  // sampled out; rate <= 1 keeps everything.
   EXPECT_TRUE(a.keep(5, 0));
   const SpanSampler all{/*seed=*/123, /*rate=*/1};
-  EXPECT_FALSE(all.active());
   for (std::uint64_t op = 1; op <= 64; ++op) {
     EXPECT_TRUE(all.keep(0, op));
   }

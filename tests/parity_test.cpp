@@ -2,10 +2,15 @@
 // concept: the same template, run solo as pid 0 over both backends, performs
 // the same register accesses. RtProbe counts a CAS apart from the writes,
 // so the comparison is rt reads == sim reads and rt writes + cas == sim
-// writes (a CAS is one sim write).
+// writes (a CAS is one sim write). Both runs are also traced, and the two
+// event sequences must agree in every field but the timestamp: register ids
+// and op ids are creation order on both sides, so the same accesses carry
+// the same ids inside the same spans.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <tuple>
+#include <vector>
 
 #include "agreement/approx_agreement.hpp"
 #include "api/rt_backend.hpp"
@@ -17,6 +22,8 @@
 #include "objects/specs.hpp"
 #include "objects/union_find.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "rt/thread_harness.hpp"
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
@@ -47,12 +54,28 @@ struct BackendOf<api::RtBackend::Ctx> {
 template <class Ctx>
 using VoidCoro = typename BackendOf<Ctx>::type::template Coro<void>;
 
+// Every field of an event but `when` (sim steps vs rt ns): pid, kind,
+// object, arg, op.
+using Untimed = std::tuple<int, int, int, std::uint64_t, std::uint64_t>;
+
+std::vector<Untimed> untimed(const obs::Tracer& tracer) {
+  std::vector<Untimed> out;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    out.emplace_back(ev.pid, static_cast<int>(ev.kind), ev.object, ev.arg,
+                     ev.op);
+  }
+  return out;
+}
+
 // For n in {2, 4, 8}: builds Obj<B>(mem, n, args...) over each backend,
-// runs `ops(obj, ctx)` solo as pid 0, and compares the access counts.
+// runs `ops(obj, ctx)` solo as pid 0, and compares the access counts and
+// the traces.
 template <template <class> class Obj, class Ops, class... Args>
 void expect_same_accesses(Ops ops, Args... args) {
+  constexpr std::size_t kRing = 1 << 14;
   for (int n : {2, 4, 8}) {
-    World w(n);
+    obs::Tracer sim_tracer(n, kRing);
+    World w(n, {.tracer = &sim_tracer});
     Obj<api::SimBackend> sim_obj(w, n, args...);
     w.spawn(0, [&](Context ctx) -> ProcessTask {
       co_await ops(sim_obj, ctx);
@@ -62,15 +85,21 @@ void expect_same_accesses(Ops ops, Args... args) {
     ASSERT_GT(sim_counts.reads + sim_counts.writes, 0u) << "n=" << n;
 
     obs::Registry reg;
+    obs::Tracer rt_tracer(n, kRing);
     api::RtBackend::Mem rt_mem(n);
     Obj<api::RtBackend> rt_obj(rt_mem, n, args...);
-    rt_mem.attach_obs(reg, "obj");
-    ops(rt_obj, api::RtBackend::Ctx{0}).get();
+    rt_mem.attach_obs(reg, "obj", &rt_tracer);
+    rt::parallel_run(
+        1, [&](int pid) { ops(rt_obj, api::RtBackend::Ctx{pid}).get(); },
+        &rt_tracer);
     const std::uint64_t rt_reads = reg.counter("rt.obj.reads").value();
     const std::uint64_t rt_writes = reg.counter("rt.obj.writes").value();
     const std::uint64_t rt_cas = reg.counter("rt.obj.cas").value();
     EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
     EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
+
+    ASSERT_EQ(sim_tracer.dropped() + rt_tracer.dropped(), 0u) << "n=" << n;
+    EXPECT_EQ(untimed(sim_tracer), untimed(rt_tracer)) << "n=" << n;
   }
 }
 

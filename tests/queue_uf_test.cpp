@@ -142,8 +142,7 @@ TEST(PolylogQueue, LostRefreshReturnsItsBlockToTheStore) {
   grant(1, 4);  // pid 1 reinstalls pid 0's block at node 2
   grant(1, 4);  // pid 1 installs its root block
   grant(0, 4);  // pid 0 finds the root current and reinstalls it
-  sim::FixedScheduler sched(picks, sim::FixedScheduler::Fallback::kStop,
-                            sim::FixedScheduler::Divergence::kFail);
+  sim::FixedScheduler sched(picks, sim::FixedScheduler::Divergence::kFail);
   ASSERT_TRUE(w.run(sched).all_done);
   EXPECT_EQ(w.counts(0).total(), 9u);   // 1 + 4h, no retry
   EXPECT_EQ(w.counts(1).total(), 13u);  // one level retried
@@ -239,21 +238,21 @@ std::vector<RecordedOp<QSpec>> record_queue_run(std::uint64_t seed, int n,
       for (int i = 0; i < ops_per_proc; ++i) {
         if (rng.chance(0.55)) {
           const auto inv = QSpec::enq(pid * 100 + i);
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           co_await q.enqueue(ctx, pid * 100 + i);
-          rec.end(tok, 0, ctx.world().global_step());
+          rec.end(tok, 0);
         } else {
           const auto inv = QSpec::deq();
-          const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+          const auto tok = rec.begin(pid, inv);
           const std::int64_t r = co_await q.dequeue(ctx);
-          rec.end(tok, r, ctx.world().global_step());
+          rec.end(tok, r);
         }
       }
     });
   }
   sim::RandomScheduler sched(seed, /*stickiness=*/0.3);
   EXPECT_TRUE(w.run(sched).all_done);
-  return rec.ops();
+  return rec.take();
 }
 
 // n = 4 walks right subtrees at both levels; n = 5 has padding leaves.
@@ -274,14 +273,14 @@ TEST(PolylogQueue, RandomScheduleHistoriesAreLinearizable) {
 struct QueuePairExec final : Execution {
   QueuePairExec() : w(2), q(w, 2) {
     w.spawn(0, [this](Context ctx) -> ProcessTask {
-      const auto tok = rec.begin(0, QSpec::enq(1), ctx.world().global_step());
+      const auto tok = rec.begin(0, QSpec::enq(1));
       co_await q.enqueue(ctx, 1);
-      rec.end(tok, 0, ctx.world().global_step());
+      rec.end(tok, 0);
     });
     w.spawn(1, [this](Context ctx) -> ProcessTask {
-      const auto tok = rec.begin(1, QSpec::deq(), ctx.world().global_step());
+      const auto tok = rec.begin(1, QSpec::deq());
       deq_result = co_await q.dequeue(ctx);
-      rec.end(tok, deq_result, ctx.world().global_step());
+      rec.end(tok, deq_result);
     });
   }
   World& world() override { return w; }
@@ -297,7 +296,7 @@ TEST(PolylogQueueExplore, EveryScheduleLinearizes) {
       [&](Execution& e, const std::vector<int>&) {
         auto& x = static_cast<QueuePairExec&>(e);
         ASSERT_TRUE(x.deq_result == -1 || x.deq_result == 1) << x.deq_result;
-        ASSERT_TRUE(is_linearizable<QSpec>(x.rec.ops()));
+        ASSERT_TRUE(is_linearizable<QSpec>(x.rec.take()));
       });
   // Solo lengths are 5 (enqueue) and 6 (dequeue), which alone would give
   // C(11,5) = 462 interleavings; schedules where a CAS loses the race take a
@@ -529,20 +528,20 @@ TEST(UnionFind, RandomScheduleHistoriesAreLinearizable) {
           const double dice = rng.uniform();
           if (dice < 0.4) {
             const auto inv = UFSpec::unite(a, b);
-            const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+            const auto tok = rec.begin(pid, inv);
             co_await uf.unite(ctx, a, b);
-            rec.end(tok, 0, ctx.world().global_step());
+            rec.end(tok, 0);
             united.emplace_back(a, b);
           } else if (dice < 0.6) {
             const auto inv = UFSpec::find(a);
-            const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+            const auto tok = rec.begin(pid, inv);
             const std::int32_t r = co_await uf.find(ctx, a);
-            rec.end(tok, r, ctx.world().global_step());
+            rec.end(tok, r);
           } else if (dice < 0.8) {
             const auto inv = UFSpec::same_set(a, b);
-            const auto tok = rec.begin(pid, inv, ctx.world().global_step());
+            const auto tok = rec.begin(pid, inv);
             const bool r = co_await uf.same_set(ctx, a, b);
-            rec.end(tok, r ? 1 : 0, ctx.world().global_step());
+            rec.end(tok, r ? 1 : 0);
           } else {
             numset_obs.push_back(co_await uf.num_sets(ctx));
           }
@@ -551,7 +550,7 @@ TEST(UnionFind, RandomScheduleHistoriesAreLinearizable) {
     }
     sim::RandomScheduler sched(seed, /*stickiness=*/0.2);
     ASSERT_TRUE(w.run(sched).all_done);
-    EXPECT_TRUE(is_linearizable<UFSpec>(rec.ops())) << "seed=" << seed;
+    EXPECT_TRUE(is_linearizable<UFSpec>(rec.take())) << "seed=" << seed;
 
     // Bound contract for the concurrent num_sets observations: the true
     // count only decreases over a run, and r never undercounts, so every

@@ -1,8 +1,9 @@
 // Real-thread stress tests with post-hoc linearizability checking.
 //
-// Threads hammer the rt objects while every operation's invocation/response
-// window is timestamped from a global atomic counter; the recorded histories
-// then go through the same Wing–Gong checker the simulator histories use.
+// Threads hammer the rt objects while a HistoryRecorder timestamps every
+// operation's invocation/response window from its own clock; the recorded
+// histories then go through the same Wing–Gong checker the simulator
+// histories use.
 // On a single core these interleavings come from preemption; on many cores
 // from true parallelism — either way the checker accepts only genuinely
 // linearizable behaviour.
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "lincheck/checker.hpp"
+#include "lincheck/history.hpp"
 #include "objects/fast_counter.hpp"
 #include "objects/polylog_queue.hpp"
 #include "objects/specs.hpp"
 #include "rt/thread_harness.hpp"
-#include "rt_recorder.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/baselines/afek_snapshot.hpp"
 #include "snapshot/lattice_scan.hpp"
@@ -35,7 +36,7 @@ TEST(RtStress, FastCounterHistoriesAreLinearizable) {
   for (int trial = 0; trial < 8; ++trial) {
     const int n = 3;
     FastCounterRT ctr(n);
-    RtRecorder<C> rec;
+    HistoryRecorder<C> rec;
     parallel_run(n, [&](int pid) {
       for (int i = 0; i < 3; ++i) {
         {
@@ -83,7 +84,7 @@ TEST(RtStress, Counter2HistoriesAreLinearizable) {
     for (int trial = 0; trial < 40; ++trial) {
       const int n = 3;
       Counter2RT ctr(n, cfg);
-      RtRecorder<C> rec;
+      HistoryRecorder<C> rec;
       parallel_run(n, [&](int pid) {
         Rng rng(static_cast<std::uint64_t>(trial) * 131 +
                 static_cast<std::uint64_t>(pid));
@@ -118,7 +119,7 @@ TEST(RtStress, PolylogQueueHistoriesAreLinearizable) {
   for (int trial = 0; trial < 8; ++trial) {
     const int n = 4;
     PolylogQueueRT q(n);
-    RtRecorder<Q> rec;
+    HistoryRecorder<Q> rec;
     parallel_run(n, [&](int pid) {
       for (int i = 0; i < 3; ++i) {
         {
@@ -138,51 +139,22 @@ TEST(RtStress, PolylogQueueHistoriesAreLinearizable) {
   }
 }
 
-// Snapshot spec over 3 slots for the rt snapshot objects.
-struct SnapSpec {
-  static constexpr int kSlots = 3;
-  enum class Kind : std::uint8_t { kUpdate, kScan };
-  struct Invocation {
-    Kind kind = Kind::kScan;
-    int pid = 0;
-    std::int64_t value = 0;
-    friend bool operator==(const Invocation&, const Invocation&) = default;
-  };
-  using State = std::vector<std::int64_t>;
-  using Response = std::vector<std::int64_t>;
-  static State initial() { return State(kSlots, -1); }
-  static std::pair<State, Response> apply(const State& s,
-                                          const Invocation& inv) {
-    if (inv.kind == Kind::kUpdate) {
-      State next = s;
-      next[static_cast<std::size_t>(inv.pid)] = inv.value;
-      return {std::move(next), {}};
-    }
-    return {s, s};
-  }
-  static bool commutes(const Invocation&, const Invocation&) { return false; }
-  static bool overwrites(const Invocation&, const Invocation&) {
-    return false;
-  }
-};
-
 template <class Snapshot>
 void run_snapshot_lincheck_stress(int trials) {
   for (int trial = 0; trial < trials; ++trial) {
     const int n = 3;
     Snapshot snap(n);
-    RtRecorder<SnapSpec> rec;
+    HistoryRecorder<SnapshotSpec> rec;
     parallel_run(n, [&](int pid) {
       for (int i = 0; i < 2; ++i) {
         {
           const std::int64_t v = pid * 100 + i;
-          const auto tok =
-              rec.begin(pid, {SnapSpec::Kind::kUpdate, pid, v});
+          const auto tok = rec.begin(pid, SnapshotSpec::update(pid, v));
           snap.update(pid, v);
           rec.end(tok, {});
         }
         {
-          const auto tok = rec.begin(pid, {SnapSpec::Kind::kScan, 0, 0});
+          const auto tok = rec.begin(pid, SnapshotSpec::scan());
           const auto view = snap.scan(pid);
           std::vector<std::int64_t> flat;
           for (const auto& s : view) flat.push_back(s.value_or(-1));
@@ -191,7 +163,7 @@ void run_snapshot_lincheck_stress(int trials) {
       }
     });
     auto history = rec.take();
-    EXPECT_TRUE(is_linearizable<SnapSpec>(std::move(history)))
+    EXPECT_TRUE(is_linearizable<SnapshotSpec>(std::move(history)))
         << "trial " << trial;
   }
 }
@@ -216,7 +188,7 @@ TEST(RtStress, TreeScanMaxRegisterHistoriesAreLinearizable) {
   for (int trial = 0; trial < 8; ++trial) {
     const int n = 3;
     snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
-    RtRecorder<S> rec;
+    HistoryRecorder<S> rec;
     parallel_run(n, [&](int pid) {
       Rng rng(static_cast<std::uint64_t>(trial) * 131 +
               static_cast<std::uint64_t>(pid));

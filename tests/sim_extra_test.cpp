@@ -78,9 +78,10 @@ TEST(FixedScheduler, RoundRobinFallbackFinishesTheRun) {
       }
     });
   }
-  FixedScheduler sched({1, 1}, FixedScheduler::Fallback::kRoundRobin);
-  const auto r = w.run(sched);
-  EXPECT_TRUE(r.all_done);
+  FixedScheduler sched({1, 1});
+  EXPECT_FALSE(w.run(sched).all_done);
+  RoundRobinScheduler rr;
+  EXPECT_TRUE(w.run(rr).all_done);
   ASSERT_EQ(order.size(), 6u);
   EXPECT_EQ(order[0], 1);
   EXPECT_EQ(order[1], 1);

@@ -26,8 +26,8 @@
 #include "fault/certifier.hpp"
 #include "fault_seeds.hpp"
 #include "lincheck/checker.hpp"
+#include "lincheck/history.hpp"
 #include "objects/specs.hpp"
-#include "rt_recorder.hpp"
 #include "sim/explore.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/world.hpp"
@@ -359,10 +359,6 @@ TEST(TreeScanExplore, PaddedTreeScansAreMonotoneOnEverySchedule) {
 // ---------------------------------------------------------------------------
 // Lincheck: a MaxLattice TreeScan is a max register. Values drawn from
 // {0..3} make most updates self-covered; a scan's ⊥ reads as the spec's 0.
-// The windows come from RtRecorder's strictly increasing clock, not the
-// global step: two self-covered updates of one process make no access, so
-// global-step windows would give both the same empty window, each
-// "preceding" the other.
 // ---------------------------------------------------------------------------
 
 TEST(TreeScan, MaxLatticeHistoriesAreLinearizableAsAMaxRegister) {
@@ -371,7 +367,7 @@ TEST(TreeScan, MaxLatticeHistoriesAreLinearizableAsAMaxRegister) {
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
       World w(n);
       SimTree tree(w, n);
-      RtRecorder<S> rec;
+      HistoryRecorder<S> rec;
       for (int pid = 0; pid < n; ++pid) {
         w.spawn(pid, [&, pid](Context ctx) -> ProcessTask {
           Rng rng(seed * 131 + static_cast<std::uint64_t>(pid));
