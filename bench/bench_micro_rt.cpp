@@ -4,7 +4,10 @@
 //        read/write with an obs::RtProbe attached;
 //   M2 — one solo object operation: AtomicSnapshotRT update and scan versus
 //        n, TreeScanRT<MaxLattice> raising and self-covered update and scan,
-//        FastCounterRT inc and read.
+//        FastCounterRT inc and read, and the pieces an rt op is built from:
+//        an empty EagerCoro call (one coroutine frame), an op span's begin
+//        and end with no tracer, and an FArray read_f (a frame-free root
+//        read).
 // The multi-thread throughput shapes live in bench_e5_snapshot_compare.
 // Each row times one loop — --ops accesses for M1, --ops/100 operations
 // for M2 — after an untimed warm-up pass. A read row sums its results in a
@@ -14,10 +17,15 @@
 #include <functional>
 #include <iostream>
 
+#include "algebra/combiner.hpp"
+#include "api/eager_coro.hpp"
+#include "api/rt_backend.hpp"
 #include "bench_common.hpp"
+#include "farray/farray.hpp"
 #include "lattice/lattice.hpp"
 #include "objects/fast_counter.hpp"
 #include "obs/rt_probe.hpp"
+#include "obs/span.hpp"
 #include "rt/register.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/tree_snapshot.hpp"
@@ -41,6 +49,13 @@ static_assert(!rt::kInlineRegister<ArenaWord>);
 
 std::int64_t value_of(std::int64_t v) { return v; }
 std::int64_t value_of(const ArenaWord& w) { return w.v; }
+
+// A coroutine that does nothing, so a call prices one EagerCoro frame: the
+// pool allocation, the run to completion and the destroy. noinline keeps
+// the compiler from eliding the frame.
+[[gnu::noinline]] api::EagerCoro<std::int64_t> empty_coro(std::int64_t v) {
+  co_return v;
+}
 
 // Times loop(ops) after an untimed loop(ops / 10 + 1), which brings the
 // core up to speed and fills the thread's coroutine-frame pool before the
@@ -187,6 +202,29 @@ int run(int argc, char** argv) {
            op_ns([&](std::int64_t) { ctr.inc(0, 1); }, object_ops));
     m2_row("FastCounterRT", "read", n,
            read_ns([&] { return ctr.read(0); }, object_ops));
+  }
+  {
+    // The pieces, priced alone. The span row's barrier keeps the compiler
+    // from hoisting the ambient-tracer check out of the timed loop.
+    const auto piece_row = [&](const char* piece, const char* op, double ns) {
+      m2.add(piece).add(op).add("-").add(ns, 1).end_row();
+    };
+    piece_row("EagerCoro<int64>", "empty call",
+              read_ns([] { return empty_coro(1).get(); }, object_ops));
+    const auto span_pair = [](std::int64_t) {
+      obs::rt_op_begin(obs::OpKind::kUser);
+      obs::rt_op_end(obs::OpKind::kUser);
+      asm volatile("" ::: "memory");
+    };
+    piece_row("op span, no tracer", "begin+end", op_ns(span_pair, object_ops));
+    constexpr int n = 4;
+    api::RtBackend::Mem mem(n);
+    farray::FArray<api::RtBackend, std::int64_t, SumCombiner<std::int64_t>> fa(
+        mem, n);
+    for (int p = 0; p < n; ++p) fa.write(api::RtBackend::Ctx{p}, p + 1).get();
+    m2_row("FArray<Sum>", "read_f", n,
+           read_ns([&] { return fa.read_f(api::RtBackend::Ctx{0}).get(); },
+                   object_ops));
   }
   m2.print(std::cout);
 

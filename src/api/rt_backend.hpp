@@ -101,9 +101,9 @@ struct RtBackend {
     }
 
     // Operation-span markers (obs/span.hpp), forwarded to the calling
-    // thread's ambient span state (installed by rt::parallel_run). No-ops —
-    // one TLS load and a branch — without an ambient tracer. Same explicit
-    // begin/end contract as sim::Context.
+    // thread's ambient span state (installed by rt::parallel_run). Inline
+    // no-ops — one TLS load and a branch — without an ambient tracer. Same
+    // explicit begin/end contract as sim::Context.
     void op_begin(obs::OpKind kind) const { obs::rt_op_begin(kind); }
     void op_end(obs::OpKind kind) const { obs::rt_op_end(kind); }
     void op_phase(obs::Phase phase, int index = -1) const {

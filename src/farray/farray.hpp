@@ -12,6 +12,9 @@
 // where f is an arbitrary *associative* combine with a unit (the Combiner
 // concept in algebra/combiner.hpp) — lattice join is just one instance.
 //
+// On rt, write runs in one EagerCoro frame and read_f in none: read_f
+// returns the backend's own read awaiter of the root (RootRead below).
+//
 // Layout (heap indexing over m = bit_ceil(n) leaf slots): internal nodes are
 // 1..m-1 with children of i at 2i and 2i+1; leaf p sits at slot m+p; child
 // slots ≥ m beyond n-1 are padding and fold as the identity for free. n == 1
@@ -56,9 +59,11 @@
 //   read_f:            1        (independent of n)
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "algebra/combiner.hpp"
@@ -146,6 +151,42 @@ struct CombineRefresh {
   }
 };
 
+// read_f's awaitable: the backend's own read awaiter of the root, with no
+// coroutine frame around it. It holds the read of node 1, projected to the
+// node's value, or the read of the single leaf of an n = 1 tree. In sim the
+// access happens at the granted step, as for any read. The rt backend's
+// awaiters are ready, so there the read is done when read_f returns, and
+// get() hands back its value as EagerCoro::get does.
+template <class T, class LeafRead, class NodeRead>
+class [[nodiscard]] RootRead {
+ public:
+  explicit RootRead(LeafRead read)
+      : read_(std::in_place_index<0>, std::move(read)) {}
+  explicit RootRead(NodeRead read)
+      : read_(std::in_place_index<1>, std::move(read)) {}
+
+  bool await_ready() {
+    return std::visit([](auto& r) { return r.await_ready(); }, read_);
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    std::visit([h](auto& r) { r.await_suspend(h); }, read_);
+  }
+  T await_resume() {
+    if (LeafRead* leaf = std::get_if<0>(&read_)) return leaf->await_resume();
+    return std::get_if<1>(&read_)->await_resume().v;
+  }
+
+  T get() {
+    APRAM_CHECK_MSG(await_ready(),
+                    "get() on a root read that suspends — only an rt "
+                    "backend's read is done at the call");
+    return await_resume();
+  }
+
+ private:
+  std::variant<LeafRead, NodeRead> read_;
+};
+
 // The tree machinery, parameterized over the refresher. Most users want the
 // FArray alias below; objects/polylog_queue.hpp instantiates this directly
 // with its log-appending refresher.
@@ -181,7 +222,7 @@ class FArrayTree {
     }
     // Contention cells mirror the heap indexing (cell u = node u; cell 0
     // unused). Node u sits at depth ⌊log2 u⌋, so its refresh level — the
-    // loop counter in refresh_path — is height−1−depth (root = top level).
+    // loop counter in write — is height−1−depth (root = top level).
     contention_ = obs::NodeContention(m_, n_);
     const int h = height();
     for (int i = 1; i < m_; ++i) {
@@ -194,22 +235,16 @@ class FArrayTree {
   int num_procs() const { return n_; }
   int height() const { return farray_height(n_); }
 
-  // Sets the caller's leaf to v and propagates: on return the root value
-  // covers this write (see the helping lemma above). ≤ 1 + 8·height()
-  // accesses; the caller must be inside its own op span.
+  // Sets the caller's leaf to v, then walks p's root path double-refreshing
+  // each node: on return the root value covers this write (see the helping
+  // lemma above). ≤ 1 + 8·height() accesses in one coroutine frame; the
+  // caller must be inside its own op span.
   //
   // Style note: every co_await sits alone in its own statement (GCC 12
   // wrong-code workaround, as in lattice_scan.hpp).
   Coro<void> write(Ctx ctx, Value v) {
     const int p = ctx.pid();
     co_await ctx.write(leaf(p), std::move(v));
-    co_await refresh_path(ctx, p);
-  }
-
-  // Walks p's root path, double-refreshing each node. Exposed for clients
-  // whose leaf write needs custom packaging but whose propagation is
-  // standard (the queue appends a log entry, then calls this).
-  Coro<void> refresh_path(Ctx ctx, int p) {
     int u = (m_ + p) / 2;  // 0 when m_ == 1: the leaf is the root
     int level = 0;
     while (u >= 1) {
@@ -273,14 +308,14 @@ class FArrayTree {
   }
 
   // f over all leaves as of some recent instant covering every completed
-  // write. One register access.
-  Coro<Value> read_f(Ctx ctx) {
-    if (m_ == 1) {
-      Value v = co_await ctx.read(leaf(0));
-      co_return v;
-    }
-    Node root = co_await ctx.read(node(1));
-    co_return std::move(root.v);
+  // write. One register access and no coroutine frame: the result is the
+  // backend's own read awaiter of the root (RootRead above), so co_await it
+  // like any read, or take it with get() on rt.
+  auto read_f(Ctx ctx) const {
+    using Read = RootRead<Value, decltype(ctx.read(leaf(0))),
+                          decltype(ctx.read(node(1)))>;
+    if (m_ == 1) return Read(ctx.read(leaf(0)));
+    return Read(ctx.read(node(1)));
   }
 
   // Per-node contention telemetry (obs/contention.hpp); cell u = heap node

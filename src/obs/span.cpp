@@ -74,45 +74,32 @@ const char* phase_name(Phase p) {
   return "?";
 }
 
-namespace {
-// The calling thread's ambient tracer and its ring; null tracer outside a
-// traced harness body.
-struct AmbientSpans {
-  Tracer* tracer = nullptr;
-  int pid = -1;
-};
-thread_local AmbientSpans tls_spans;
-}  // namespace
-
 void set_thread_span_tracer(Tracer* tracer, int pid) {
   if (tracer != nullptr) tracer->clear_spans(pid);
-  tls_spans = AmbientSpans{tracer, pid};
+  detail::tls_spans = detail::AmbientSpans{tracer, pid};
 }
 
-void rt_op_begin(OpKind kind) {
-  Tracer* tracer = tls_spans.tracer;
-  if (tracer == nullptr) return;
-  tracer->op_begin(tls_spans.pid, kind);
+namespace detail {
+
+void traced_op_begin(OpKind kind) {
+  tls_spans.tracer->op_begin(tls_spans.pid, kind);
 }
 
-void rt_op_end(OpKind kind) {
-  Tracer* tracer = tls_spans.tracer;
-  if (tracer == nullptr) return;
-  const bool closed = tracer->op_end(tls_spans.pid, kind);
+void traced_op_end(OpKind kind) {
+  const bool closed = tls_spans.tracer->op_end(tls_spans.pid, kind);
   APRAM_CHECK_MSG(closed, "op_end without a matching op_begin");
 }
 
-void rt_op_phase(Phase phase, int index) {
-  Tracer* tracer = tls_spans.tracer;
-  if (tracer == nullptr) return;
-  tracer->event(tls_spans.pid, EventKind::kPhase, index,
-                static_cast<std::uint64_t>(phase));
+void traced_op_phase(Phase phase, int index) {
+  tls_spans.tracer->event(tls_spans.pid, EventKind::kPhase, index,
+                          static_cast<std::uint64_t>(phase));
 }
 
-void rt_op_help(int object) {
-  Tracer* tracer = tls_spans.tracer;
-  if (tracer == nullptr) return;
-  tracer->event(tls_spans.pid, EventKind::kHelp, object, /*arg=*/0);
+void traced_op_help(int object) {
+  tls_spans.tracer->event(tls_spans.pid, EventKind::kHelp, object,
+                          /*arg=*/0);
 }
+
+}  // namespace detail
 
 }  // namespace apram::obs

@@ -13,8 +13,8 @@
 // spans next to its ring and stamps the innermost op id onto every event.
 // sim::Context::op_begin() etc. call the World's tracer at the global step
 // (zero model steps). In rt, RtBackend::Ctx's span calls go to the thread's
-// ambient tracer (below) — one TLS load and a branch without one — and
-// RtProbe sends every probed access to its own tracer.
+// ambient tracer (below) — inline, one TLS load and a branch without one —
+// and RtProbe sends every probed access to its own tracer.
 //
 // Algorithms use the explicit begin/end calls, NOT RAII: a sim coroutine
 // frame destroyed by a crash must leave its span open in the trace (that is
@@ -87,12 +87,43 @@ const char* phase_name(Phase p);
 // uninstalls.
 void set_thread_span_tracer(Tracer* tracer, int pid);
 
-// Emit span events into the ambient tracer; no-ops when none is installed.
-// rt_op_end aborts when the thread has no open span.
-void rt_op_begin(OpKind kind);
-void rt_op_end(OpKind kind);
-void rt_op_phase(Phase phase, int index = -1);
-void rt_op_help(int object);
+namespace detail {
+
+// The calling thread's ambient tracer and its ring; null tracer outside a
+// traced harness body. Constant-initialized and trivially destructible, so
+// the check below is a plain thread-pointer-relative load with no
+// initialization guard.
+struct AmbientSpans {
+  Tracer* tracer = nullptr;
+  int pid = -1;
+};
+inline constinit thread_local AmbientSpans tls_spans{};
+
+// The traced halves of the rt_op_* calls, out of line in span.cpp.
+void traced_op_begin(OpKind kind);
+void traced_op_end(OpKind kind);
+void traced_op_phase(Phase phase, int index);
+void traced_op_help(int object);
+
+}  // namespace detail
+
+// Emit span events into the ambient tracer. Without one they are inline
+// no-ops: one TLS load and a branch, with no call. rt_op_end aborts when
+// the thread has no open span.
+inline void rt_op_begin(OpKind kind) {
+  if (detail::tls_spans.tracer != nullptr) detail::traced_op_begin(kind);
+}
+inline void rt_op_end(OpKind kind) {
+  if (detail::tls_spans.tracer != nullptr) detail::traced_op_end(kind);
+}
+inline void rt_op_phase(Phase phase, int index = -1) {
+  if (detail::tls_spans.tracer != nullptr) {
+    detail::traced_op_phase(phase, index);
+  }
+}
+inline void rt_op_help(int object) {
+  if (detail::tls_spans.tracer != nullptr) detail::traced_op_help(object);
+}
 
 // RAII span for straight-line rt/test/bench code (NOT for sim coroutine
 // bodies — see the header comment).

@@ -123,8 +123,9 @@ void World::maybe_fire_scheduled_crash(int pid) {
   // threshold keeps its result. Unspawned processes wait for spawn().
   const ProcState s = state_[static_cast<std::size_t>(pid)];
   if (s != ProcState::kLive && s != ProcState::kPending) return;
-  if (counts_[static_cast<std::size_t>(pid)].total() >=
-      crash_at_[static_cast<std::size_t>(pid)]) {
+  std::uint64_t& at = crash_at_[static_cast<std::size_t>(pid)];
+  if (counts_[static_cast<std::size_t>(pid)].total() >= at) {
+    at = kNoScheduledCrash;  // fired: a revived incarnation runs free
     crash(pid);
   }
 }

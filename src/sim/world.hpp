@@ -178,8 +178,10 @@ class World {
   // or step(). Fires immediately if the threshold is already met, and at
   // spawn() for a victim not yet spawned. Completion wins: a process whose
   // program finishes below the threshold is never crashed. One threshold
-  // per pid; a later call replaces it. Every simulated crash plan (tests,
-  // fault campaigns, Options::crashes) goes through here.
+  // per pid; a later call replaces it. A threshold fires once: the crash
+  // disarms it, so a revive()d incarnation runs until a new one is set.
+  // Every simulated crash plan (tests, fault campaigns, Options::crashes)
+  // goes through here.
   void schedule_crash(int pid, std::uint64_t at_access);
 
   // --- Execution -----------------------------------------------------------

@@ -67,40 +67,41 @@ std::vector<Untimed> untimed(const obs::Tracer& tracer) {
   return out;
 }
 
-// For n in {2, 4, 8}: builds Obj<B>(mem, n, args...) over each backend,
-// runs `ops(obj, ctx)` solo as pid 0, and compares the access counts and
-// the traces.
+// Builds Obj<B>(mem, n, args...) over each backend, runs `ops(obj, ctx)`
+// solo as pid 0, and compares the access counts and the traces.
+template <template <class> class Obj, class Ops, class... Args>
+void expect_same_accesses_at(int n, Ops ops, Args... args) {
+  constexpr std::size_t kRing = 1 << 14;
+  obs::Tracer sim_tracer(n, kRing);
+  World w(n, {.tracer = &sim_tracer});
+  Obj<api::SimBackend> sim_obj(w, n, args...);
+  w.spawn(0, [&](Context ctx) -> ProcessTask { co_await ops(sim_obj, ctx); });
+  ASSERT_TRUE(w.run_solo(0).all_done) << "n=" << n;
+  const auto sim_counts = w.counts(0);
+  ASSERT_GT(sim_counts.reads + sim_counts.writes, 0u) << "n=" << n;
+
+  obs::Registry reg;
+  obs::Tracer rt_tracer(n, kRing);
+  api::RtBackend::Mem rt_mem(n);
+  Obj<api::RtBackend> rt_obj(rt_mem, n, args...);
+  rt_mem.attach_obs(reg, "obj", &rt_tracer);
+  rt::parallel_run(
+      1, [&](int pid) { ops(rt_obj, api::RtBackend::Ctx{pid}).get(); },
+      &rt_tracer);
+  const std::uint64_t rt_reads = reg.counter("rt.obj.reads").value();
+  const std::uint64_t rt_writes = reg.counter("rt.obj.writes").value();
+  const std::uint64_t rt_cas = reg.counter("rt.obj.cas").value();
+  EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
+  EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
+
+  ASSERT_EQ(sim_tracer.dropped() + rt_tracer.dropped(), 0u) << "n=" << n;
+  EXPECT_EQ(untimed(sim_tracer), untimed(rt_tracer)) << "n=" << n;
+}
+
+// The same comparison for n in {2, 4, 8}.
 template <template <class> class Obj, class Ops, class... Args>
 void expect_same_accesses(Ops ops, Args... args) {
-  constexpr std::size_t kRing = 1 << 14;
-  for (int n : {2, 4, 8}) {
-    obs::Tracer sim_tracer(n, kRing);
-    World w(n, {.tracer = &sim_tracer});
-    Obj<api::SimBackend> sim_obj(w, n, args...);
-    w.spawn(0, [&](Context ctx) -> ProcessTask {
-      co_await ops(sim_obj, ctx);
-    });
-    ASSERT_TRUE(w.run_solo(0).all_done) << "n=" << n;
-    const auto sim_counts = w.counts(0);
-    ASSERT_GT(sim_counts.reads + sim_counts.writes, 0u) << "n=" << n;
-
-    obs::Registry reg;
-    obs::Tracer rt_tracer(n, kRing);
-    api::RtBackend::Mem rt_mem(n);
-    Obj<api::RtBackend> rt_obj(rt_mem, n, args...);
-    rt_mem.attach_obs(reg, "obj", &rt_tracer);
-    rt::parallel_run(
-        1, [&](int pid) { ops(rt_obj, api::RtBackend::Ctx{pid}).get(); },
-        &rt_tracer);
-    const std::uint64_t rt_reads = reg.counter("rt.obj.reads").value();
-    const std::uint64_t rt_writes = reg.counter("rt.obj.writes").value();
-    const std::uint64_t rt_cas = reg.counter("rt.obj.cas").value();
-    EXPECT_EQ(rt_reads, sim_counts.reads) << "n=" << n;
-    EXPECT_EQ(rt_writes + rt_cas, sim_counts.writes) << "n=" << n;
-
-    ASSERT_EQ(sim_tracer.dropped() + rt_tracer.dropped(), 0u) << "n=" << n;
-    EXPECT_EQ(untimed(sim_tracer), untimed(rt_tracer)) << "n=" << n;
-  }
+  for (int n : {2, 4, 8}) expect_same_accesses_at<Obj>(n, ops, args...);
 }
 
 template <class B>
@@ -151,12 +152,15 @@ TEST(SimRtParity, TreeScan) {
       });
 }
 
+// n = 1 too: its root is the single leaf, so read_f takes the leaf branch
+// of the root-read awaiter on both backends.
 TEST(SimRtParity, FArray) {
-  expect_same_accesses<SumFArray>(
-      [](auto& fa, auto ctx) -> VoidCoro<decltype(ctx)> {
-        co_await fa.write(ctx, 5);
-        (void)co_await fa.read_f(ctx);
-      });
+  const auto ops = [](auto& fa, auto ctx) -> VoidCoro<decltype(ctx)> {
+    co_await fa.write(ctx, 5);
+    (void)co_await fa.read_f(ctx);
+  };
+  expect_same_accesses_at<SumFArray>(1, ops);
+  expect_same_accesses<SumFArray>(ops);
 }
 
 TEST(SimRtParity, FastCounter) {

@@ -34,6 +34,7 @@
 #include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
 #include "snapshot/lattice_scan.hpp"
+#include "snapshot/tree_snapshot.hpp"
 #include "universal2/counter_rep.hpp"
 #include "universal2/wait_free_sim.hpp"
 #include "util/block_pool.hpp"
@@ -406,6 +407,41 @@ TEST(BlockPool, FrameAboveTheLargestClassRoundTripsThroughTheHeap) {
     EXPECT_EQ(big_frame(arg).get(), 3);
     EXPECT_EQ(BlockPool::cached_blocks(), 0u);
   }).join();
+}
+
+// Frames per rt op. Every frame these ops make is live at once with the
+// op's own, so on a fresh thread each comes from the heap and the op
+// leaves one cached block per frame. A TreeScan scan is its own frame: the
+// root read is the backend's awaiter, not a coroutine. A raising update is
+// two frames, the update's and the FArray write's, which walks the root
+// path inline.
+TEST(BlockPool, RtOpsKeepTheirFrameBudget) {
+  const auto frames_of = [](const auto& op) {
+    std::size_t frames = 0;
+    std::thread([&] {
+      op();
+      frames = BlockPool::cached_blocks();
+    }).join();
+    return frames;
+  };
+  constexpr int kProcs = 4;
+  std::int64_t got = 0;
+  snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(kProcs);
+  EXPECT_EQ(frames_of([&] { tree.update(0, 5); }), 2u);
+  EXPECT_EQ(frames_of([&] { got = tree.scan(1); }), 1u);
+  EXPECT_EQ(got, 5);
+
+  RtBackend::Mem mem(kProcs);
+  farray::FArray<RtBackend, std::int64_t, SumCombiner<std::int64_t>> fa(
+      mem, kProcs);
+  EXPECT_EQ(frames_of([&] { fa.write(RtBackend::Ctx{0}, 7).get(); }), 1u);
+  EXPECT_EQ(frames_of([&] { got = fa.read_f(RtBackend::Ctx{1}).get(); }), 0u);
+  EXPECT_EQ(got, 7);
+
+  PolylogQueueRT queue(kProcs);
+  queue.enqueue(0, 9);
+  EXPECT_EQ(frames_of([&] { got = queue.dequeue(1); }), 2u);
+  EXPECT_EQ(got, 9);
 }
 
 #ifdef APRAM_TEST_ASAN

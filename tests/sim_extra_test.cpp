@@ -240,5 +240,31 @@ TEST(ScheduleCrash, CrashAtStepZeroPreventsAllProgress) {
   EXPECT_EQ(w.counts(1).reads, 4u);
 }
 
+// A threshold fires once. The incarnation revived after it fired runs its
+// whole program, whether revive() materializes the frame at once (eager) or
+// at the first grant (lazy_spawn).
+TEST(ScheduleCrash, FiredThresholdSparesTheRevivedIncarnation) {
+  for (const bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy_spawn" : "eager spawn");
+    World::Options options;
+    options.lazy_spawn = lazy;
+    World w(1, options);
+    auto& reg = w.make<int>(0, /*writer=*/0);
+    const auto four_writes = [&](Context ctx) -> ProcessTask {
+      for (int i = 0; i < 4; ++i) co_await ctx.write(reg, i);
+    };
+    w.spawn(0, four_writes);
+    w.schedule_crash(0, 2);
+    w.run_solo(0);
+    ASSERT_TRUE(w.crashed(0));
+    EXPECT_EQ(w.counts(0).writes, 2u);
+
+    w.revive(0, four_writes);
+    EXPECT_TRUE(w.run_solo(0).all_done);
+    EXPECT_TRUE(w.done(0));
+    EXPECT_EQ(w.counts(0).writes, 2u + 4u);
+  }
+}
+
 }  // namespace
 }  // namespace apram::sim
