@@ -6,6 +6,8 @@
 // for the experiment index and EXPERIMENTS.md for recorded results).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -57,14 +59,24 @@ class BenchObs {
 
 using Clock = std::chrono::steady_clock;
 
-// Wall-clock ns per op of `body`, a loop of `ops` operations.
+// Timed passes per ns_per_op row.
+inline constexpr int kTimedPasses = 5;
+
+// Wall-clock ns per op of `body`, a loop of `ops` operations: the median of
+// kTimedPasses back-to-back passes, so a pass that loses the core or runs
+// at a lower clock does not set the row.
 inline double ns_per_op(const std::function<void()>& body,
                         std::uint64_t ops) {
-  const auto t0 = Clock::now();
-  body();
-  const auto t1 = Clock::now();
-  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-         static_cast<double>(ops);
+  std::array<double, kTimedPasses> ns{};
+  for (double& pass : ns) {
+    const auto t0 = Clock::now();
+    body();
+    const auto t1 = Clock::now();
+    pass = std::chrono::duration<double, std::nano>(t1 - t0).count() /
+           static_cast<double>(ops);
+  }
+  std::nth_element(ns.begin(), ns.begin() + kTimedPasses / 2, ns.end());
+  return ns[kTimedPasses / 2];
 }
 
 // One approximate-agreement execution in the concurrent-participation

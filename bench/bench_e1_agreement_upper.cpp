@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
     for (int log_ratio : {2, 6, 10, 14}) {
       const double delta = 1.0;
       const double eps = delta / std::pow(2.0, log_ratio);
-      const double bound = (2.0 * n + 1.0) * (log_ratio + 3.0) + 8.0 * n;
+      const double bound = agreement_step_bound(n, log_ratio);
 
       // Inputs spread across [0, delta] to realize the full range.
       std::vector<double> inputs;

@@ -20,7 +20,6 @@
 #include "bench_common.hpp"
 #include "obs/chrome_trace.hpp"
 #include "snapshot/lattice_scan.hpp"
-#include "snapshot/scan_stats.hpp"
 
 namespace apram::bench {
 namespace {

@@ -23,7 +23,6 @@
 #include "snapshot/baselines/double_collect.hpp"
 #include "snapshot/baselines/mutex_snapshot.hpp"
 #include "snapshot/lattice_scan.hpp"
-#include "snapshot/scan_stats.hpp"
 
 namespace apram::bench {
 namespace {

@@ -27,7 +27,7 @@
 #include "obs/analyze.hpp"
 #include "objects/counter.hpp"
 #include "rt/thread_harness.hpp"
-#include "snapshot/scan_stats.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "universal2/counter_rep.hpp"
 #include "universal2/rt.hpp"
 

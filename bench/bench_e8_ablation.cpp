@@ -12,7 +12,7 @@
 #include "objects/counter.hpp"
 #include "objects/fast_counter.hpp"
 #include "snapshot/baselines/double_collect.hpp"
-#include "snapshot/scan_stats.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "util/rng.hpp"
 
 namespace apram::bench {

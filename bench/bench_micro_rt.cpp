@@ -9,10 +9,11 @@
 //        and end with no tracer, and an FArray read_f (a frame-free root
 //        read).
 // The multi-thread throughput shapes live in bench_e5_snapshot_compare.
-// Each row times one loop — --ops accesses for M1, --ops/100 operations
-// for M2 — after an untimed warm-up pass. A read row sums its results in a
-// loop-local and checks the sum, so no read can be optimized away and the
-// timed loop stores nothing per read.
+// Each row is the median of bench_common's kTimedPasses timed loops —
+// --ops accesses for M1, --ops/100 operations for M2 — after an untimed
+// warm-up pass. A read row sums its results in a loop-local and checks the
+// sum, so no read can be optimized away and the timed loop stores nothing
+// per read.
 #include <cstdint>
 #include <functional>
 #include <iostream>
@@ -187,7 +188,7 @@ int run(int argc, char** argv) {
     // makes no shared access; a scan is one root read.
     snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(n);
     for (int p = 0; p < n; ++p) tree.update(p, p);
-    std::int64_t top = n;  // op_ns restarts i after its warm-up pass
+    std::int64_t top = n;  // op_ns restarts i on every pass
     m2_row("TreeScanRT<Max>", "update raising", n,
            op_ns([&](std::int64_t) { tree.update(0, ++top); }, object_ops));
     m2_row("TreeScanRT<Max>", "update self-covered", n,

@@ -223,7 +223,7 @@ int run(int argc, char** argv) {
     const std::uint64_t landed = probe[0].load() + probe[1].load() +
                                  probe[2].load() + probe[3].load();
     APRAM_CHECK(landed == kIters);  // and the loop cannot be elided
-    const int h = snapshot::tree_scan_height(8);
+    const int h = farray::farray_height(8);
     const double per_update_ns = 1.0 * h * ns_per_add;
     const auto snap = bobs.registry()
                           .histogram(cell_name("tree", 8, {90, 10}) +

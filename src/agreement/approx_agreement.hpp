@@ -32,6 +32,13 @@
 
 namespace apram {
 
+// Theorem 5's per-process step bound with the constant slack every check of
+// it uses: an output() finishes within (2n+1)·(log2(Δ/ε)+3) + 8n accesses,
+// where log_ratio = log2(Δ/ε).
+constexpr double agreement_step_bound(int n, double log_ratio) {
+  return (2.0 * n + 1.0) * (log_ratio + 3.0) + 8.0 * n;
+}
+
 template <class B>
 class ApproxAgreement {
  public:

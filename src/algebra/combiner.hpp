@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <limits>
 
 #include "lattice/lattice.hpp"
 
@@ -49,15 +48,6 @@ struct SumCombiner {
   using Value = T;
   static Value identity() { return T{}; }
   static Value combine(Value a, Value b) { return a + b; }
-};
-
-// (T, max, lowest) as a plain combiner — the monoid face of MaxLattice,
-// handy for Lamport-style timestamp generation off a one-read root.
-template <class T>
-struct MaxCombiner {
-  using Value = T;
-  static Value identity() { return std::numeric_limits<T>::lowest(); }
-  static Value combine(Value a, Value b) { return std::max(a, b); }
 };
 
 // Maximum suffix sum — associative but NOT commutative (swapping operands

@@ -84,6 +84,5 @@
 #include "snapshot/baselines/mutex_snapshot.hpp"
 #include "snapshot/lattice_agreement.hpp"
 #include "snapshot/lattice_scan.hpp"
-#include "snapshot/scan_stats.hpp"
 #include "snapshot/tree_snapshot.hpp"
 #include "universal2/rt.hpp"

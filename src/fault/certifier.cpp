@@ -8,7 +8,6 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/replay_artifact.hpp"
 #include "util/assert.hpp"
@@ -65,32 +64,6 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   wopts.crashes = plan.crashes;  // fired by the World, not the Nemesis
   w.apply_options(wopts);
 
-  // Flight recorder: the violation branch dumps through it, and installing
-  // it as the process panic recorder means a lincheck failure (or any
-  // panic_dump caller) inside the judge freezes THIS run's trace + metrics.
-  // Each dump carries the World's per-pid counts as of that dump, as gauges
-  // `cert.{reads,writes}.p<pid>` (a run can dump twice: panic, then
-  // violation).
-  obs::Registry registry;
-  std::unique_ptr<obs::FlightRecorder> recorder;
-  if (!opts.artifact_dir.empty()) {
-    std::filesystem::create_directories(opts.artifact_dir);
-    recorder = std::make_unique<obs::FlightRecorder>(
-        &registry, tracer.get(),
-        "violation-seed" + std::to_string(seed) + ".flight");
-    recorder->set_dir(opts.artifact_dir);
-    recorder->set_snapshot_hook([&registry, &w] {
-      for (int pid = 0; pid < w.num_procs(); ++pid) {
-        const std::string p = ".p" + std::to_string(pid);
-        registry.gauge("cert.reads" + p)
-            .set(static_cast<std::int64_t>(w.counts(pid).reads));
-        registry.gauge("cert.writes" + p)
-            .set(static_cast<std::int64_t>(w.counts(pid).writes));
-      }
-    });
-    obs::set_panic_recorder(recorder.get());
-  }
-
   sim::RandomScheduler random(sched_seed, stickiness);
   Nemesis nemesis(random, plan);
   sim::RecordingScheduler rec(nemesis);
@@ -109,32 +82,39 @@ void run_one(const sim::ExecutionFactory& factory, const Judge& judge,
   } else if (judge) {
     what = judge(*exec);
   }
-  if (what.empty()) {
-    if (recorder != nullptr) obs::set_panic_recorder(nullptr);
-    return;
-  }
+  if (what.empty()) return;
 
   Violation v;
   v.seed = seed;
   v.what = what;
   v.schedule = rec.picks();
   if (!opts.artifact_dir.empty()) {
+    std::filesystem::create_directories(opts.artifact_dir);
+    const std::string title = "fault-campaign seed " + std::to_string(seed);
     const std::string stem =
         opts.artifact_dir + "/violation-seed" + std::to_string(seed);
-    // The replay artifact is the scheduler's OWN recording — complete from
-    // grant zero, unlike the flight dump's trace-derived schedule, which
-    // covers only the events the rings still held.
+    // The replay artifact is the scheduler's own recording, complete from
+    // grant zero whatever the trace rings kept.
     v.artifact_path = stem + ".schedule";
     obs::write_schedule_file(
         v.artifact_path, v.schedule,
         {"seed " + std::to_string(seed), "violation: " + what,
          plan.describe()});
-    v.flight_path = recorder->dump(what);
+    // Each pid's access counts at the violation, beside the run's events.
+    obs::Registry registry;
+    for (int pid = 0; pid < w.num_procs(); ++pid) {
+      const std::string p = ".p" + std::to_string(pid);
+      registry.gauge("cert.reads" + p)
+          .set(static_cast<std::int64_t>(w.counts(pid).reads));
+      registry.gauge("cert.writes" + p)
+          .set(static_cast<std::int64_t>(w.counts(pid).writes));
+    }
+    v.metrics_path = stem + ".metrics.json";
+    obs::write_metrics_json(v.metrics_path, registry, tracer.get(),
+                            title + ": " + what);
     obs::write_chrome_trace(stem + ".trace.json", tracer->events(),
-                            obs::TraceTimebase::kSimSteps,
-                            "fault-campaign seed " + std::to_string(seed));
+                            obs::TraceTimebase::kSimSteps, title);
   }
-  if (recorder != nullptr) obs::set_panic_recorder(nullptr);
   result.violations.push_back(std::move(v));
 }
 

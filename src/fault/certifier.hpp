@@ -15,10 +15,16 @@
 //       or the agreement bound (2n+1)·log2(Δ/ε) + O(n) (Theorem 5).
 //
 // Violations are recorded with the full interleaving (captured by a
-// RecordingScheduler around the Nemesis) and — when artifact_dir is set —
-// written as an annotated replay artifact plus a metrics JSON dump that
-// carries the per-pid `cert.{reads,writes}.p<pid>` counters.
-// replay_artifact() re-executes an artifact strictly (Divergence::kFail),
+// RecordingScheduler around the Nemesis). When artifact_dir is set, the
+// certifier alone writes each violation's three artifacts,
+// `<artifact_dir>/violation-seed<N>.*`:
+//
+//   .schedule      the annotated replay artifact (obs/replay_artifact.hpp);
+//   .metrics.json  the per-pid `cert.{reads,writes}.p<pid>` gauges and the
+//                  run's trace events (obs/export.hpp schema);
+//   .trace.json    the same events for Perfetto (obs/chrome_trace.hpp).
+//
+// replay_artifact() re-executes a .schedule strictly (Divergence::kFail),
 // reproducing the violating run step-identically.
 #pragma once
 
@@ -57,7 +63,7 @@ struct Violation {
   std::string what;
   std::vector<int> schedule;   // the full recorded interleaving
   std::string artifact_path;   // "" when artifact emission is disabled
-  std::string flight_path;     // flight-recorder metrics dump (obs/flight.hpp)
+  std::string metrics_path;    // "" when artifact emission is disabled
 };
 
 struct CampaignResult {

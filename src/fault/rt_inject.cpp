@@ -3,7 +3,7 @@
 #include <chrono>
 #include <thread>
 
-#include "obs/rt_probe.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace apram::fault {

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "lincheck/history.hpp"
-#include "obs/flight.hpp"
 #include "util/assert.hpp"
 
 namespace apram {
@@ -43,10 +42,6 @@ class LinearizabilityChecker {
       // search() ever pushes onto a failing path: a failed check must never
       // expose a partial (or stale) linearization.
       witness_.clear();
-      // A non-linearizable history is a correctness emergency: freeze the
-      // run's trace + metrics while they still exist (no-op unless a flight
-      // recorder is installed — obs::set_panic_recorder).
-      obs::panic_dump("linearizability check failed");
       return false;
     }
     // The witness is accumulated on the unwind, deepest-first; reverse it

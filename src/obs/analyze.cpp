@@ -8,6 +8,9 @@
 #include <set>
 #include <sstream>
 
+#include "agreement/approx_agreement.hpp"
+#include "farray/farray.hpp"
+#include "snapshot/lattice_scan.hpp"
 #include "util/assert.hpp"
 
 namespace apram::obs {
@@ -119,13 +122,14 @@ std::vector<const OpStats*> TraceAnalysis::complete_of(OpKind kind) const {
   return out;
 }
 
-// --- metrics-JSON event loader ---------------------------------------------
+// --- metrics-JSON loader ---------------------------------------------------
 //
-// Reads back exactly what obs::export_json writes: an "events" array of flat
-// objects with numeric fields and a quoted "kind". Not a general JSON
-// parser — it aborts on anything it does not recognise, which is the right
-// behaviour for a CI bound checker (a malformed artifact must fail the
-// check, not be half-read).
+// Reads back exactly what obs::export_json writes: "name", the three metric
+// sections and an optional "events" array of flat objects with numeric
+// fields and a quoted "kind". Not a general JSON parser — it aborts on
+// anything it does not recognise, which is the right behaviour for a CI
+// bound checker (a malformed artifact must fail the check, not be
+// half-read).
 
 namespace {
 
@@ -134,7 +138,6 @@ struct Cursor {
   std::size_t i = 0;
 
   bool done() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
   void skip_ws() {
     while (!done() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
   }
@@ -145,7 +148,7 @@ struct Cursor {
     return true;
   }
   void expect(char c) {
-    APRAM_CHECK_MSG(consume(c), "malformed events JSON: unexpected token");
+    APRAM_CHECK_MSG(consume(c), "malformed metrics JSON: unexpected token");
   }
 
   std::string string_lit() {
@@ -166,7 +169,7 @@ struct Cursor {
     if (end < s.size() && s[end] == '-') ++end;
     while (end < s.size() && std::isdigit(static_cast<unsigned char>(s[end])))
       ++end;
-    APRAM_CHECK_MSG(end > i, "malformed events JSON: expected a number");
+    APRAM_CHECK_MSG(end > i, "malformed metrics JSON: expected a number");
     const std::int64_t v = std::stoll(s.substr(i, end - i));
     i = end;
     return v;
@@ -190,66 +193,94 @@ struct Cursor {
   }
 };
 
-}  // namespace
-
-std::vector<TraceEvent> load_events_json(const std::string& path) {
-  std::ifstream in(path);
-  APRAM_CHECK_MSG(in.good(), "cannot open trace artifact");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-
-  const std::size_t at = text.find("\"events\"");
-  APRAM_CHECK_MSG(at != std::string::npos,
-                  "trace artifact has no \"events\" array — was the bench "
-                  "run with a tracer attached?");
-  Cursor cur{text, at + std::string("\"events\"").size()};
-  cur.expect(':');
-  cur.expect('[');
-
-  std::vector<TraceEvent> events;
-  cur.skip_ws();
-  if (cur.consume(']')) return events;
+// `{ "key": value, ... }`, calling one(key) with the cursor at each value.
+template <class F>
+void read_object(Cursor& cur, F&& one) {
+  cur.expect('{');
+  if (cur.consume('}')) return;
   do {
-    cur.expect('{');
-    TraceEvent ev;
-    do {
-      const std::string key = cur.string_lit();
-      cur.expect(':');
-      if (key == "kind") {
-        ev.kind = kind_from_name(cur.string_lit());
-      } else {
-        const std::int64_t v = cur.number();
-        if (key == "when") {
-          ev.when = static_cast<std::uint64_t>(v);
-        } else if (key == "pid") {
-          ev.pid = static_cast<std::int32_t>(v);
-        } else if (key == "object") {
-          ev.object = static_cast<std::int32_t>(v);
-        } else if (key == "arg") {
-          ev.arg = static_cast<std::uint64_t>(v);
-        } else if (key == "op") {
-          ev.op = static_cast<std::uint64_t>(v);
-        } else {
-          APRAM_CHECK_MSG(false, "malformed events JSON: unknown event key");
-        }
-      }
-    } while (cur.consume(','));
-    cur.expect('}');
-    events.push_back(ev);
+    const std::string key = cur.string_lit();
+    cur.expect(':');
+    one(key);
   } while (cur.consume(','));
-  cur.expect(']');
-  return events;
+  cur.expect('}');
 }
 
-bool metrics_json_has_events(const std::string& path) {
-  std::ifstream in(path);
-  // A probe, not a loader: an unreadable file is "no events here" — the
-  // loud abort belongs to whichever loader the caller picks next.
-  if (!in.good()) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str().find("\"events\"") != std::string::npos;
+// `[ item, ... ]`, calling one() with the cursor at each item.
+template <class F>
+void read_array(Cursor& cur, F&& one) {
+  cur.expect('[');
+  if (cur.consume(']')) return;
+  do {
+    one();
+  } while (cur.consume(','));
+  cur.expect(']');
+}
+
+MetricsDoc::HistSummary read_histogram(Cursor& cur) {
+  MetricsDoc::HistSummary h;
+  read_object(cur, [&](const std::string& key) {
+    if (key == "count") {
+      h.count = static_cast<std::uint64_t>(cur.number());
+    } else if (key == "sum") {
+      h.sum = static_cast<std::uint64_t>(cur.number());
+    } else if (key == "mean") {
+      h.mean = cur.float_number();
+    } else if (key == "p50") {
+      h.p50 = cur.float_number();
+    } else if (key == "p90") {
+      h.p90 = cur.float_number();
+    } else if (key == "p99") {
+      h.p99 = cur.float_number();
+    } else if (key == "p999") {
+      h.p999 = cur.float_number();
+    } else if (key == "buckets") {
+      read_array(cur, [&] {
+        cur.expect('[');
+        cur.number();
+        cur.expect(',');
+        cur.number();
+        cur.expect(']');
+      });
+    } else {
+      APRAM_CHECK_MSG(false, "malformed metrics JSON: unknown histogram key");
+    }
+  });
+  return h;
+}
+
+TraceEvent read_event(Cursor& cur) {
+  TraceEvent ev;
+  read_object(cur, [&](const std::string& key) {
+    if (key == "kind") {
+      ev.kind = kind_from_name(cur.string_lit());
+      return;
+    }
+    const std::int64_t v = cur.number();
+    if (key == "when") {
+      ev.when = static_cast<std::uint64_t>(v);
+    } else if (key == "pid") {
+      ev.pid = static_cast<std::int32_t>(v);
+    } else if (key == "object") {
+      ev.object = static_cast<std::int32_t>(v);
+    } else if (key == "arg") {
+      ev.arg = static_cast<std::uint64_t>(v);
+    } else if (key == "op") {
+      ev.op = static_cast<std::uint64_t>(v);
+    } else {
+      APRAM_CHECK_MSG(false, "malformed metrics JSON: unknown event key");
+    }
+  });
+  return ev;
+}
+
+}  // namespace
+
+const std::vector<TraceEvent>& MetricsDoc::trace() const {
+  APRAM_CHECK_MSG(events.has_value(),
+                  "trace artifact has no \"events\" array — was the bench "
+                  "run with a tracer attached?");
+  return *events;
 }
 
 MetricsDoc load_metrics_json(const std::string& path) {
@@ -260,100 +291,35 @@ MetricsDoc load_metrics_json(const std::string& path) {
   const std::string text = buf.str();
 
   MetricsDoc doc;
-
-  // The exporter's layout is fixed: optional "name" first, then the three
-  // metric sections. Each is located by its literal header — fine for a
-  // reader of our own writer, loud (APRAM_CHECK) on anything else.
-  if (const std::size_t at = text.find("\"name\": ");
-      at != std::string::npos && at < text.find("\"counters\"")) {
-    Cursor cur{text, at + std::string("\"name\": ").size()};
-    doc.name = cur.string_lit();
-  }
-
-  auto section = [&](const char* header) {
-    const std::size_t at = text.find(header);
-    APRAM_CHECK_MSG(at != std::string::npos,
-                    "metrics artifact is missing a metric section");
-    Cursor cur{text, at + std::string(header).size()};
-    cur.expect(':');
-    cur.expect('{');
-    return cur;
-  };
-
-  {
-    Cursor cur = section("\"counters\"");
-    cur.skip_ws();
-    if (!cur.consume('}')) {
-      do {
-        const std::string key = cur.string_lit();
-        cur.expect(':');
-        doc.counters[key] = static_cast<std::uint64_t>(cur.number());
-      } while (cur.consume(','));
-      cur.expect('}');
+  int sections = 0;
+  Cursor cur{text};
+  read_object(cur, [&](const std::string& key) {
+    if (key == "name") {
+      doc.name = cur.string_lit();
+    } else if (key == "counters") {
+      ++sections;
+      read_object(cur, [&](const std::string& name) {
+        doc.counters[name] = static_cast<std::uint64_t>(cur.number());
+      });
+    } else if (key == "gauges") {
+      ++sections;
+      read_object(cur, [&](const std::string& name) {
+        doc.gauges[name] = cur.number();
+      });
+    } else if (key == "histograms") {
+      ++sections;
+      read_object(cur, [&](const std::string& name) {
+        doc.histograms[name] = read_histogram(cur);
+      });
+    } else if (key == "events") {
+      doc.events.emplace();
+      read_array(cur, [&] { doc.events->push_back(read_event(cur)); });
+    } else {
+      APRAM_CHECK_MSG(false, "malformed metrics JSON: unknown section");
     }
-  }
-  {
-    Cursor cur = section("\"gauges\"");
-    cur.skip_ws();
-    if (!cur.consume('}')) {
-      do {
-        const std::string key = cur.string_lit();
-        cur.expect(':');
-        doc.gauges[key] = cur.number();
-      } while (cur.consume(','));
-      cur.expect('}');
-    }
-  }
-  {
-    Cursor cur = section("\"histograms\"");
-    cur.skip_ws();
-    if (!cur.consume('}')) {
-      do {
-        const std::string name = cur.string_lit();
-        cur.expect(':');
-        cur.expect('{');
-        MetricsDoc::HistSummary h;
-        do {
-          const std::string key = cur.string_lit();
-          cur.expect(':');
-          if (key == "count") {
-            h.count = static_cast<std::uint64_t>(cur.number());
-          } else if (key == "sum") {
-            h.sum = static_cast<std::uint64_t>(cur.number());
-          } else if (key == "mean") {
-            h.mean = cur.float_number();
-          } else if (key == "p50") {
-            h.p50 = cur.float_number();
-          } else if (key == "p90") {
-            h.p90 = cur.float_number();
-          } else if (key == "p99") {
-            h.p99 = cur.float_number();
-          } else if (key == "p999") {
-            h.p999 = cur.float_number();
-          } else if (key == "buckets") {
-            cur.expect('[');
-            cur.skip_ws();
-            if (!cur.consume(']')) {
-              do {
-                cur.expect('[');
-                cur.number();
-                cur.expect(',');
-                cur.number();
-                cur.expect(']');
-              } while (cur.consume(','));
-              cur.expect(']');
-            }
-          } else {
-            APRAM_CHECK_MSG(false,
-                            "malformed metrics JSON: unknown histogram key");
-          }
-        } while (cur.consume(','));
-        cur.expect('}');
-        doc.histograms[name] = h;
-      } while (cur.consume(','));
-      cur.expect('}');
-    }
-  }
+  });
+  APRAM_CHECK_MSG(sections == 3,
+                  "metrics artifact is missing a metric section");
   return doc;
 }
 
@@ -522,16 +488,6 @@ std::uint64_t HelpGraph::received(int pid) const {
 
 namespace {
 
-int ceil_log2(int n) {
-  int m = 1;
-  int h = 0;
-  while (m < n) {
-    m *= 2;
-    ++h;
-  }
-  return h;
-}
-
 int effective_n(const TraceAnalysis& a, int n) { return n > 0 ? n : a.num_pids; }
 
 void check_ops(const TraceAnalysis& a, OpKind kind, BoundReport& report,
@@ -561,9 +517,10 @@ BoundReport check_scan_bound(const TraceAnalysis& a, int n) {
   const int nn = effective_n(a, n);
   BoundReport report{.name = "scan", .formula = bound_formula("scan")};
   APRAM_CHECK_MSG(nn >= 1, "scan bound needs n >= 1");
-  const std::uint64_t un = static_cast<std::uint64_t>(nn);
-  const std::uint64_t read_bound = un * un - 1;
-  const std::uint64_t write_bound = un + 1;
+  const std::uint64_t read_bound =
+      expected_scan_reads(nn, ScanMode::kOptimized);
+  const std::uint64_t write_bound =
+      expected_scan_writes(nn, ScanMode::kOptimized);
   check_ops(a, OpKind::kScan, report,
             [&](const OpStats& s, BoundReport& r) {
               if (s.reads > read_bound)
@@ -580,8 +537,7 @@ BoundReport check_tree_update_bound(const TraceAnalysis& a, int n) {
   BoundReport report{.name = "tree_update",
                      .formula = bound_formula("tree_update")};
   APRAM_CHECK_MSG(nn >= 1, "tree_update bound needs n >= 1");
-  const std::uint64_t bound =
-      1 + 8ull * static_cast<std::uint64_t>(ceil_log2(nn));
+  const std::uint64_t bound = farray::farray_write_max_accesses(nn);
   check_ops(a, OpKind::kTreeUpdate, report,
             [&](const OpStats& s, BoundReport& r) {
               if (s.accesses() > bound)
@@ -595,8 +551,9 @@ BoundReport check_tree_scan_bound(const TraceAnalysis& a) {
                      .formula = bound_formula("tree_scan")};
   check_ops(a, OpKind::kTreeScan, report,
             [&](const OpStats& s, BoundReport& r) {
-              if (s.accesses() > 1)
-                violation(r, s, "accesses", s.accesses(), 1, a.num_pids);
+              const std::uint64_t bound = farray::farray_read_accesses();
+              if (s.accesses() > bound)
+                violation(r, s, "accesses", s.accesses(), bound, a.num_pids);
             });
   return report;
 }
@@ -608,10 +565,7 @@ BoundReport check_agreement_bound(const TraceAnalysis& a, double log_ratio,
                      .formula = bound_formula("agreement")};
   APRAM_CHECK_MSG(nn >= 1, "agreement bound needs n >= 1");
   APRAM_CHECK_MSG(log_ratio >= 0.0, "agreement bound needs log2(delta/eps)");
-  // Theorem 5 with the same slackened constants tests/agreement_test.cpp
-  // asserts: (2n+1)·(log2(Δ/ε)+3) + 8n.
-  const double bound =
-      (2.0 * nn + 1.0) * (log_ratio + 3.0) + 8.0 * nn;
+  const double bound = agreement_step_bound(nn, log_ratio);
   const std::uint64_t ubound = static_cast<std::uint64_t>(bound);
   check_ops(a, OpKind::kOutput, report,
             [&](const OpStats& s, BoundReport& r) {
@@ -640,8 +594,8 @@ BoundReport check_queue_op_bound(const TraceAnalysis& a, int n) {
   BoundReport report{.name = "queue_op", .formula = bound_formula("queue_op")};
   APRAM_CHECK_MSG(nn >= 1, "queue_op bound needs n >= 1");
   // c·⌈log2 n⌉² with c = 12, clamped so n = 1 still has a positive budget.
-  const std::uint64_t h =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(ceil_log2(nn)));
+  const std::uint64_t h = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(farray::farray_height(nn)));
   const std::uint64_t bound = 12ull * h * h;
   for (OpKind kind : {OpKind::kEnqueue, OpKind::kDequeue}) {
     check_ops(a, kind, report, [&](const OpStats& s, BoundReport& r) {

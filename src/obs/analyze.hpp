@@ -26,12 +26,15 @@
 // access total; such ops are excluded from bound checks and reported in
 // `TraceAnalysis::truncated_ops` / `open_ops` instead of silently passing.
 //
-// The `tools/apram-trace` CLI wraps this library over the `events` array of
-// a --metrics_out JSON artifact (obs/export.hpp schema).
+// load_metrics_json is the one reader of a metrics JSON artifact
+// (obs/export.hpp schema): a bench's --metrics_out file or a fault
+// certifier violation's `.metrics.json`. The `tools/apram-trace` CLI wraps
+// this library over the artifact it loads.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,20 +82,10 @@ struct TraceAnalysis {
 
 TraceAnalysis analyze(const std::vector<TraceEvent>& events);
 
-// Loads the `events` array of a metrics JSON artifact written by
-// obs::write_metrics_json (aborts on a file/shape it cannot read — a CI
-// check must fail loudly, not skip).
-std::vector<TraceEvent> load_events_json(const std::string& path);
-
-// True iff the artifact is readable and carries a (possibly empty) "events"
-// array. Lets callers fall back to gauge-derived analysis for artifacts
-// exported without a tracer; unreadable files probe false (the loud abort
-// belongs to whichever loader runs next).
-bool metrics_json_has_events(const std::string& path);
-
-// Scalar view of a whole metrics JSON artifact (obs/export.hpp schema):
-// counters, gauges, and histogram summaries by name. Bucket arrays are
-// skipped — diffing and gauge-derived heatmaps only need the summaries.
+// A whole metrics JSON artifact (obs/export.hpp schema): counters, gauges,
+// histogram summaries by name, and the trace events when it has them.
+// Bucket arrays are skipped — diffing and gauge-derived heatmaps only need
+// the summaries.
 struct MetricsDoc {
   struct HistSummary {
     std::uint64_t count = 0;
@@ -104,10 +97,17 @@ struct MetricsDoc {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, std::int64_t> gauges;
   std::map<std::string, HistSummary> histograms;
+  // The "events" array; nullopt when the artifact was exported without a
+  // tracer (an empty array is an empty vector).
+  std::optional<std::vector<TraceEvent>> events;
+
+  // *events, for a caller that analyzes them: aborts loudly when the
+  // artifact has no "events" array.
+  const std::vector<TraceEvent>& trace() const;
 };
 
-// Aborts on a file/shape it cannot read (same loud-failure contract as
-// load_events_json).
+// Reads the artifact in one pass. Aborts on a file or shape it cannot read:
+// a CI check must fail loudly, not skip.
 MetricsDoc load_metrics_json(const std::string& path);
 
 // --- contention heatmap ----------------------------------------------------

@@ -1,28 +1,21 @@
 #include "obs/metrics.hpp"
 
+#include "obs/trace.hpp"
+
 namespace apram::obs {
 
 namespace {
 std::atomic<int> g_next_shard{0};
-thread_local int tls_shard = -1;
-thread_local int tls_pid = -1;
 }  // namespace
 
-int thread_pid() { return tls_pid; }
-
-void set_thread_pid(int pid) { tls_pid = pid; }
-
-int this_shard() {
-  if (tls_shard < 0) {
-    tls_shard = g_next_shard.fetch_add(1, std::memory_order_relaxed) %
-                kMaxShards;
-  }
-  return tls_shard;
+int detail::next_shard() {
+  return g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMaxShards;
 }
 
-void pin_this_shard(int shard) {
-  APRAM_CHECK(shard >= 0);
-  tls_shard = shard % kMaxShards;
+void set_thread_identity(int pid, Tracer* tracer) {
+  APRAM_CHECK(pid >= 0);
+  if (tracer != nullptr) tracer->clear_spans(pid);
+  detail::tls_thread = {tracer, pid, pid % kMaxShards};
 }
 
 LatencyRecorder::LatencyRecorder(Registry& registry, const std::string& name)

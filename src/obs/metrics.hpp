@@ -15,8 +15,9 @@
 //     Registry's lifetime; creation takes a mutex (cold path only), so hot
 //     code caches `Counter&` references.
 //
-// Shard selection: each thread lazily claims a shard index via this_shard();
-// the rt thread harness pins shard == pid so that harness threads land on
+// Shard selection: a thread's shard index lives in its identity record
+// (below). A thread without a pid claims one lazily, round-robin; the rt
+// thread harness sets shard == pid so that harness threads land on
 // distinct slots. A metric has kShards slots and shard s records into slot
 // s % kShards. Two threads sharing a slot is safe (slots are atomics) and
 // only costs cache-line traffic; totals stay exact either way.
@@ -35,18 +36,51 @@
 
 namespace apram::obs {
 
-// Upper bound on distinct shard indices; pin_this_shard clamps beyond it.
+class Tracer;  // obs/trace.hpp
+
+// Upper bound on distinct shard indices; set_thread_identity clamps beyond
+// it.
 inline constexpr int kMaxShards = 64;
 
 // Slots per counter and per histogram.
 inline constexpr int kShards = 16;
 
-// Stable shard index of the calling thread, lazily assigned round-robin.
-int this_shard();
+// --- rt thread identity -----------------------------------------------------
+//
+// Who the calling thread is, in one record. It is constant-initialized and
+// trivially destructible, so every read is a plain thread-pointer-relative
+// load with no initialization guard:
+//   tracer  the ambient tracer of the thread's rt span calls
+//           (obs/span.hpp); null outside a traced harness body;
+//   pid     the model process the thread acts as, which is also its trace
+//           ring; -1 outside a harness body. RtProbe and fault::RtInjector
+//           read it;
+//   shard   the thread's metrics shard; -1 until first used.
+namespace detail {
+struct ThreadIdentity {
+  Tracer* tracer = nullptr;
+  int pid = -1;
+  int shard = -1;
+};
+inline constinit thread_local ThreadIdentity tls_thread{};
 
-// Pins the calling thread's shard (the rt harness pins shard == pid). Ids
-// ≥ kMaxShards are clamped modulo kMaxShards.
-void pin_this_shard(int shard);
+int next_shard();  // round-robin over kMaxShards
+}  // namespace detail
+
+// Declares the calling thread as model process `pid` (rt::parallel_run does
+// this once per worker): shard pid mod kMaxShards, and `tracer` (may be
+// null) as the ambient tracer, with pid's open spans cleared.
+void set_thread_identity(int pid, Tracer* tracer);
+
+// Model pid of the calling thread; -1 outside a harness body.
+inline int thread_pid() { return detail::tls_thread.pid; }
+
+// Stable shard index of the calling thread.
+inline int this_shard() {
+  int& shard = detail::tls_thread.shard;
+  if (shard < 0) shard = detail::next_shard();
+  return shard;
+}
 
 namespace detail {
 struct alignas(64) Slot {

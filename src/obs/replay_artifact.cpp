@@ -9,23 +9,6 @@
 
 namespace apram::obs {
 
-std::vector<int> schedule_from_trace(const std::vector<TraceEvent>& events) {
-  std::vector<int> schedule;
-  schedule.reserve(events.size());
-  for (const TraceEvent& ev : events) {
-    switch (ev.kind) {
-      case EventKind::kRead:
-      case EventKind::kWrite:
-      case EventKind::kCas:
-        schedule.push_back(ev.pid);
-        break;
-      default:
-        break;
-    }
-  }
-  return schedule;
-}
-
 void save_schedule(std::ostream& os, const std::vector<int>& schedule,
                    const std::vector<std::string>& comments) {
   os << "# apram-schedule v1\n";

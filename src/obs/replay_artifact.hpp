@@ -1,11 +1,11 @@
 // apram::obs — replay artifacts.
 //
 // Simulator executions are pure functions of (program, schedule), and every
-// scheduler grant performs exactly one shared-memory access. A recorded sim
-// trace therefore IS the schedule: projecting the access events onto their
-// pids, in step order, reproduces the exact grant sequence, and feeding that
-// sequence to sim::FixedScheduler (via sim::replay) re-executes the run
-// byte-for-byte.
+// scheduler grant performs exactly one shared-memory access. A run's grant
+// sequence, as sim::RecordingScheduler records it, is therefore a complete
+// description of the run: feeding it to sim::FixedScheduler (via
+// sim::replay) re-executes the run step for step. The fault certifier
+// writes one for every violation it finds (fault/certifier.hpp).
 //
 // The artifact format is a trivially diffable text file:
 //
@@ -22,14 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"
-
 namespace apram::obs {
-
-// Projects a sim trace onto its scheduler grant sequence: one entry per
-// shared-memory access event (kRead/kWrite/kCas), ordered by step. Non-access
-// events (spawn/done/crash/user) are skipped — they consume no grants.
-std::vector<int> schedule_from_trace(const std::vector<TraceEvent>& events);
 
 // `comments` lines (if any) are written after the header as '# '-prefixed
 // annotations — seeds, fault plans, violation descriptions. The loader

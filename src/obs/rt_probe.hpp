@@ -10,8 +10,9 @@
 //
 // Thread identity: trace rings are single-producer per pid, so probe events
 // are emitted only from threads that declared which model process they act
-// as (rt::parallel_run does this automatically). Threads without a pid still
-// count — counters are safe from any thread — but produce no trace events.
+// as (obs::set_thread_identity, which rt::parallel_run calls). Threads
+// without a pid still count — counters are safe from any thread — but
+// produce no trace events.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,6 @@
 #include "obs/trace.hpp"
 
 namespace apram::obs {
-
-// Model pid of the calling thread; -1 outside a harness body.
-int thread_pid();
-void set_thread_pid(int pid);
 
 struct RtProbe {
   Counter* reads = nullptr;

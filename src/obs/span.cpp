@@ -74,30 +74,25 @@ const char* phase_name(Phase p) {
   return "?";
 }
 
-void set_thread_span_tracer(Tracer* tracer, int pid) {
-  if (tracer != nullptr) tracer->clear_spans(pid);
-  detail::tls_spans = detail::AmbientSpans{tracer, pid};
-}
-
 namespace detail {
 
 void traced_op_begin(OpKind kind) {
-  tls_spans.tracer->op_begin(tls_spans.pid, kind);
+  tls_thread.tracer->op_begin(tls_thread.pid, kind);
 }
 
 void traced_op_end(OpKind kind) {
-  const bool closed = tls_spans.tracer->op_end(tls_spans.pid, kind);
+  const bool closed = tls_thread.tracer->op_end(tls_thread.pid, kind);
   APRAM_CHECK_MSG(closed, "op_end without a matching op_begin");
 }
 
 void traced_op_phase(Phase phase, int index) {
-  tls_spans.tracer->event(tls_spans.pid, EventKind::kPhase, index,
-                          static_cast<std::uint64_t>(phase));
+  tls_thread.tracer->event(tls_thread.pid, EventKind::kPhase, index,
+                           static_cast<std::uint64_t>(phase));
 }
 
 void traced_op_help(int object) {
-  tls_spans.tracer->event(tls_spans.pid, EventKind::kHelp, object,
-                          /*arg=*/0);
+  tls_thread.tracer->event(tls_thread.pid, EventKind::kHelp, object,
+                           /*arg=*/0);
 }
 
 }  // namespace detail

@@ -80,24 +80,12 @@ enum class Phase : std::uint8_t {
 
 const char* phase_name(Phase p);
 
-// --- rt ambient span state (thread-local) ---------------------------------
+// --- rt span calls -----------------------------------------------------------
 //
-// Installed by rt::parallel_run next to set_thread_pid, with the thread's
-// pid (its ring); installing clears that pid's open spans, and nullptr
-// uninstalls.
-void set_thread_span_tracer(Tracer* tracer, int pid);
+// They go to the calling thread's ambient tracer, on its pid's ring, both
+// from its identity record (obs/metrics.hpp), which rt::parallel_run sets.
 
 namespace detail {
-
-// The calling thread's ambient tracer and its ring; null tracer outside a
-// traced harness body. Constant-initialized and trivially destructible, so
-// the check below is a plain thread-pointer-relative load with no
-// initialization guard.
-struct AmbientSpans {
-  Tracer* tracer = nullptr;
-  int pid = -1;
-};
-inline constinit thread_local AmbientSpans tls_spans{};
 
 // The traced halves of the rt_op_* calls, out of line in span.cpp.
 void traced_op_begin(OpKind kind);
@@ -111,18 +99,18 @@ void traced_op_help(int object);
 // no-ops: one TLS load and a branch, with no call. rt_op_end aborts when
 // the thread has no open span.
 inline void rt_op_begin(OpKind kind) {
-  if (detail::tls_spans.tracer != nullptr) detail::traced_op_begin(kind);
+  if (detail::tls_thread.tracer != nullptr) detail::traced_op_begin(kind);
 }
 inline void rt_op_end(OpKind kind) {
-  if (detail::tls_spans.tracer != nullptr) detail::traced_op_end(kind);
+  if (detail::tls_thread.tracer != nullptr) detail::traced_op_end(kind);
 }
 inline void rt_op_phase(Phase phase, int index = -1) {
-  if (detail::tls_spans.tracer != nullptr) {
+  if (detail::tls_thread.tracer != nullptr) {
     detail::traced_op_phase(phase, index);
   }
 }
 inline void rt_op_help(int object) {
-  if (detail::tls_spans.tracer != nullptr) detail::traced_op_help(object);
+  if (detail::tls_thread.tracer != nullptr) detail::traced_op_help(object);
 }
 
 // RAII span for straight-line rt/test/bench code (NOT for sim coroutine

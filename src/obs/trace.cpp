@@ -113,8 +113,7 @@ std::uint64_t Tracer::now_ns() const {
           .count());
 }
 
-void Tracer::collect(std::vector<TraceEvent>& out,
-                     CollectStats* stats) const {
+void Tracer::collect(std::vector<TraceEvent>& out) const {
   for (std::size_t r = 0; r < rings_.size(); ++r) {
     const Ring& ring = *rings_[r];
     const std::uint64_t h = ring.head.load(std::memory_order_acquire);
@@ -123,7 +122,6 @@ void Tracer::collect(std::vector<TraceEvent>& out,
     for (std::uint64_t i = start; i < h; ++i) {
       out.push_back(ring.slots[static_cast<std::size_t>(i % cap_)]);
     }
-    if (stats != nullptr) stats->survived += h - start;
     if (start == 0) continue;  // nothing overwritten in this ring
     // Ring overflow: any op id referenced by a surviving event of this ring
     // without a surviving kOpBegin lost its opening to overwrite. Mark each
@@ -131,7 +129,7 @@ void Tracer::collect(std::vector<TraceEvent>& out,
     // exclude the op instead of under-counting its accesses. Markers are
     // appended to `out` ONLY — they never occupy ring slots, so they cannot
     // displace real events or perturb the recorded/dropped conservation law
-    // (see CollectStats in the header).
+    // (see events() in the header).
     std::set<std::uint64_t> opened;
     std::set<std::uint64_t> referenced;
     for (std::size_t i = first; i < out.size(); ++i) {
@@ -148,7 +146,6 @@ void Tracer::collect(std::vector<TraceEvent>& out,
       if (opened.count(op) != 0) continue;
       out.push_back(TraceEvent{earliest, pid, EventKind::kTruncated,
                                /*object=*/-1, /*arg=*/0, op});
-      if (stats != nullptr) ++stats->synthesized;
     }
   }
   std::stable_sort(out.begin(), out.end(),
@@ -160,20 +157,13 @@ void Tracer::collect(std::vector<TraceEvent>& out,
 
 std::vector<TraceEvent> Tracer::events() const {
   std::vector<TraceEvent> out;
-  collect(out, nullptr);
-  return out;
-}
-
-std::vector<TraceEvent> Tracer::events(CollectStats& stats) const {
-  stats = CollectStats{};
-  std::vector<TraceEvent> out;
-  collect(out, &stats);
+  collect(out);
   return out;
 }
 
 std::vector<TraceEvent> Tracer::drain() {
   std::vector<TraceEvent> out;
-  collect(out, nullptr);
+  collect(out);
   for (auto& ring : rings_) {
     const std::uint64_t h = ring->head.load(std::memory_order_relaxed);
     retired_recorded_ += h;

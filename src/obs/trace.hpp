@@ -126,25 +126,11 @@ class Tracer {
   // accesses) whose kOpBegin was overwritten. For each such op id a
   // kTruncated marker is synthesized at the ring's earliest surviving
   // timestamp, so analyzers report the op as truncated instead of
-  // miscounting its accesses.
+  // miscounting its accesses. Markers are appended to the output only,
+  // never stored in a ring slot, so every recorded event either survives
+  // or is dropped: recorded() == (events() less its markers) + dropped().
+  // Events a sampler rejected are never recorded (sampled_out()).
   std::vector<TraceEvent> events() const;
-
-  // Exact accounting for one collection pass. The conservation law — every
-  // emitted event is in exactly one bucket:
-  //
-  //   recorded() == survived + dropped()
-  //
-  // and synthesized kTruncated markers live in NONE of them: they are
-  // appended to the OUTPUT vector only, never stored in ring slots, so they
-  // can neither overwrite real events nor inflate the drop count.
-  // Events a sampler rejected are a fourth, disjoint population
-  // (sampled_out()) — rejected before recording, by design not a "drop".
-  struct CollectStats {
-    std::uint64_t survived = 0;     // real events copied out of the rings
-    std::uint64_t synthesized = 0;  // kTruncated markers added to the output
-  };
-
-  std::vector<TraceEvent> events(CollectStats& stats) const;
 
   // events(), then resets every ring.
   std::vector<TraceEvent> drain();
@@ -177,7 +163,7 @@ class Tracer {
     return *rings_[static_cast<std::size_t>(pid)];
   }
   std::uint64_t now_ns() const;  // since construction
-  void collect(std::vector<TraceEvent>& out, CollectStats* stats) const;
+  void collect(std::vector<TraceEvent>& out) const;
 
   std::size_t cap_;
   std::vector<std::unique_ptr<Ring>> rings_;

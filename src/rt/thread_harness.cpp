@@ -3,8 +3,6 @@
 #include <memory>
 #include <thread>
 
-#include "obs/rt_probe.hpp"
-#include "obs/span.hpp"
 #include "util/assert.hpp"
 
 namespace apram::rt {
@@ -34,9 +32,7 @@ std::vector<std::thread> launch_workers(
   threads.reserve(static_cast<std::size_t>(num_threads));
   for (int pid = 0; pid < num_threads; ++pid) {
     threads.emplace_back([barrier, &body, tracer, on_done, pid] {
-      obs::set_thread_pid(pid);
-      obs::pin_this_shard(pid);  // spreads harness threads over metric slots
-      obs::set_thread_span_tracer(tracer, pid);
+      obs::set_thread_identity(pid, tracer);
       barrier->ready.fetch_add(1, std::memory_order_relaxed);
       while (!barrier->go.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -45,8 +41,6 @@ std::vector<std::thread> launch_workers(
       body(pid);
       if (on_done) on_done(pid);
       if (tracer != nullptr) tracer->lifecycle(pid, obs::EventKind::kDone);
-      obs::set_thread_span_tracer(nullptr, -1);
-      obs::set_thread_pid(-1);
     });
   }
   while (barrier->ready.load(std::memory_order_relaxed) < num_threads) {

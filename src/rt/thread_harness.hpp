@@ -17,11 +17,12 @@ namespace apram::rt {
 // start barrier, and joins them all. Exceptions escaping a body terminate
 // (concurrent test bodies must not throw).
 //
-// Each worker declares its obs identity before the body runs: metrics shard
-// and trace ring == pid, so instrumented registers attribute work to the
-// right model process. With a tracer (one ring per thread required), every
-// thread additionally emits kSpawn/kDone events; the join in parallel_run is
-// the quiescence point after which tracer reads are exact.
+// Each worker declares its obs identity before the body runs, in one
+// obs::set_thread_identity call: metrics shard and trace ring == pid, so
+// instrumented registers attribute work to the right model process. With a
+// tracer (one ring per thread required), every thread additionally emits
+// kSpawn/kDone events; the join in parallel_run is the quiescence point
+// after which tracer reads are exact.
 void parallel_run(int num_threads, const std::function<void(int)>& body,
                   obs::Tracer* tracer = nullptr);
 

@@ -28,6 +28,7 @@
 // each register has a single writer, so the owner always knows its contents.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,6 +46,21 @@ enum class ScanMode {
   kPlain,      // every access in Figure 5 hits shared memory
   kOptimized,  // §6.2: skip self-reads and the final write
 };
+
+// Closed-form per-Scan costs from §6.2.
+constexpr std::uint64_t expected_scan_reads(int n, ScanMode mode) {
+  const auto un = static_cast<std::uint64_t>(n);
+  return mode == ScanMode::kPlain
+             ? un * un + un + 1  // 1 + n reads in each of n+1 passes
+             : un * un - 1;      // (n+1)(n-1): self-reads served from cache
+}
+
+constexpr std::uint64_t expected_scan_writes(int n, ScanMode mode) {
+  const auto un = static_cast<std::uint64_t>(n);
+  return mode == ScanMode::kPlain
+             ? un + 2   // level-0 write + one per pass
+             : un + 1;  // final pass returns locally instead of writing
+}
 
 namespace snapshot {
 

@@ -41,7 +41,9 @@
 // self-covered one; an incomplete update may stay unlinearized. A
 // TreeSnapshot update carries a fresh tag, so it is never self-covered.
 //
-// Step counts (exact for n a power of two; upper bounds otherwise):
+// Step counts (exact for n a power of two; upper bounds otherwise), with
+// farray's closed forms farray_write_{solo,max}_accesses and
+// farray_read_accesses:
 //
 //   update, self-covered:  0
 //   update, solo:          1 + 4h   (h = ⌈log2 n⌉)
@@ -71,24 +73,6 @@ namespace apram::snapshot {
 // The write-identifying stamp moved to the farray layer with the tree;
 // re-exported under its historical name.
 using farray::Stamped;
-
-// Closed forms, kept under the snapshot names tests and docs use; the tree
-// versions are the source of truth.
-constexpr int tree_scan_height(int num_procs) {
-  return farray::farray_height(num_procs);
-}
-
-constexpr std::uint64_t tree_scan_update_solo_accesses(int num_procs) {
-  return farray::farray_write_solo_accesses(num_procs);
-}
-
-constexpr std::uint64_t tree_scan_update_max_accesses(int num_procs) {
-  return farray::farray_write_max_accesses(num_procs);
-}
-
-constexpr std::uint64_t tree_scan_scan_accesses() {
-  return farray::farray_read_accesses();
-}
 
 template <class B, Semilattice L>
   requires api::BackendFor<B, typename L::Value> &&

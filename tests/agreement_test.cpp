@@ -303,7 +303,7 @@ TEST(ApproxAgreement, StepBoundHolds) {
     const auto run = run_agreement(inputs, eps, rr);
     const int n = 2;
     // Generous constant slack on top of the theorem's bound.
-    const double bound = (2.0 * n + 1.0) * (log_ratio + 3.0) + 8.0 * n;
+    const double bound = agreement_step_bound(n, log_ratio);
     EXPECT_LE(static_cast<double>(run.max_steps_per_proc), bound)
         << "log2(delta/eps)=" << log_ratio;
   }

@@ -258,7 +258,9 @@ TEST(Analyze, LoadEventsJsonRoundTripsThroughTheMetricsArtifact) {
   const std::string path = "analyze_test.metrics.json";
   write_metrics_json(path, reg, &tracer, "analyze_test");
 
-  const auto loaded = load_events_json(path);
+  const MetricsDoc doc = load_metrics_json(path);
+  ASSERT_TRUE(doc.events.has_value());
+  const std::vector<TraceEvent>& loaded = *doc.events;
   const auto direct = tracer.events();
   ASSERT_EQ(loaded.size(), direct.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
@@ -287,11 +289,16 @@ TEST(Analyze, MetricsJsonHasEventsProbesTheArtifactShape) {
   const std::string without = "analyze_test.without_events.json";
   write_metrics_json(with, reg, &tracer, "probe");
   write_metrics_json(without, reg, nullptr, "probe");
-  // The probe is what lets apram-trace fall back to gauge-derived analysis
-  // instead of aborting on tracer-less artifacts (BENCH_t1.json et al.).
-  EXPECT_TRUE(metrics_json_has_events(with));
-  EXPECT_FALSE(metrics_json_has_events(without));
-  EXPECT_FALSE(metrics_json_has_events("analyze_test.does_not_exist.json"));
+  // Telling the two apart is what lets apram-trace fall back to
+  // gauge-derived analysis instead of aborting on tracer-less artifacts
+  // (BENCH_t1.json et al.).
+  const MetricsDoc with_doc = load_metrics_json(with);
+  ASSERT_TRUE(with_doc.events.has_value());
+  EXPECT_EQ(with_doc.events->size(), 1u);
+  EXPECT_EQ(with_doc.counters.at("x"), 1u);
+  const MetricsDoc without_doc = load_metrics_json(without);
+  EXPECT_FALSE(without_doc.events.has_value());
+  EXPECT_EQ(without_doc.counters.at("x"), 1u);
   std::remove(with.c_str());
   std::remove(without.c_str());
 }
@@ -436,10 +443,18 @@ TEST(AnalyzeDeath, LoadAbortsOnGarbageAndMissingFiles) {
     std::ofstream out(path);
     out << "{ \"name\": \"no events key here\" }";
   }
-  EXPECT_DEATH((void)load_events_json(path), "");
-  EXPECT_DEATH((void)load_events_json("analyze_test.does_not_exist.json"),
+  EXPECT_DEATH((void)load_metrics_json(path), "");
+  EXPECT_DEATH((void)load_metrics_json("analyze_test.does_not_exist.json"),
                "");
   std::remove(path.c_str());
+
+  // A well-formed artifact exported without a tracer loads, but asking it
+  // for a trace aborts.
+  const std::string bare = "analyze_test.no_events.json";
+  write_metrics_json(bare, Registry{}, nullptr, "bare");
+  const MetricsDoc doc = load_metrics_json(bare);
+  EXPECT_DEATH((void)doc.trace(), "no \"events\" array");
+  std::remove(bare.c_str());
 }
 
 }  // namespace

@@ -131,7 +131,7 @@ TEST(FaultCampaign, AgreementStepBoundHoldsUnderFaults) {
   // same generous constant slack the tier-1 bound test uses.
   const int n = 3;
   const double log_ratio = std::log2(1.0 / 0.01);
-  const double bound = (2.0 * n + 1.0) * (log_ratio + 3.0) + 8.0 * n;
+  const double bound = agreement_step_bound(n, log_ratio);
   const fault::Judge judge = [bound, n](sim::Execution& e) -> std::string {
     for (int pid = 0; pid < n; ++pid) {
       const double steps =

@@ -3,9 +3,9 @@
 // Covers: victim-keyed crash semantics (World::schedule_crash), strict and
 // skipping replay divergence handling, fault plans (crashes armed on the
 // World, stalls and bursts imposed by the Nemesis scheduler combinator), the
-// campaign certifier with step-bound judges and its exact fault accounting,
-// replay artifacts for violations, and exhaustive exploration of
-// crash-during-Scan interleavings.
+// campaign certifier with step-bound and lincheck judges and its exact fault
+// accounting, the artifacts a violation leaves, and exhaustive exploration
+// of crash-during-Scan interleavings.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +16,8 @@
 
 #include "fault/certifier.hpp"
 #include "fault/nemesis.hpp"
+#include "lincheck/checker.hpp"
+#include "objects/specs.hpp"
 #include "obs/analyze.hpp"
 #include "sim/explore.hpp"
 #include "sim/replay.hpp"
@@ -337,6 +339,15 @@ std::vector<fault::StepBound> snap_bounds() {
   return {{0, 1}, {0, 1}, {16, 8}};
 }
 
+// The file names in an artifact directory.
+std::set<std::string> artifact_names(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
 TEST(Certifier, SnapshotCampaignCertifies) {
   fault::CampaignOptions opts;
   opts.schedules = 60;
@@ -408,8 +419,13 @@ TEST(Certifier, ViolationArtifactReplaysStepIdentically) {
       snap_factory(), fault::step_bound_judge(bounds), opts);
   ASSERT_EQ(result.violations.size(), 1u);
   const fault::Violation& v = result.violations[0];
-  ASSERT_FALSE(v.artifact_path.empty());
-  ASSERT_TRUE(std::filesystem::exists(v.artifact_path));
+  // The certifier writes exactly the violation's three artifacts.
+  EXPECT_EQ(artifact_names(dir),
+            (std::set<std::string>{"violation-seed42.metrics.json",
+                                   "violation-seed42.schedule",
+                                   "violation-seed42.trace.json"}));
+  EXPECT_EQ(v.artifact_path, dir + "/violation-seed42.schedule");
+  EXPECT_EQ(v.metrics_path, dir + "/violation-seed42.metrics.json");
 
   // Strict replay reconstructs the run: every process performs exactly the
   // accesses the recorded schedule granted it, in the same global order.
@@ -422,15 +438,27 @@ TEST(Certifier, ViolationArtifactReplaysStepIdentically) {
   }
   EXPECT_EQ(w.global_step(), v.schedule.size());
 
-  // The flight dump carries each pid's counts as of the violation, and they
-  // are the replayed World's counts.
-  const obs::MetricsDoc flight = obs::load_metrics_json(v.flight_path);
+  // The metrics artifact carries each pid's counts as of the violation, and
+  // so do its trace events: both are the replayed World's counts.
+  const obs::MetricsDoc doc = obs::load_metrics_json(v.metrics_path);
+  ASSERT_TRUE(doc.events.has_value());
+  std::vector<obs::AccessCounts> traced(3);
+  for (const obs::TraceEvent& ev : *doc.events) {
+    obs::AccessCounts& c = traced[static_cast<std::size_t>(ev.pid)];
+    if (ev.kind == obs::EventKind::kRead) ++c.reads;
+    if (ev.kind == obs::EventKind::kWrite) ++c.writes;
+    EXPECT_NE(ev.kind, obs::EventKind::kCas);  // the snapshot makes no CAS
+  }
   for (int pid = 0; pid < 3; ++pid) {
     const std::string p = ".p" + std::to_string(pid);
-    EXPECT_EQ(flight.gauges.at("cert.reads" + p),
+    EXPECT_EQ(doc.gauges.at("cert.reads" + p),
               static_cast<std::int64_t>(w.counts(pid).reads));
-    EXPECT_EQ(flight.gauges.at("cert.writes" + p),
+    EXPECT_EQ(doc.gauges.at("cert.writes" + p),
               static_cast<std::int64_t>(w.counts(pid).writes));
+    EXPECT_EQ(traced[static_cast<std::size_t>(pid)].reads,
+              w.counts(pid).reads);
+    EXPECT_EQ(traced[static_cast<std::size_t>(pid)].writes,
+              w.counts(pid).writes);
   }
 
   // And it is deterministic: replaying the artifact twice gives identical
@@ -439,6 +467,37 @@ TEST(Certifier, ViolationArtifactReplaysStepIdentically) {
   EXPECT_EQ(static_cast<SnapCampaignExec&>(*replayed).views,
             static_cast<SnapCampaignExec&>(*replayed2).views);
 
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Certifier, LincheckJudgeViolationLeavesThreeArtifacts) {
+  // A judge that rejects a history through the linearizability checker: the
+  // failed check writes nothing, so the violation's three artifacts are the
+  // directory's only files.
+  const std::string dir = ::testing::TempDir() + "apram-lincheck-artifacts";
+  std::filesystem::remove_all(dir);
+
+  fault::CampaignOptions opts;
+  opts.schedules = 1;
+  opts.base_seed = 5;
+  opts.artifact_dir = dir;
+  const fault::Judge judge = [](Execution&) -> std::string {
+    using C = CounterSpec;
+    // A read that follows a completed inc(1) yet returns 0.
+    const bool ok = is_linearizable<C>({
+        RecordedOp<C>{0, C::inc(1), 0, 0, 1},
+        RecordedOp<C>{1, C::read(), 0, 2, 3},
+    });
+    return ok ? "" : "counter history is not linearizable";
+  };
+  const fault::CampaignResult result =
+      fault::certify_wait_freedom(snap_factory(), judge, opts);
+  ASSERT_EQ(result.violations.size(), 1u);
+  EXPECT_EQ(result.violations[0].what, "counter history is not linearizable");
+  EXPECT_EQ(artifact_names(dir),
+            (std::set<std::string>{"violation-seed5.metrics.json",
+                                   "violation-seed5.schedule",
+                                   "violation-seed5.trace.json"}));
   std::filesystem::remove_all(dir);
 }
 

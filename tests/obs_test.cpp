@@ -1,10 +1,9 @@
 // Tests for apram::obs — metrics registry, event tracer, exporters, and the
-// trace → schedule → replay loop that makes sim traces replay artifacts.
+// record → schedule → replay loop behind sim replay artifacts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -15,7 +14,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/contention.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/replay_artifact.hpp"
 #include "obs/rt_probe.hpp"
@@ -62,7 +60,7 @@ TEST(Metrics, ConcurrentIncrementsAggregateExactly) {
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&c, t] {
-      pin_this_shard(t);
+      set_thread_identity(t, nullptr);
       for (int i = 0; i < kPerThread; ++i) c.add();
     });
   }
@@ -99,16 +97,17 @@ TEST(Metrics, KindCollisionAborts) {
 }
 
 TEST(Metrics, ClampedPinKeepsTotalsExact) {
-  // Shard ids ≥ kMaxShards clamp modulo kMaxShards: threads 1 and
-  // kMaxShards+1 share a shard, per-shard attribution blurs, but the
-  // aggregated total must stay exact.
+  // Pids ≥ kMaxShards clamp modulo kMaxShards: threads 1 and kMaxShards+1
+  // share a shard, per-shard attribution blurs, but the aggregated total
+  // must stay exact.
   Registry reg;
   Counter& c = reg.counter("clamped");
   constexpr int kPerThread = 20'000;
   std::vector<std::thread> ts;
-  for (int shard : {1, kMaxShards + 1, 2 * kMaxShards + 1}) {
-    ts.emplace_back([&c, shard] {
-      pin_this_shard(shard);
+  for (int pid : {1, kMaxShards + 1, 2 * kMaxShards + 1}) {
+    ts.emplace_back([&c, pid] {
+      set_thread_identity(pid, nullptr);
+      EXPECT_EQ(this_shard(), 1);
       for (int i = 0; i < kPerThread; ++i) c.add();
     });
   }
@@ -160,8 +159,9 @@ TEST(Trace, DrainResetsRingsButKeepsTotals) {
 
 // -------------------------------------------------------------- sim hooks --
 
-// The tentpole loop: trace a 3-process run, project the trace to a schedule,
-// and replay it via sim/replay — the replayed run is step-identical.
+// Record a traced 3-process run's schedule, round-trip it through the
+// artifact format, and replay it via sim/replay: the replayed run is
+// step-identical, and so is its trace.
 TEST(SimObs, TraceOfThreeProcessRunReplaysIdentically) {
   struct Run : sim::Execution {
     Run(int n, obs::Tracer* t) : w(n, {.tracer = t}), snap(w, n) {}
@@ -190,16 +190,17 @@ TEST(SimObs, TraceOfThreeProcessRunReplaysIdentically) {
 
   auto factory = [&make]() { return make(nullptr); };
 
-  // Original run: random schedule, traced.
+  // Original run: random schedule, traced and recorded.
   Tracer tracer(n, 4096);
   auto orig = make(&tracer);
-  sim::RandomScheduler sched(/*seed=*/7, /*stickiness=*/0.5);
+  sim::RandomScheduler random(/*seed=*/7, /*stickiness=*/0.5);
+  sim::RecordingScheduler sched(random);
   ASSERT_TRUE(orig->world().run(sched).all_done);
   const auto events = tracer.events();
   EXPECT_EQ(tracer.dropped(), 0u);
 
-  // Project onto the access schedule and round-trip through the text format.
-  const auto schedule = schedule_from_trace(events);
+  // Round-trip the recorded schedule through the text format.
+  const std::vector<int>& schedule = sched.picks();
   std::stringstream ss;
   save_schedule(ss, schedule);
   const auto loaded = load_schedule(ss);
@@ -595,7 +596,7 @@ TEST(Span, AnEndWithNoOpenSpanIsDroppedBySimAndFatalInRt) {
             static_cast<std::uint64_t>(n * n - 1 + n + 1 - 1));
 
   const auto end_outside_any_span = [&tracer] {
-    set_thread_span_tracer(&tracer, 0);
+    set_thread_identity(0, &tracer);
     rt_op_end(OpKind::kUser);
   };
   EXPECT_DEATH(end_outside_any_span(), "op_end without a matching op_begin");
@@ -789,28 +790,28 @@ TEST(Trace, TwoSlotRingCountsDroppedEventsExactly) {
   EXPECT_EQ(tr.recorded(), 5u);
   EXPECT_EQ(tr.dropped(), 3u);
 
-  Tracer::CollectStats stats;
-  const auto evs = tr.events(stats);
-  EXPECT_EQ(stats.survived, 2u);
-  EXPECT_EQ(tr.recorded(), stats.survived + tr.dropped());
   // Op 9's kOpBegin was overwritten while its kOpEnd survived → exactly one
   // synthesized marker, appended to the output without touching a ring slot
   // or the drop count.
-  EXPECT_EQ(stats.synthesized, 1u);
-  EXPECT_EQ(evs.size(), stats.survived + stats.synthesized);
-  int markers = 0;
-  for (const auto& ev : evs) {
-    if (ev.kind == EventKind::kTruncated) {
-      EXPECT_EQ(ev.op, 9u);
-      ++markers;
+  const auto tally = [&tr] {
+    std::uint64_t survivors = 0;
+    std::uint64_t markers = 0;
+    for (const auto& ev : tr.events()) {
+      if (ev.kind == EventKind::kTruncated) {
+        EXPECT_EQ(ev.op, 9u);
+        ++markers;
+      } else {
+        ++survivors;
+      }
     }
-  }
-  EXPECT_EQ(markers, 1);
+    return std::make_pair(survivors, markers);
+  };
+  const auto [survivors, markers] = tally();
+  EXPECT_EQ(survivors, 2u);
+  EXPECT_EQ(markers, 1u);
+  EXPECT_EQ(tr.recorded(), survivors + tr.dropped());
   // Collection is read-only: a second pass reports identical accounting.
-  Tracer::CollectStats again;
-  (void)tr.events(again);
-  EXPECT_EQ(again.survived, stats.survived);
-  EXPECT_EQ(again.synthesized, stats.synthesized);
+  EXPECT_EQ(tally(), std::make_pair(survivors, markers));
   EXPECT_EQ(tr.dropped(), 3u);
 }
 
@@ -828,10 +829,9 @@ TEST(Contention, TelemetryAddsNoModelAccessesAndPinsSoloOutcomes) {
     co_await tree.update(ctx, 5);
   });
   w.run_solo(0);
-  EXPECT_EQ(w.counts(0).total(), snapshot::tree_scan_update_solo_accesses(n));
+  EXPECT_EQ(w.counts(0).total(), farray::farray_write_solo_accesses(n));
 
-  const auto h =
-      static_cast<std::uint64_t>(snapshot::tree_scan_height(n));
+  const auto h = static_cast<std::uint64_t>(farray::farray_height(n));
   const ContentionTotals t = tree.contention().totals();
   if (kContentionEnabled) {
     // A solo walk installs first-try at every level: h walks, all
@@ -934,114 +934,6 @@ TEST(Sampler, SampledTraceStillVerifiesTheTreeUpdateBound) {
   EXPECT_LT(report.checked,
             static_cast<std::uint64_t>(n) * kOpsPerPid);  // a strict subset
   EXPECT_EQ(report.excluded, 0u);  // sampling truncates nothing
-}
-
-// ----------------------------------------------------------------- flight --
-
-TEST(Flight, DumpRoundTripsAndReplaysStepIdentically) {
-  struct Run : sim::Execution {
-    Run(int n, obs::Tracer* t) : w(n, {.tracer = t}), snap(w, n) {}
-    sim::World& world() override { return w; }
-    sim::World w;
-    AtomicSnapshotSim<int> snap;
-    std::vector<int> scans;
-  };
-  const int n = 3;
-  auto make = [n](obs::Tracer* t) -> std::unique_ptr<sim::Execution> {
-    auto run = std::make_unique<Run>(n, t);
-    Run* r = run.get();
-    for (int pid = 0; pid < n; ++pid) {
-      r->w.spawn(pid, [r, pid](sim::Context ctx) -> sim::ProcessTask {
-        co_await r->snap.update(ctx, pid + 1);
-        const auto view = co_await r->snap.scan(ctx);
-        std::int64_t sum = 0;
-        for (const auto& v : view) sum += v.value_or(0);
-        r->scans.push_back(static_cast<int>(sum));
-      });
-    }
-    return run;
-  };
-
-  Tracer tracer(n, 4096);
-  Registry reg;
-  auto orig = make(&tracer);
-  sim::RandomScheduler sched(/*seed=*/13, /*stickiness=*/0.5);
-  ASSERT_TRUE(orig->world().run(sched).all_done);
-
-  FlightRecorder rec(&reg, &tracer, "flighttest");
-  const std::string dir = ::testing::TempDir();
-  rec.set_dir(dir);
-  bool hook_ran = false;
-  rec.set_snapshot_hook([&] {
-    hook_ran = true;
-    reg.gauge("unit.snapshot_hook").set(1);
-  });
-  const std::string metrics_path = rec.dump("unit-test dump");
-  EXPECT_TRUE(hook_ran);
-  EXPECT_EQ(rec.dumps(), 1u);
-
-  // The metrics artifact is a standard export: the snapshot-hook gauge, the
-  // flight.* accounting, and the events all load back through the normal
-  // analyzers.
-  ASSERT_TRUE(metrics_json_has_events(metrics_path));
-  const MetricsDoc doc = load_metrics_json(metrics_path);
-  EXPECT_EQ(doc.gauges.at("unit.snapshot_hook"), 1);
-  EXPECT_EQ(doc.gauges.at("flight.dumps"), 1);
-  EXPECT_EQ(doc.gauges.at("flight.dropped"), 0);
-  const auto live = tracer.events();
-  EXPECT_EQ(doc.gauges.at("flight.survived"),
-            static_cast<std::int64_t>(live.size()));
-  const auto loaded = load_events_json(metrics_path);
-  ASSERT_EQ(loaded.size(), live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(loaded[i].when, live[i].when);
-    EXPECT_EQ(loaded[i].pid, live[i].pid);
-    EXPECT_EQ(loaded[i].kind, live[i].kind);
-    EXPECT_EQ(loaded[i].object, live[i].object);
-    EXPECT_EQ(loaded[i].op, live[i].op);
-  }
-
-  // The companion .schedule replays the run step-identically.
-  const std::string sched_path = dir + "/flighttest-0.schedule";
-  ASSERT_TRUE(std::filesystem::exists(sched_path));
-  auto factory = [&make]() { return make(nullptr); };
-  auto replayed_exec = sim::replay(factory, read_schedule_file(sched_path));
-  auto* replayed = static_cast<Run*>(replayed_exec.get());
-  for (int pid = 0; pid < n; ++pid) {
-    EXPECT_TRUE(replayed->w.done(pid));
-    EXPECT_EQ(replayed->w.counts(pid).reads, orig->world().counts(pid).reads);
-    EXPECT_EQ(replayed->w.counts(pid).writes,
-              orig->world().counts(pid).writes);
-  }
-  EXPECT_EQ(replayed->scans, static_cast<Run*>(orig.get())->scans);
-
-  // A second dump gets a fresh sequence number; neither clobbers the other.
-  const std::string metrics_path2 = rec.dump("second dump");
-  EXPECT_NE(metrics_path2, metrics_path);
-  EXPECT_EQ(rec.dumps(), 2u);
-  EXPECT_TRUE(std::filesystem::exists(metrics_path));
-  EXPECT_TRUE(std::filesystem::exists(metrics_path2));
-}
-
-TEST(Flight, PanicDumpRoutesThroughTheInstalledRecorder) {
-  // Library code calls panic_dump unconditionally; with nothing installed it
-  // must be a silent no-op.
-  EXPECT_EQ(panic_dump("nobody installed"), "");
-
-  Registry reg;
-  Tracer tr(1, 8);
-  tr.emit({1, 0, EventKind::kUser, 0, 0});
-  FlightRecorder rec(&reg, &tr, "panictest");
-  rec.set_dir(::testing::TempDir());
-  set_panic_recorder(&rec);
-  const std::string path = panic_dump("unit panic");
-  EXPECT_FALSE(path.empty());
-  EXPECT_EQ(rec.dumps(), 1u);
-  EXPECT_TRUE(std::filesystem::exists(path));
-
-  set_panic_recorder(nullptr);
-  EXPECT_EQ(panic_dump("after uninstall"), "");
-  EXPECT_EQ(rec.dumps(), 1u);  // the uninstalled recorder never fires
 }
 
 }  // namespace

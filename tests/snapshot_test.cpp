@@ -15,7 +15,6 @@
 #include "sim/world.hpp"
 #include "snapshot/atomic_snapshot.hpp"
 #include "snapshot/lattice_scan.hpp"
-#include "snapshot/scan_stats.hpp"
 
 namespace apram {
 namespace {

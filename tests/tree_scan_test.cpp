@@ -51,17 +51,17 @@ using SimSnap = TreeSnapshot<api::SimBackend, int>;
 // ---------------------------------------------------------------------------
 
 TEST(TreeScan, ClosedFormsMatchTheStepComplexityTable) {
-  EXPECT_EQ(tree_scan_height(1), 0);
-  EXPECT_EQ(tree_scan_height(2), 1);
-  EXPECT_EQ(tree_scan_height(3), 2);
-  EXPECT_EQ(tree_scan_height(4), 2);
-  EXPECT_EQ(tree_scan_height(5), 3);
-  EXPECT_EQ(tree_scan_height(8), 3);
-  EXPECT_EQ(tree_scan_height(16), 4);
-  EXPECT_EQ(tree_scan_update_solo_accesses(4), 9u);    // 1 + 4·2
-  EXPECT_EQ(tree_scan_update_max_accesses(4), 17u);    // 1 + 8·2
-  EXPECT_EQ(tree_scan_update_solo_accesses(16), 17u);  // 1 + 4·4
-  EXPECT_EQ(tree_scan_scan_accesses(), 1u);
+  EXPECT_EQ(farray::farray_height(1), 0);
+  EXPECT_EQ(farray::farray_height(2), 1);
+  EXPECT_EQ(farray::farray_height(3), 2);
+  EXPECT_EQ(farray::farray_height(4), 2);
+  EXPECT_EQ(farray::farray_height(5), 3);
+  EXPECT_EQ(farray::farray_height(8), 3);
+  EXPECT_EQ(farray::farray_height(16), 4);
+  EXPECT_EQ(farray::farray_write_solo_accesses(4), 9u);    // 1 + 4·2
+  EXPECT_EQ(farray::farray_write_max_accesses(4), 17u);    // 1 + 8·2
+  EXPECT_EQ(farray::farray_write_solo_accesses(16), 17u);  // 1 + 4·4
+  EXPECT_EQ(farray::farray_read_accesses(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -142,9 +142,10 @@ TEST(TreeScan, SoloUpdateMatchesClosedFormAndScanIsOneAccess) {
         << "n=" << n;
 
     const auto update = update_cost(w, tree, 0, 42);
-    EXPECT_EQ(update.total(), tree_scan_update_solo_accesses(n)) << "n=" << n;
+    EXPECT_EQ(update.total(), farray::farray_write_solo_accesses(n))
+        << "n=" << n;
     // The split: h reads of the node + 2h child reads, 1 leaf write + h CAS.
-    const auto h = static_cast<std::uint64_t>(tree_scan_height(n));
+    const auto h = static_cast<std::uint64_t>(farray::farray_height(n));
     EXPECT_EQ(update.reads, 3 * h) << "n=" << n;
     EXPECT_EQ(update.writes, 1 + h) << "n=" << n;
 
@@ -160,10 +161,10 @@ TEST(TreeScan, SoloUpdateMatchesClosedFormAndScanIsOneAccess) {
     // The rule reads only the caller's own completed updates: pid 1's 100
     // is at the root, yet pid 0's 50 walks.
     EXPECT_EQ(update_cost(w, tree, 1, 100).total(),
-              tree_scan_update_solo_accesses(n))
+              farray::farray_write_solo_accesses(n))
         << "n=" << n;
     EXPECT_EQ(update_cost(w, tree, 0, 50).total(),
-              tree_scan_update_solo_accesses(n))
+              farray::farray_write_solo_accesses(n))
         << "n=" << n;
 
     const auto before_scan = w.counts(0);
@@ -173,7 +174,7 @@ TEST(TreeScan, SoloUpdateMatchesClosedFormAndScanIsOneAccess) {
     w.run_solo(0);
     const auto after_scan = w.counts(0);
     const std::uint64_t scan_cost = after_scan.total() - before_scan.total();
-    EXPECT_EQ(scan_cost, tree_scan_scan_accesses()) << "n=" << n;
+    EXPECT_EQ(scan_cost, farray::farray_read_accesses()) << "n=" << n;
     scan_costs.insert(scan_cost);
   }
   // Scan cost is independent of n: one distinct value across all sizes.
@@ -200,7 +201,7 @@ TEST(TreeScan, ContendedUpdatesStayWithinTheDoubleRefreshBound) {
         ASSERT_TRUE(w.run(rs).all_done);
         for (int pid = 0; pid < n; ++pid) {
           EXPECT_LE(w.counts(pid).total(),
-                    kOps * tree_scan_update_max_accesses(n))
+                    kOps * farray::farray_write_max_accesses(n))
               << "n=" << n << " pid=" << pid << " seed=" << seed;
         }
         std::int64_t got = -1;
@@ -496,7 +497,7 @@ TEST(TreeScanFault, RevivedUpdaterWalksPastItsOrphanedLeaf) {
     });
     ASSERT_TRUE(w.run_solo(1).all_done) << "n=" << n;
     EXPECT_EQ((w.counts(1) - before).total(),
-              tree_scan_update_solo_accesses(n))
+              farray::farray_write_solo_accesses(n))
         << "n=" << n;
     EXPECT_EQ(solo_scan(w, tree, 0), 999) << "n=" << n;
   }
@@ -510,7 +511,7 @@ TEST(TreeScanFault, SelfCoveredUpdateLeavesAnOrphanedLeafBehind) {
   World w(n);
   SimTree tree(w, n);
   EXPECT_EQ(update_cost(w, tree, 0, 200).total(),
-            tree_scan_update_solo_accesses(n));
+            farray::farray_write_solo_accesses(n));
   w.spawn(1, [&](Context ctx) -> ProcessTask {
     co_await tree.update(ctx, 999);
   });
@@ -520,7 +521,7 @@ TEST(TreeScanFault, SelfCoveredUpdateLeavesAnOrphanedLeafBehind) {
   EXPECT_EQ(update_cost(w, tree, 0, 150).total(), 0u);
   EXPECT_EQ(solo_scan(w, tree, 3), 200);
   EXPECT_EQ(update_cost(w, tree, 0, 300).total(),
-            tree_scan_update_solo_accesses(n));
+            farray::farray_write_solo_accesses(n));
   EXPECT_EQ(solo_scan(w, tree, 3), 999);  // pid 0's walk read leaf 1
 }
 

@@ -15,7 +15,7 @@
 #include "objects/grow_set.hpp"
 #include "objects/logical_clock.hpp"
 #include "sim/scheduler.hpp"
-#include "snapshot/scan_stats.hpp"
+#include "snapshot/lattice_scan.hpp"
 
 namespace apram {
 namespace {

@@ -1,8 +1,8 @@
 // apram-trace — offline trace analyzer CLI.
 //
-// Re-derives the paper's per-operation bounds from a --metrics_out JSON
-// artifact (obs/export.hpp schema, "events" array) with no access to the
-// program that produced it:
+// Re-derives the paper's per-operation bounds from a metrics JSON artifact
+// (obs/export.hpp schema, "events" array; a bench's --metrics_out or a
+// violation's .metrics.json), read once, with no access to its program:
 //
 //   apram-trace summary <metrics.json>
 //       Per-op-kind table: op count, access min/mean/max, helps, plus the
@@ -73,7 +73,7 @@ std::string strip_spaces(const std::string& s) {
 
 int run_summary(const std::string& path) {
   const TraceAnalysis a =
-      apram::obs::analyze(apram::obs::load_events_json(path));
+      apram::obs::analyze(apram::obs::load_metrics_json(path).trace());
 
   std::printf("%-12s %6s %10s %10s %10s %7s\n", "op kind", "ops", "min",
               "mean", "max", "helps");
@@ -114,7 +114,7 @@ int run_summary(const std::string& path) {
 int run_check(const std::string& path, const std::vector<std::string>& bounds,
               int n, double log_ratio) {
   const TraceAnalysis a =
-      apram::obs::analyze(apram::obs::load_events_json(path));
+      apram::obs::analyze(apram::obs::load_metrics_json(path).trace());
 
   bool ok = true;
   for (const std::string& spec : bounds) {
@@ -281,18 +281,13 @@ int run_heatmap(const std::string& path, int top,
   // Trace-derived when the artifact carries events; otherwise reassembled
   // from the exported contention gauges (rates recomputed from raw counts
   // either way).
-  std::vector<apram::obs::TraceEvent> events;
   const MetricsDoc doc = apram::obs::load_metrics_json(path);
-  if (apram::obs::metrics_json_has_events(path)) {
-    events = apram::obs::load_events_json(path);
-  }
-
   std::vector<HeatRow> rows;
   std::string source;
   int peak = -1;
-  if (!events.empty()) {
+  if (doc.events.has_value() && !doc.events->empty()) {
     source = "trace";
-    const ContentionHeatmap hm = apram::obs::contention_heatmap(events);
+    const ContentionHeatmap hm = apram::obs::contention_heatmap(*doc.events);
     for (std::size_t l = 0; l < hm.levels.size(); ++l) {
       rows.push_back({"level" + std::to_string(l), hm.levels[l]});
     }
@@ -361,7 +356,7 @@ int run_heatmap(const std::string& path, int top,
 
 int run_helpgraph(const std::string& path, int n) {
   const std::vector<apram::obs::TraceEvent> events =
-      apram::obs::load_events_json(path);
+      apram::obs::load_metrics_json(path).trace();
   const apram::obs::HelpGraph g = apram::obs::help_graph(events);
   const TraceAnalysis a = apram::obs::analyze(events);
   const int procs = n > 0 ? n : a.num_pids;
