@@ -9,11 +9,14 @@
 //        and end with no tracer, and an FArray read_f (a frame-free root
 //        read).
 // The multi-thread throughput shapes live in bench_e5_snapshot_compare.
-// Each row is the median of bench_common's kTimedPasses timed loops —
-// --ops accesses for M1, --ops/100 operations for M2 — after an untimed
-// warm-up pass. A read row sums its results in a loop-local and checks the
-// sum, so no read can be optimized away and the timed loop stores nothing
-// per read.
+// Each row is the median of bench_common's kTimedPasses timed loops after
+// an untimed warm-up pass. A row that costs tens of ns or less — every M1
+// access, and in M2 the self-covered TreeScanRT update, its scan and the
+// pieces — loops --ops times; the M2 rows that walk or collect
+// (AtomicSnapshotRT, the raising TreeScanRT update, FastCounterRT) loop
+// --ops/100 times. A read row sums its results in a loop-local and checks
+// the sum, so no read can be optimized away and the timed loop stores
+// nothing per read.
 #include <cstdint>
 #include <functional>
 #include <iostream>
@@ -113,7 +116,7 @@ int run(int argc, char** argv) {
   const auto ops = static_cast<std::uint64_t>(flags.get_int("ops", 2'000'000));
   flags.check_unused();
   APRAM_CHECK(ops >= 100);
-  const std::uint64_t object_ops = ops / 100;
+  const std::uint64_t slow_ops = ops / 100;  // M2 rows that walk or collect
 
   Table m1("M1: rt register access cost (one thread)",
            {"register", "access", "ns/op"});
@@ -178,9 +181,9 @@ int run(int argc, char** argv) {
     rt::AtomicSnapshotRT<std::int64_t> snap(n);
     for (int p = 0; p < n; ++p) snap.update(p, p);
     m2_row("AtomicSnapshotRT", "update", n,
-           op_ns([&](std::int64_t i) { snap.update(0, i); }, object_ops));
+           op_ns([&](std::int64_t i) { snap.update(0, i); }, slow_ops));
     m2_row("AtomicSnapshotRT", "scan (~n^2 reads)", n,
-           read_ns([&] { return *snap.scan(0).back(); }, object_ops));
+           read_ns([&] { return *snap.scan(0).back(); }, slow_ops));
   }
   for (const int n : {4, 16}) {
     // A raising update walks its root path (1 + 4h accesses); a
@@ -190,19 +193,19 @@ int run(int argc, char** argv) {
     for (int p = 0; p < n; ++p) tree.update(p, p);
     std::int64_t top = n;  // op_ns restarts i on every pass
     m2_row("TreeScanRT<Max>", "update raising", n,
-           op_ns([&](std::int64_t) { tree.update(0, ++top); }, object_ops));
+           op_ns([&](std::int64_t) { tree.update(0, ++top); }, slow_ops));
     m2_row("TreeScanRT<Max>", "update self-covered", n,
-           op_ns([&](std::int64_t) { tree.update(0, 1); }, object_ops));
+           op_ns([&](std::int64_t) { tree.update(0, 1); }, ops));
     m2_row("TreeScanRT<Max>", "scan", n,
-           read_ns([&] { return tree.scan(0); }, object_ops));
+           read_ns([&] { return tree.scan(0); }, ops));
   }
   for (const int n : {4, 16}) {
     rt::FastCounterRT ctr(n);
     for (int p = 0; p < n; ++p) ctr.inc(p, 1);
     m2_row("FastCounterRT", "inc", n,
-           op_ns([&](std::int64_t) { ctr.inc(0, 1); }, object_ops));
+           op_ns([&](std::int64_t) { ctr.inc(0, 1); }, slow_ops));
     m2_row("FastCounterRT", "read", n,
-           read_ns([&] { return ctr.read(0); }, object_ops));
+           read_ns([&] { return ctr.read(0); }, slow_ops));
   }
   {
     // The pieces, priced alone. The span row's barrier keeps the compiler
@@ -211,13 +214,13 @@ int run(int argc, char** argv) {
       m2.add(piece).add(op).add("-").add(ns, 1).end_row();
     };
     piece_row("EagerCoro<int64>", "empty call",
-              read_ns([] { return empty_coro(1).get(); }, object_ops));
+              read_ns([] { return empty_coro(1).get(); }, ops));
     const auto span_pair = [](std::int64_t) {
       obs::rt_op_begin(obs::OpKind::kUser);
       obs::rt_op_end(obs::OpKind::kUser);
       asm volatile("" ::: "memory");
     };
-    piece_row("op span, no tracer", "begin+end", op_ns(span_pair, object_ops));
+    piece_row("op span, no tracer", "begin+end", op_ns(span_pair, ops));
     constexpr int n = 4;
     api::RtBackend::Mem mem(n);
     farray::FArray<api::RtBackend, std::int64_t, SumCombiner<std::int64_t>> fa(
@@ -225,7 +228,7 @@ int run(int argc, char** argv) {
     for (int p = 0; p < n; ++p) fa.write(api::RtBackend::Ctx{p}, p + 1).get();
     m2_row("FArray<Sum>", "read_f", n,
            read_ns([&] { return fa.read_f(api::RtBackend::Ctx{0}).get(); },
-                   object_ops));
+                   ops));
   }
   m2.print(std::cout);
 

@@ -14,13 +14,15 @@
 // Every call still needs a coroutine frame, but the frame does not come from
 // the heap: the promise's operator new/delete take it from the calling
 // thread's BlockPool (util/block_pool.hpp), so a steady-state call reuses a
-// cached block and a nested call (TreeScan update -> FArray write) reuses
-// one per level. A frame may be destroyed on another thread; its block then
-// joins that thread's cache. A frame still costs an allocation, a resume
-// and a destroy, so a call that makes one access and nothing else is
-// written as an awaiter, not a coroutine: FArray's read_f hands back the
-// backend's read awaiter of the root, and an rt TreeScan scan runs in one
-// frame, its own.
+// cached block and a nested call (a walking TreeScan update -> FArray
+// write) reuses one per level. A frame may be destroyed on another thread;
+// its block then joins that thread's cache. A frame still costs an
+// allocation, a resume and a destroy, so a call that makes one access and
+// nothing else, or no access at all, is written as an awaiter, not a
+// coroutine: FArray's read_f hands back the backend's read awaiter of the
+// root, so an rt TreeScan scan runs in one frame, its own; and a
+// self-covered TreeScan update hands back an awaitable that is already
+// done, so it runs in none.
 #pragma once
 
 #include <coroutine>

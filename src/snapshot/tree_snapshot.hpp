@@ -7,9 +7,10 @@
 // instantiates it over a lattice join (JoinCombiner<L>) and keeps the
 // snapshot-specific parts:
 //
-//   update(P, v): if v ≤ P's `reached` (below), return with no shared
-//                 access; otherwise join v into P's leaf mirror and
-//                 farray-write the result (1 write + root-path refresh).
+//   update(P, v): if v ≤ P's `reached` (below), return at the call with
+//                 no shared access and no coroutine frame; otherwise join v
+//                 into P's leaf mirror and farray-write the result (1 write
+//                 + root-path refresh).
 //   scan():       one root read.
 //
 // Node monotonicity (why scan is ONE read, not a double-collect — the
@@ -45,7 +46,7 @@
 // farray's closed forms farray_write_{solo,max}_accesses and
 // farray_read_accesses:
 //
-//   update, self-covered:  0
+//   update, self-covered:  0        (and no coroutine frame: TreeUpdate)
 //   update, solo:          1 + 4h   (h = ⌈log2 n⌉)
 //   update, contended:     ≤ 1 + 8h
 //   scan:                  1
@@ -53,6 +54,7 @@
 // versus Figure 5's n²−1 reads and n+1 writes per operation (§6.2).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -73,6 +75,33 @@ namespace apram::snapshot {
 // The write-identifying stamp moved to the farray layer with the tree;
 // re-exported under its historical name.
 using farray::Stamped;
+
+// TreeScan::update's awaitable: empty when the update was self-covered and
+// so already done at the call, else holding the walking coroutine, to which
+// the awaiter calls forward. A sim coroutine co_awaits it as it would the
+// walk. An rt walk ran to completion at the call, so its await is ready and
+// get() drains it as EagerCoro::get does.
+template <class Walk>
+class [[nodiscard]] TreeUpdate {
+ public:
+  TreeUpdate() = default;
+  explicit TreeUpdate(Walk walk) : walk_(std::move(walk)) {}
+
+  bool await_ready() { return !walk_ || walk_->await_ready(); }
+  decltype(auto) await_suspend(std::coroutine_handle<> h) {
+    return walk_->await_suspend(h);
+  }
+  void await_resume() {
+    if (walk_) walk_->await_resume();
+  }
+
+  void get() {
+    if (walk_) walk_->get();
+  }
+
+ private:
+  std::optional<Walk> walk_;
+};
 
 template <class B, Semilattice L>
   requires api::BackendFor<B, typename L::Value> &&
@@ -97,19 +126,18 @@ class TreeScan {
   int height() const { return tree_.height(); }
 
   // Joins v into the lattice state; on return the contribution is visible
-  // at the root (the farray helping lemma). 0 accesses when v ≤ reached,
-  // else ≤ 1 + 8·height().
-  Coro<void> update(Ctx ctx, Value v) {
-    const int p = ctx.pid();
-    Cache& cache = *caches_[static_cast<std::size_t>(p)];
-    ctx.op_begin(obs::OpKind::kTreeUpdate);
-    if (!L::leq(v, cache.reached)) {
-      Value nv = L::join(std::move(v), cache.leaf);
-      cache.leaf = nv;
-      co_await tree_.write(ctx, std::move(nv));
-      cache.reached = cache.leaf;
+  // at the root (the farray helping lemma). When v ≤ reached the update is
+  // done at the call: its span opens and closes here, and it makes no access
+  // and no coroutine frame. Otherwise it walks, ≤ 1 + 8·height() accesses,
+  // in walk()'s frame. Either way co_await the result, or get() it on rt.
+  TreeUpdate<Coro<void>> update(Ctx ctx, Value v) {
+    Cache& cache = *caches_[static_cast<std::size_t>(ctx.pid())];
+    if (L::leq(v, cache.reached)) {
+      ctx.op_begin(obs::OpKind::kTreeUpdate);
+      ctx.op_end(obs::OpKind::kTreeUpdate);
+      return {};
     }
-    ctx.op_end(obs::OpKind::kTreeUpdate);
+    return TreeUpdate<Coro<void>>(walk(ctx, cache, std::move(v)));
   }
 
   // The join of all contributions of updates that completed before the scan
@@ -139,6 +167,18 @@ class TreeScan {
     Value leaf = L::bottom();     // mirror of own leaf (single writer)
     Value reached = L::bottom();  // leaf value of the last returned write
   };
+
+  // The body of an update that is not self-covered: join v into the leaf
+  // mirror and farray-write the result. `cache` is this pid's, owned by the
+  // object, so it outlives a sim walk that starts at its co_await.
+  Coro<void> walk(Ctx ctx, Cache& cache, Value v) {
+    ctx.op_begin(obs::OpKind::kTreeUpdate);
+    Value nv = L::join(std::move(v), cache.leaf);
+    cache.leaf = nv;
+    co_await tree_.write(ctx, std::move(nv));
+    cache.reached = cache.leaf;
+    ctx.op_end(obs::OpKind::kTreeUpdate);
+  }
 
   Tree tree_;
   std::vector<std::unique_ptr<Cache>> caches_;  // [n]

@@ -148,6 +148,7 @@ TEST(SimRtParity, TreeScan) {
       [](auto& tree, auto ctx) -> VoidCoro<decltype(ctx)> {
         co_await tree.update(ctx, 5);
         co_await tree.update(ctx, 3);  // self-covered: no access
+        (void)co_await tree.update_and_scan(ctx, 4);
         (void)co_await tree.scan(ctx);
       });
 }

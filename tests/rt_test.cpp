@@ -413,8 +413,8 @@ TEST(BlockPool, FrameAboveTheLargestClassRoundTripsThroughTheHeap) {
 // op's own, so on a fresh thread each comes from the heap and the op
 // leaves one cached block per frame. A TreeScan scan is its own frame: the
 // root read is the backend's awaiter, not a coroutine. A raising update is
-// two frames, the update's and the FArray write's, which walks the root
-// path inline.
+// two frames, its walk's and the FArray write's, which walks the root path
+// inline; a self-covered update is done at the call and makes none.
 TEST(BlockPool, RtOpsKeepTheirFrameBudget) {
   const auto frames_of = [](const auto& op) {
     std::size_t frames = 0;
@@ -428,6 +428,7 @@ TEST(BlockPool, RtOpsKeepTheirFrameBudget) {
   std::int64_t got = 0;
   snapshot::TreeScanRT<MaxLattice<std::int64_t>> tree(kProcs);
   EXPECT_EQ(frames_of([&] { tree.update(0, 5); }), 2u);
+  EXPECT_EQ(frames_of([&] { tree.update(0, 3); }), 0u);
   EXPECT_EQ(frames_of([&] { got = tree.scan(1); }), 1u);
   EXPECT_EQ(got, 5);
 
